@@ -47,7 +47,6 @@ use canids_core::serve::{
     EcuBackend, FleetAction, FleetTransport, ReplayConfig, ServeHarness, ServeReport,
     SoftwareBackend,
 };
-use canids_core::stream::LineRateScenario;
 use canids_core::telemetry::{Stage, TelemetryConfig, WallClock};
 use canids_core::ShardWorkers;
 use canids_dataflow::folding::{auto_fold, FoldingGoal};
@@ -147,18 +146,27 @@ fn main() {
     // measured service capacity to cover the offered load.
     let duration = SimTime::from_millis(400);
     let dos = Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous));
+    let dos_capture = |seed| {
+        DatasetBuilder::new(TrafficConfig {
+            duration,
+            attack: dos,
+            seed,
+            ..TrafficConfig::default()
+        })
+        .build()
+    };
     let scenarios = [
-        LineRateScenario::classic_1m("dos_1m", dos, duration),
-        LineRateScenario::fd_class("dos_fd5m", dos, duration),
+        ("dos_1m", 0x11E, Bitrate::HIGH_SPEED_1M),
+        ("dos_fd5m", 0x5FD, Bitrate::new(5_000_000)),
     ];
     let reports: Vec<_> = scenarios
         .iter()
-        .map(|scenario| {
-            let capture = scenario.generate_capture();
+        .map(|&(name, seed, bitrate)| {
+            let config = ReplayConfig::default().with_bitrate(bitrate);
             let r = ServeHarness::new(SoftwareBackend::single(model.clone()))
-                .replay(&capture, &scenario.replay_config())
+                .replay(&dos_capture(seed), &config)
                 .expect("software replay");
-            (scenario.name.clone(), scenario.bitrate.bits_per_sec(), r)
+            (name, bitrate.bits_per_sec(), r)
         })
         .collect();
 
@@ -439,14 +447,13 @@ fn main() {
     // lane's wall — a worst-of-N statistic — so on a shared host a
     // single scheduler burst in any lane masks the capacity the lanes
     // actually reach, and multi-shard rows need several clean draws.
-    let scale_capture = scenarios[0].generate_capture();
+    let scale_capture = dos_capture(0x11E);
     let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let scale_combos = [(1usize, 1usize), (1, 32), (2, 32), (4, 32), (8, 32)];
     let scale_rows: Vec<_> = scale_combos
         .iter()
         .map(|&(shards, batch)| {
-            let config = scenarios[0]
-                .replay_config()
+            let config = ReplayConfig::default()
                 .with_shards(shards)
                 .with_batch(batch)
                 .with_workers(ShardWorkers::Auto);

@@ -54,43 +54,32 @@ fn main() -> Result<(), CoreError> {
 
     // 4. Streaming serving mode: replay saturated captures frame-at-a-
     // time through the trained detector at true bus pacing, measuring
-    // real software service times (scenarios run on scoped threads).
+    // real software service times (one scenario at a time).
     eprintln!("[throughput] streaming line-rate replay ...");
-    let duration = SimTime::from_millis(500);
     let dos = Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous));
+    let fd_class = Bitrate::new(5_000_000);
     let scenarios = [
-        LineRateScenario::classic_1m("normal @ 1 Mb/s", None, duration),
-        LineRateScenario::classic_1m("DoS flood @ 1 Mb/s", dos, duration),
-        LineRateScenario::fd_class("DoS flood @ FD-class 5 Mb/s", dos, duration),
+        ("normal @ 1 Mb/s", None, 0x11E, Bitrate::HIGH_SPEED_1M),
+        ("DoS flood @ 1 Mb/s", dos, 0x11E, Bitrate::HIGH_SPEED_1M),
+        ("DoS flood @ FD-class 5 Mb/s", dos, 0x5FD, fd_class),
     ];
-    let serve_scenarios: Vec<ServeScenario<'_>> = scenarios
-        .iter()
-        .map(|s| ServeScenario {
-            name: s.name.clone(),
-            source: CaptureSource::Generate(canids_dataset::generator::TrafficConfig {
-                duration: s.duration,
-                attack: s.attack,
-                seed: s.seed,
-                ..canids_dataset::generator::TrafficConfig::default()
-            }),
-            config: s.replay_config(),
-        })
-        .collect();
-    let model = report.detector.int_mlp.clone();
-    let streaming = ServeHarness::sweep(
-        || Ok(SoftwareBackend::single(model.clone())),
-        &serve_scenarios,
-    )?;
+    let mut harness = ServeHarness::new(SoftwareBackend::single(report.detector.int_mlp.clone()));
     let mut stream_table = Table::new(
         "E3b — streaming line-rate serving (frame-at-a-time)",
         &ServeReport::table_header(),
     );
-    for r in &streaming {
+    for (name, attack, seed, bitrate) in scenarios {
+        let capture = DatasetBuilder::new(TrafficConfig {
+            duration: SimTime::from_millis(500),
+            attack,
+            seed,
+            ..TrafficConfig::default()
+        })
+        .build();
+        let mut r = harness.replay(&capture, &ReplayConfig::default().with_bitrate(bitrate))?;
+        r.scenario = name.to_owned();
         stream_table.push_row(&r.table_row());
     }
     println!("{stream_table}");
-    if let Some(note) = canids_core::stream::contention_note(scenarios.len()) {
-        println!("{note}");
-    }
     Ok(())
 }

@@ -21,15 +21,13 @@
 //! 3. **Serving** — through the unified serving API: wrap a compiled
 //!    fleet in [`FleetDeployment::serve_backend`] and replay it with
 //!    [`crate::serve::ServeHarness`]. Frames reach each shard through
-//!    the [`canids_can::gateway::SegmentForwarder`] store-and-forward
-//!    model (real forwarding delay + far-segment serialisation, not a
-//!    free broadcast), and a fleet-level [`AdmissionPolicy`] governs
-//!    sustained overload: keep today's FIFO drops, shed by static or
-//!    *measured* model value, or migrate to a warm standby. Frame
-//!    transport is selectable per replay
-//!    ([`crate::serve::FleetTransport`]): the analytic forwarder, or
-//!    the event-driven [`crate::net`] runtime with finite gateway
-//!    buffers and fault injection.
+//!    its gateway port on the event-driven [`crate::net`] runtime
+//!    (store-and-forward delay + far-segment serialisation, not a free
+//!    broadcast; gateway buffers and faults per replay through
+//!    [`crate::serve::FleetTransport`]), and a fleet-level
+//!    [`AdmissionPolicy`] governs sustained overload: keep today's FIFO
+//!    drops, shed by static or *measured* model value, or migrate to a
+//!    warm standby.
 
 use canids_dataflow::ip::{AcceleratorIp, CompileConfig};
 use canids_dataflow::resources::{Device, ResourceEstimate};
@@ -413,9 +411,8 @@ impl FleetDeployment {
 
     /// A serving backend over this fleet for the unified harness
     /// ([`crate::serve::ServeHarness`]): every replay session builds
-    /// fresh per-shard
-    /// ECUs, so one deployment supports any number of (possibly
-    /// concurrent) replays.
+    /// fresh per-shard ECUs, so one deployment supports any number of
+    /// replays.
     pub fn serve_backend(&self) -> FleetBackend<'_> {
         FleetBackend::new(self)
     }
@@ -499,9 +496,7 @@ mod tests {
     use canids_dataset::generator::Dataset;
     use canids_soc::ecu::SchedPolicy;
 
-    use crate::serve::{
-        CaptureSource, Pacing, ReplayConfig, ServeHarness, ServeReport, ServeScenario,
-    };
+    use crate::serve::{Pacing, ReplayConfig, ServeHarness, ServeReport};
 
     fn tiny_model(seed: u64) -> IntegerMlp {
         QuantMlp::new(MlpConfig {
@@ -983,24 +978,20 @@ mod tests {
         .unwrap();
         let deployment = plan.deploy(&bs, &CompileConfig::default()).unwrap();
         let capture = two_phase_capture(60, 500, 0, 0);
-        let scenarios = vec![
-            ServeScenario {
-                name: "drop".into(),
-                source: CaptureSource::Capture(&capture),
-                config: ReplayConfig::default().with_pacing(Pacing::AsRecorded),
-            },
-            ServeScenario {
-                name: "shed".into(),
-                source: CaptureSource::Capture(&capture),
-                config: ReplayConfig::default()
-                    .with_pacing(Pacing::AsRecorded)
-                    .with_admission(AdmissionPolicy::ShedLowestValue {
-                        priorities: vec![1, 2],
-                    }),
-            },
-        ];
-        let reports = ServeHarness::sweep(|| Ok(deployment.serve_backend()), &scenarios).unwrap();
-        assert_eq!(reports.len(), 2);
+        let base = ReplayConfig::default().with_pacing(Pacing::AsRecorded);
+        let shed = base
+            .clone()
+            .with_admission(AdmissionPolicy::ShedLowestValue {
+                priorities: vec![1, 2],
+            });
+        let reports: Vec<ServeReport> = [base, shed]
+            .iter()
+            .map(|config| {
+                ServeHarness::new(deployment.serve_backend())
+                    .replay(&capture, config)
+                    .unwrap()
+            })
+            .collect();
         assert_eq!(reports[0].admission, "drop-frames");
         assert_eq!(reports[1].admission, "shed-lowest-value");
         // Identical serving conditions, no overload: classifications and

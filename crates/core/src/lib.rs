@@ -11,8 +11,8 @@
 //!   folding-budget allocation ([`deploy::DeploymentPlan`]), shared
 //!   feature packing and pluggable ECU scheduling policies,
 //! * [`stream`] — frame-at-a-time streaming evaluation
-//!   ([`stream::StreamingEvaluator`]) and canned line-rate scenarios
-//!   ([`stream::LineRateScenario`]) for the serving harness,
+//!   ([`stream::StreamingEvaluator`]), the per-frame engine of the
+//!   software serving backend,
 //! * [`fleet`] — the cross-ECU layer: one detector fleet sharded across
 //!   heterogeneous boards ([`fleet::FleetPlan`]), gateway-coupled frame
 //!   delivery, and admission policies that degrade gracefully under
@@ -20,8 +20,8 @@
 //! * [`net`] — the event-driven network runtime: a deterministic
 //!   [`net::Scheduler`], multi-segment [`net::Topology`]s with finite
 //!   gateway buffers ([`net::QueueDiscipline`]) and first-class fault
-//!   events ([`net::Fault`]), selectable per replay through
-//!   [`serve::FleetTransport::EventDriven`],
+//!   events ([`net::Fault`]) — the fleet backend's one frame transport,
+//!   configured per replay through [`serve::FleetTransport::EventDriven`],
 //! * [`serve`] — **the unified serving API**: one [`serve::ServeHarness`]
 //!   over the software, single-ECU and fleet backends, with a typed
 //!   per-frame verdict stream ([`serve::VerdictSink`]) and value-driven
@@ -83,12 +83,9 @@ pub use population::{
 pub use report::{pct, pct_of, pct_opt, EnergyStats, LatencyStats, Table};
 pub use serve::{
     EcuBackend, FleetBackend, FleetTransport, Pacing, ReplayConfig, ServeBackend, ServeHarness,
-    ServeReport, ServeScenario, ShardWorkers, SoftwareBackend, Verdict, VerdictSink,
+    ServeReport, ShardWorkers, SoftwareBackend, Verdict, VerdictSink,
 };
-pub use stream::{
-    LineRateScenario, MultiStreamVerdict, MultiStreamingEvaluator, StagedNanos, StreamVerdict,
-    StreamingEvaluator,
-};
+pub use stream::{StagedNanos, StreamVerdict, StreamingEvaluator};
 pub use telemetry::{
     MetricsRegistry, Probe, Span, Stage, StageStats, TelemetryConfig, TelemetryReport, WallClock,
 };
@@ -111,13 +108,10 @@ pub mod prelude {
     };
     pub use crate::report::{pct, pct_of, pct_opt, EnergyStats, LatencyStats, Table};
     pub use crate::serve::{
-        CaptureSource, EcuBackend, FleetBackend, FleetTransport, Pacing, ReplayConfig,
-        ServeBackend, ServeHarness, ServeReport, ServeScenario, ShardWorkers, SoftwareBackend,
-        Verdict, VerdictSink,
+        EcuBackend, FleetBackend, FleetTransport, Pacing, ReplayConfig, ServeBackend, ServeHarness,
+        ServeReport, ShardWorkers, SoftwareBackend, Verdict, VerdictSink,
     };
-    pub use crate::stream::{
-        LineRateScenario, MultiStreamingEvaluator, StreamVerdict, StreamingEvaluator,
-    };
+    pub use crate::stream::{StreamVerdict, StreamingEvaluator};
     pub use crate::telemetry::{
         MetricsRegistry, Probe, Span, Stage, TelemetryConfig, TelemetryReport, WallClock,
     };

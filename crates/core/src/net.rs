@@ -21,14 +21,15 @@
 //!   lost frame accounted under a typed [`DropReason`] (no silent loss).
 //!
 //! [`FleetNet`] packages the common single-backbone fleet topology and
-//! is driven by `serve::FleetBackend` when
-//! `ReplayConfig::transport` selects the event-driven path. On
-//! uncongested topologies its per-gateway egress math is *exactly* the
-//! `SegmentForwarder` recurrence (`release = arrival + delay`,
+//! is the transport of every `serve::FleetBackend` replay, configured
+//! through `ReplayConfig::transport`. On uncongested topologies its
+//! per-gateway egress math is *exactly* the `SegmentForwarder`
+//! recurrence (`release = arrival + delay`,
 //! `start = max(release, busy_until)`,
 //! `delivered = start + frame_duration`,
-//! `busy_until = start + frame_slot_duration`), so the two transports
-//! produce bit-identical `ServeReport`s (`tests/net_equivalence.rs`).
+//! `busy_until = start + frame_slot_duration`), so every board's gateway
+//! hop matches the closed form frame for frame
+//! (`tests/net_equivalence.rs`).
 //!
 //! # Lazy co-simulation
 //!

@@ -1,6 +1,6 @@
-//! Scoped-thread scatter/gather shared by the scenario-parallel paths
-//! (bit-width DSE, multi-pipeline runs, multi-IP compilation, line-rate
-//! sweeps, sharded replay, population serving).
+//! Scoped-thread scatter/gather shared by the parallel paths (bit-width
+//! DSE, multi-pipeline runs, multi-IP compilation, and the serving lane
+//! runner behind sharded replay and population serving).
 //!
 //! The scheduler is a deterministic work-stealing chunk queue: items are
 //! pre-split into contiguous chunks dealt round-robin onto per-worker

@@ -6,7 +6,8 @@
 //! bus; a production backend monitors a vehicle *population* — every
 //! vehicle uploads a small capture stream (one tenant, ~500 kb/s wire
 //! pacing) and the backend serves all of them at once. This module is
-//! that layer, built on top of [`ServeHarness`]:
+//! that layer, built on top of
+//! [`ServeHarness`](crate::serve::ServeHarness):
 //!
 //! * [`TenantStream`] / [`Population`] — the tenant registry: each
 //!   tenant is one capture at its own wire bitrate and static priority,
@@ -33,15 +34,14 @@
 //!   pin for shards.
 //!
 //! Determinism contract: a single-tenant population run is bit-identical
-//! to a plain [`ServeHarness::replay`] of the same capture under the
-//! same [`ReplayConfig`] — phase 1 *is* that code path, and the
-//! admission ledger (phase 2) is pure integer bookkeeping over the
-//! deterministic arrival schedule.
+//! to a plain [`ServeHarness::replay`](crate::serve::ServeHarness::replay)
+//! of the same capture under the same [`ReplayConfig`] — phase 1 *is*
+//! that code path, and the admission ledger (phase 2) is pure integer
+//! bookkeeping over the deterministic arrival schedule.
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use canids_can::time::SimTime;
 use canids_can::timing::Bitrate;
@@ -51,7 +51,8 @@ use canids_dataset::stream::paced_records;
 use crate::error::CoreError;
 use crate::report::LatencyStats;
 use crate::serve::{
-    Pacing, ReplayConfig, ServeBackend, ServeHarness, ServeReport, ShardWorkers, Verdict,
+    merge_lane_telemetry, offered_rate, replay_lanes, slowest_lane_fps, Pacing, ReplayConfig,
+    ServeBackend, ServeReport, ShardWorkers, Verdict,
 };
 use crate::telemetry::{Probe, Stage, TelemetryReport};
 
@@ -320,7 +321,8 @@ pub struct TenantReport {
     /// (1 without sheds; 0 when shed for its whole lifetime).
     pub windows: usize,
     /// The tenant's phase-1 replay report, bit-identical to a plain
-    /// [`ServeHarness::replay`] of the same capture and configuration.
+    /// [`ServeHarness::replay`](crate::serve::ServeHarness::replay) of
+    /// the same capture and configuration.
     pub serve: ServeReport,
 }
 
@@ -432,14 +434,6 @@ impl PopulationReport {
             .iter()
             .filter(|e| e.action == TenantAction::Readmit)
             .count()
-    }
-
-    /// Nearest-rank percentile over the per-tenant p99 latencies — the
-    /// population's tail-of-tails view (zero when there are no tenants).
-    pub fn tenant_p99_percentile(&self, q: f64) -> SimTime {
-        let mut p99s: Vec<SimTime> = self.tenants.iter().map(|t| t.latency.p99).collect();
-        p99s.sort_unstable();
-        LatencyStats::percentile(&p99s, q)
     }
 
     /// A deterministic fingerprint over every population and per-tenant
@@ -562,11 +556,12 @@ impl Population {
     ///
     /// Phase 1 replays each tenant independently on the work-stealing
     /// pool — per-tenant results are bit-identical to a plain
-    /// [`ServeHarness::replay`] under the tenant's configuration,
-    /// whatever the scheduling. Phase 2 sweeps the staggered population
-    /// arrival schedule through the cross-tenant admission ledger
-    /// (single-threaded integer bookkeeping), producing the tenant event
-    /// log and the frame-conservation accounting. The merge runs in
+    /// [`ServeHarness::replay`](crate::serve::ServeHarness::replay) under
+    /// the tenant's configuration, whatever the scheduling. Phase 2
+    /// sweeps the staggered population arrival schedule through the
+    /// cross-tenant admission ledger (single-threaded integer
+    /// bookkeeping), producing the tenant event log and the
+    /// frame-conservation accounting. The merge runs in
     /// tenant-ordinal order, so the report fingerprint does not depend
     /// on [`PopulationConfig::workers`].
     ///
@@ -614,21 +609,12 @@ impl Population {
         // the work-stealing pool. The tenant is the stealing unit, so
         // per-tenant frame order is trivially preserved and each result
         // is deterministic regardless of which worker served it.
-        let jobs: Vec<usize> = (0..n).collect();
-        let workers = config.workers.count(n);
-        let outcomes = crate::par::scoped_map_with(&jobs, workers, |&k| {
-            let tenant = &self.tenants[k];
-            let tenant_config = tenant_replay_config(config, tenant);
-            let mut verdicts: Vec<Verdict> = Vec::new();
-            let report = ServeHarness::new(factory()?).replay_with(
-                &tenant.capture,
-                &tenant_config,
-                &mut verdicts,
-            )?;
-            Ok::<_, CoreError>((report, verdicts))
-        });
-        let outcomes: Vec<(ServeReport, Vec<Verdict>)> =
-            outcomes.into_iter().collect::<Result<_, _>>()?;
+        let lanes: Vec<(&Dataset, ReplayConfig)> = self
+            .tenants
+            .iter()
+            .map(|tenant| (&tenant.capture, tenant_replay_config(config, tenant)))
+            .collect();
+        let outcomes = replay_lanes(&factory, &lanes, config.workers.count(n))?;
 
         // Phase 2: the cross-tenant admission ledger — a single-threaded
         // sweep over the staggered population arrival schedule.
@@ -889,40 +875,18 @@ impl Ledger {
         let shed_frames: usize = tenant_reports.iter().map(|t| t.shed_frames).sum();
         let confirmed_positives: usize = tenant_reports.iter().map(|t| t.confirmed_positives).sum();
 
-        let span = self.last_arrival.saturating_sub(self.first_arrival);
-        let offered_fps = if span > SimTime::ZERO {
-            offered as f64 / span.as_secs_f64()
-        } else {
-            0.0
-        };
+        let offered_fps = offered_rate(offered, self.first_arrival, self.last_arrival);
         // Aggregate capacity mirrors the sharded merge: total served
-        // frames over the slowest tenant's busy wall, defined only when
-        // every tenant replay measured one.
-        let mut max_busy = Duration::ZERO;
-        let mut all_walled = true;
-        for t in &tenant_reports {
-            match t.serve.busy_wall() {
-                Some(busy) => max_busy = max_busy.max(busy),
-                None => all_walled = false,
-            }
-        }
-        let sustained_fps = (all_walled && max_busy > Duration::ZERO)
-            .then(|| serviced as f64 / max_busy.as_secs_f64());
+        // frames over the slowest tenant's busy wall.
+        let lanes = || tenant_reports.iter().map(|t| &t.serve);
+        let sustained_fps = slowest_lane_fps(lanes(), serviced);
 
         let telemetry = config.replay.telemetry.as_ref().map(|tcfg| {
             // Per-tenant telemetry folds in tenant-ordinal order, which
             // re-tags each tenant's spans with its ordinal — one trace
             // lane per tenant — then shifts them onto the population
             // clock by the tenant's stagger offset.
-            let parts: Vec<TelemetryReport> = tenant_reports
-                .iter()
-                .filter_map(|t| t.serve.telemetry.clone())
-                .collect();
-            let mut merged = if parts.len() == tenant_reports.len() {
-                TelemetryReport::merge(parts)
-            } else {
-                TelemetryReport::default()
-            };
+            let mut merged = merge_lane_telemetry(lanes()).unwrap_or_default();
             for span in &mut merged.spans {
                 let offset = config.stagger.mul_u64(u64::from(span.shard));
                 span.start += offset;

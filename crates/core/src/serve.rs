@@ -1,28 +1,21 @@
 //! The unified serving API: one [`ServeHarness`] over every serving
 //! substrate this crate models.
 //!
-//! Before this module, the repo carried three parallel, copy-diverged
-//! replay surfaces — `replay_line_rate` (software),
-//! `multi_line_rate` (single N-detector ECU) and `fleet_line_rate`
-//! (cross-ECU fleet) — each with its own configuration struct, report
-//! type and percentile maths. All three are gone; this module is the
-//! one serving surface:
-//!
 //! * [`ServeBackend`] — the substrate trait, with three
 //!   implementations: [`SoftwareBackend`] (host-measured
 //!   [`crate::stream::StreamingEvaluator`] serving), [`EcuBackend`]
 //!   (one simulated N-detector ECU via
 //!   [`crate::deploy::MultiIdsDeployment`] + `EcuStream`) and
 //!   [`FleetBackend`] ([`crate::fleet::FleetDeployment`] + gateway
-//!   forwarding).
+//!   forwarding through the event-driven [`crate::net`] runtime).
 //! * [`ServeHarness`] — paces one capture through a backend under a
 //!   unified [`ReplayConfig`] ([`Pacing`], [`SchedPolicy`],
 //!   [`AdmissionPolicy`], [`OverloadThresholds`]) and aggregates one
 //!   composable [`ServeReport`] (shared
 //!   [`LatencyStats`]/[`EnergyStats`]/drop accounting, optional
-//!   per-model and per-board sections, admission event log).
-//!   [`ServeHarness::sweep`] replays several [`ServeScenario`]s on
-//!   scoped threads — one sweep entry point for every backend.
+//!   per-model and per-board sections, admission event log). Several
+//!   scenarios are several [`ServeHarness::replay`] calls;
+//!   [`ServeHarness::replay_sharded`] splits one capture into lanes.
 //! * [`Verdict`] / [`VerdictSink`] — the typed per-frame verdict
 //!   stream every replay emits. Verdicts carry per-model flag masks and
 //!   ground truth, which is what makes **value-driven admission**
@@ -40,11 +33,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use canids_can::frame::CanFrame;
-use canids_can::gateway::SegmentForwarder;
 use canids_can::time::SimTime;
 use canids_can::timing::Bitrate;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
-use canids_dataset::generator::{Dataset, DatasetBuilder, TrafficConfig};
+use canids_dataset::generator::Dataset;
 use canids_dataset::record::LabeledFrame;
 use canids_dataset::stream::paced_records;
 use canids_qnn::export::IntegerMlp;
@@ -58,25 +50,6 @@ use crate::net::{FleetNet, GatewayLoad, NetConfig, NetOutcome};
 use crate::report::{EnergyStats, LatencyStats};
 use crate::stream::{StagedNanos, StreamVerdict, StreamingEvaluator};
 use crate::telemetry::{Counter, Probe, Stage, TelemetryConfig, TelemetryReport, WallClock};
-
-/// The serving-facing observability surface: re-exports of the
-/// [`crate::telemetry`] types a replay consumer needs (configure capture
-/// via [`ReplayConfig::with_telemetry`], read results off
-/// [`ServeReport::telemetry`]).
-///
-/// ```
-/// use canids_core::serve::obs::{Stage, TelemetryConfig};
-///
-/// let cfg = TelemetryConfig::default();
-/// assert!(cfg.spans);
-/// assert_eq!(Stage::Infer.name(), "infer");
-/// ```
-pub mod obs {
-    pub use crate::telemetry::{
-        Counter, MetricsRegistry, Probe, Span, Stage, StageStats, TelemetryConfig, TelemetryReport,
-        WallClock,
-    };
-}
 
 /// How replay arrivals are paced onto the serving substrate.
 ///
@@ -275,14 +248,16 @@ pub struct FleetEvent {
     pub action: FleetAction,
 }
 
-/// How the fleet backend moves frames from the backbone to each
-/// board: the closed-form analytic gateway model, or the event-driven
-/// [`crate::net`] runtime (finite buffers, queue disciplines, faults).
+/// How the fleet backend moves frames from the backbone to each board:
+/// the event-driven [`crate::net`] runtime, whose gateway buffers and
+/// faults come from its [`NetConfig`].
 ///
-/// On uncongested single-backbone topologies the two produce
-/// bit-identical [`ServeReport`]s (`tests/net_equivalence.rs`); the
-/// event-driven path additionally fills [`ServeReport::gateways`] and
-/// logs outage windows into [`ServeReport::events`].
+/// The default — an unbounded drop-tail buffer and no faults — forwards
+/// every frame exactly as the closed-form
+/// [`canids_can::gateway::SegmentForwarder`] would
+/// (`tests/net_equivalence.rs`). Every fleet replay fills
+/// [`ServeReport::gateways`] and logs outage windows into
+/// [`ServeReport::events`].
 ///
 /// # Example
 ///
@@ -290,19 +265,22 @@ pub struct FleetEvent {
 /// use canids_core::net::NetConfig;
 /// use canids_core::serve::FleetTransport;
 ///
-/// assert_eq!(FleetTransport::default(), FleetTransport::Analytic);
-/// let event = FleetTransport::EventDriven(NetConfig::default());
-/// assert!(matches!(event, FleetTransport::EventDriven(_)));
+/// assert_eq!(
+///     FleetTransport::default(),
+///     FleetTransport::EventDriven(NetConfig::default())
+/// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FleetTransport {
-    /// Per-shard [`SegmentForwarder`] recurrence — exact, allocation
-    /// free, no congestion or fault model.
-    #[default]
-    Analytic,
     /// The [`crate::net`] discrete-event simulation with the given
     /// queue discipline and fault schedule.
     EventDriven(NetConfig),
+}
+
+impl Default for FleetTransport {
+    fn default() -> Self {
+        FleetTransport::EventDriven(NetConfig::default())
+    }
 }
 
 /// The unified replay configuration every backend serves under.
@@ -310,6 +288,7 @@ pub enum FleetTransport {
 /// # Example
 ///
 /// ```
+/// use canids_core::net::NetConfig;
 /// use canids_core::serve::{AdmissionPolicy, FleetTransport, Pacing, ReplayConfig};
 /// use canids_soc::ecu::SchedPolicy;
 ///
@@ -318,7 +297,10 @@ pub enum FleetTransport {
 ///     .with_admission(AdmissionPolicy::ShedLowestValue { priorities: vec![2, 1] });
 /// assert_eq!(config.pacing, Pacing::Saturated);
 /// assert_eq!(config.ecu.policy, SchedPolicy::DmaBatch { batch: 32 });
-/// assert_eq!(config.transport, FleetTransport::Analytic);
+/// assert_eq!(
+///     config.transport,
+///     FleetTransport::EventDriven(NetConfig::default())
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
@@ -416,7 +398,7 @@ impl Default for ReplayConfig {
             thresholds: OverloadThresholds::default(),
             gateway_delay: SimTime::from_micros(20),
             migration_delay: SimTime::from_millis(2),
-            transport: FleetTransport::Analytic,
+            transport: FleetTransport::default(),
             batch: 1,
             workers: ShardWorkers::Auto,
             shards: 1,
@@ -800,8 +782,7 @@ pub trait ServeSession {
 
     /// Drains any remaining network events and returns the per-gateway
     /// queue/occupancy section plus network fault events for the
-    /// report's event log. Non-networked backends (and the analytic
-    /// fleet transport) return empty lists.
+    /// report's event log. Non-networked backends return empty lists.
     fn network(&mut self) -> (Vec<GatewayLoad>, Vec<FleetEvent>) {
         (Vec::new(), Vec::new())
     }
@@ -899,17 +880,6 @@ impl SoftwareBackend {
     pub fn new(models: Vec<IntegerMlp>) -> Self {
         let names = (0..models.len()).map(|i| format!("model-{i}")).collect();
         SoftwareBackend { models, names }
-    }
-
-    /// Overrides the per-model display names (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the name count differs from the model count.
-    pub fn with_names(mut self, names: Vec<String>) -> Self {
-        assert_eq!(names.len(), self.models.len(), "one name per model");
-        self.names = names;
-        self
     }
 }
 
@@ -1218,11 +1188,20 @@ impl SoftwareSession {
 /// # Ok::<(), canids_core::CoreError>(())
 /// ```
 pub struct EcuBackend<'d> {
-    deployment: Option<&'d MultiIdsDeployment>,
-    owned_deployment: Option<MultiIdsDeployment>,
-    borrowed: Option<&'d mut IdsEcu>,
-    owned: Option<IdsEcu>,
+    source: EcuSource<'d>,
+    /// The ECU a deployment-backed session serves on, rebuilt per open.
+    session_ecu: Option<IdsEcu>,
     names: Vec<String>,
+}
+
+/// Where an [`EcuBackend`]'s sessions get their ECU.
+enum EcuSource<'d> {
+    /// A fresh ECU per session from a borrowed deployment.
+    Deployment(&'d MultiIdsDeployment),
+    /// A fresh ECU per session from an owned deployment.
+    OwnedDeployment(Box<MultiIdsDeployment>),
+    /// The caller's ECU, served as it is.
+    Ecu(&'d mut IdsEcu),
 }
 
 impl std::fmt::Debug for EcuBackend<'_> {
@@ -1245,10 +1224,8 @@ impl<'d> EcuBackend<'d> {
             .map(|m| m.name.clone())
             .collect();
         EcuBackend {
-            deployment: Some(deployment),
-            owned_deployment: None,
-            borrowed: None,
-            owned: None,
+            source: EcuSource::Deployment(deployment),
+            session_ecu: None,
             names,
         }
     }
@@ -1266,10 +1243,8 @@ impl<'d> EcuBackend<'d> {
             .map(|m| m.name.clone())
             .collect();
         EcuBackend {
-            deployment: None,
-            owned_deployment: Some(deployment),
-            borrowed: None,
-            owned: None,
+            source: EcuSource::OwnedDeployment(Box::new(deployment)),
+            session_ecu: None,
             names,
         }
     }
@@ -1283,10 +1258,8 @@ impl<'d> EcuBackend<'d> {
             .map(|i| format!("model-{i}"))
             .collect();
         EcuBackend {
-            deployment: None,
-            owned_deployment: None,
-            borrowed: Some(ecu),
-            owned: None,
+            source: EcuSource::Ecu(ecu),
+            session_ecu: None,
             names,
         }
     }
@@ -1307,12 +1280,12 @@ impl ServeBackend for EcuBackend<'_> {
     }
 
     fn open(&mut self, config: &ReplayConfig) -> Result<EcuSession<'_>, CoreError> {
-        let ecu: &mut IdsEcu = if let Some(d) = self.deployment.or(self.owned_deployment.as_ref()) {
-            self.owned.insert(d.fresh_ecu(config.ecu_for(0))?)
-        } else if let Some(ecu) = self.borrowed.as_deref_mut() {
-            ecu
-        } else {
-            unreachable!("EcuBackend always carries a source")
+        let ecu: &mut IdsEcu = match &mut self.source {
+            EcuSource::Deployment(d) => self.session_ecu.insert(d.fresh_ecu(config.ecu_for(0))?),
+            EcuSource::OwnedDeployment(d) => {
+                self.session_ecu.insert(d.fresh_ecu(config.ecu_for(0))?)
+            }
+            EcuSource::Ecu(ecu) => ecu,
         };
         let depth = ecu.config().queue_depth.max(1);
         let mut topology = ServeTopology::single_shard(&self.names, depth);
@@ -1486,11 +1459,12 @@ impl ServeSession for EcuSession<'_> {
 
 /// The cross-ECU substrate: one compiled [`FleetDeployment`] served
 /// fleet-wide, every backbone frame reaching each shard through that
-/// shard's gateway port ([`SegmentForwarder`]: processing delay +
-/// far-segment serialisation — no free broadcast).
+/// shard's gateway port on the event-driven [`FleetNet`] (processing
+/// delay + far-segment serialisation — no free broadcast; buffers and
+/// faults from [`ReplayConfig::transport`]).
 ///
 /// Fresh ECUs are built per session, so one backend supports any number
-/// of (possibly concurrent, via [`ServeHarness::sweep`]) replays.
+/// of replays.
 ///
 /// # Example
 ///
@@ -1600,20 +1574,15 @@ impl ServeBackend for FleetBackend<'_> {
                 .map(|b| config.ecu_for(b).queue_depth.max(1))
                 .collect(),
         };
-        let wire = config.wire_bitrate();
-        let transport = match &config.transport {
-            FleetTransport::Analytic => FleetTransportState::Analytic(
-                (0..m)
-                    .map(|_| SegmentForwarder::new(wire, config.gateway_delay))
-                    .collect(),
-            ),
-            FleetTransport::EventDriven(net_config) => FleetTransportState::EventDriven(Box::new(
-                FleetNet::single_backbone(m, wire, config.gateway_delay, net_config),
-            )),
-        };
+        let FleetTransport::EventDriven(net_config) = &config.transport;
         Ok(FleetSession {
             sessions,
-            transport,
+            net: FleetNet::single_backbone(
+                m,
+                config.wire_bitrate(),
+                config.gateway_delay,
+                net_config,
+            ),
             net_dropped: vec![0; m],
             admitted: vec![Vec::new(); m],
             cursors: vec![0; m],
@@ -1621,12 +1590,6 @@ impl ServeBackend for FleetBackend<'_> {
             probe: None,
         })
     }
-}
-
-/// The fleet session's frame transport state (see [`FleetTransport`]).
-enum FleetTransportState {
-    Analytic(Vec<SegmentForwarder>),
-    EventDriven(Box<FleetNet>),
 }
 
 /// An open [`FleetBackend`] session (see [`ServeSession`]).
@@ -1647,7 +1610,7 @@ enum FleetTransportState {
 /// ```
 pub struct FleetSession<'a> {
     sessions: Vec<EcuStream<'a>>,
-    transport: FleetTransportState,
+    net: FleetNet,
     /// Frames the network transport lost per shard, before the ECU.
     net_dropped: Vec<u64>,
     admitted: Vec<Vec<usize>>,
@@ -1677,23 +1640,16 @@ impl ServeSession for FleetSession<'_> {
     ) -> Result<ShardPush, CoreError> {
         let encoder = IdBitsPayloadBits;
         let featurize = |f: &CanFrame| encoder.encode(f);
-        let delivered = match &mut self.transport {
-            FleetTransportState::Analytic(forwarders) => {
-                forwarders[shard].forward(rec.timestamp, &rec.frame)
-            }
-            FleetTransportState::EventDriven(net) => {
-                match net.deliver(shard, rec.timestamp, rec.frame) {
-                    NetOutcome::Delivered(t) => t,
-                    NetOutcome::Dropped(_) => {
-                        // Lost before the board: the typed reason is in
-                        // the net drop log and the gateway counters.
-                        self.net_dropped[shard] += 1;
-                        return Ok(ShardPush {
-                            delivered: rec.timestamp,
-                            admitted: false,
-                        });
-                    }
-                }
+        let delivered = match self.net.deliver(shard, rec.timestamp, rec.frame) {
+            NetOutcome::Delivered(t) => t,
+            NetOutcome::Dropped(_) => {
+                // Lost before the board: the typed reason is in the net
+                // drop log and the gateway counters.
+                self.net_dropped[shard] += 1;
+                return Ok(ShardPush {
+                    delivered: rec.timestamp,
+                    admitted: false,
+                });
             }
         };
         if let Some(probe) = &self.probe {
@@ -1739,23 +1695,19 @@ impl ServeSession for FleetSession<'_> {
     }
 
     fn network(&mut self) -> (Vec<GatewayLoad>, Vec<FleetEvent>) {
-        match &mut self.transport {
-            FleetTransportState::Analytic(_) => (Vec::new(), Vec::new()),
-            FleetTransportState::EventDriven(net) => {
-                net.finish();
-                let events = net
-                    .outage_windows()
-                    .iter()
-                    .map(|&(board, start, until)| FleetEvent {
-                        time: start,
-                        board,
-                        model: 0,
-                        action: FleetAction::GatewayDark { until },
-                    })
-                    .collect();
-                (net.gateway_loads(), events)
-            }
-        }
+        self.net.finish();
+        let events = self
+            .net
+            .outage_windows()
+            .iter()
+            .map(|&(board, start, until)| FleetEvent {
+                time: start,
+                board,
+                model: 0,
+                action: FleetAction::GatewayDark { until },
+            })
+            .collect();
+        (self.net.gateway_loads(), events)
     }
 
     fn attach_probe(&mut self, probe: Probe) {
@@ -1927,11 +1879,10 @@ pub struct ServeReport {
     pub per_model: Vec<ModelServeReport>,
     /// Admission events (sheds, re-admissions, migrations) in time
     /// order, followed by any network fault events (gateway dark
-    /// windows) from the event-driven transport.
+    /// windows) from the fleet transport.
     pub events: Vec<FleetEvent>,
     /// Per-gateway queue/occupancy section. Empty for non-fleet
-    /// backends and for [`FleetTransport::Analytic`], which has no
-    /// buffer model.
+    /// backends.
     pub gateways: Vec<GatewayLoad>,
     /// Fused per-frame verdicts: backbone arrival and whether any shard
     /// flagged it, for frames at least one shard serviced.
@@ -2291,7 +2242,7 @@ struct Aggregator {
     truths: Vec<bool>,
     /// Shards that have not yet resolved (serviced or dropped) each
     /// ordinal; a fused verdict is emitted when this reaches zero.
-    remaining: Vec<u8>,
+    remaining: Vec<usize>,
     fused: BTreeMap<usize, FusedEntry>,
     next_emit: usize,
     shard_lat: Vec<Vec<SimTime>>,
@@ -2346,7 +2297,7 @@ impl Aggregator {
         let ordinal = self.arrivals.len();
         self.arrivals.push(rec.timestamp);
         self.truths.push(rec.label.is_attack());
-        self.remaining.push(self.shards as u8);
+        self.remaining.push(self.shards);
         ordinal
     }
 
@@ -2473,16 +2424,6 @@ impl<B: ServeBackend> ServeHarness<B> {
         ServeHarness { backend }
     }
 
-    /// The wrapped backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// Unwraps the backend.
-    pub fn into_inner(self) -> B {
-        self.backend
-    }
-
     /// Replays `capture` under `config`, discarding the verdict stream.
     ///
     /// # Errors
@@ -2595,58 +2536,6 @@ impl<B: ServeBackend> ServeHarness<B> {
         Ok(report)
     }
 
-    /// Replays every scenario concurrently on scoped threads (capture
-    /// synthesis *and* replay run per scenario thread, like the
-    /// bit-width DSE sweep), each thread serving through a fresh
-    /// backend from `factory`. Results come back in scenario order.
-    ///
-    /// # Errors
-    ///
-    /// The first factory or replay error, if any.
-    ///
-    /// # Example
-    ///
-    /// ```no_run
-    /// use canids_core::prelude::*;
-    /// use canids_core::serve::{
-    ///     CaptureSource, ReplayConfig, ServeHarness, ServeScenario, SoftwareBackend,
-    /// };
-    ///
-    /// let trained = IdsPipeline::new(PipelineConfig::dos().quick()).run()?;
-    /// let model = trained.detector.int_mlp.clone();
-    /// let scenarios = vec![ServeScenario {
-    ///     name: "dos @ 1M".into(),
-    ///     source: CaptureSource::Generate(TrafficConfig::default()),
-    ///     config: ReplayConfig::default(),
-    /// }];
-    /// let reports =
-    ///     ServeHarness::sweep(|| Ok(SoftwareBackend::single(model.clone())), &scenarios)?;
-    /// assert_eq!(reports.len(), 1);
-    /// # Ok::<(), canids_core::CoreError>(())
-    /// ```
-    pub fn sweep<F>(
-        factory: F,
-        scenarios: &[ServeScenario<'_>],
-    ) -> Result<Vec<ServeReport>, CoreError>
-    where
-        F: Fn() -> Result<B, CoreError> + Sync,
-    {
-        crate::par::scoped_map(scenarios, |scenario| {
-            let mut harness = ServeHarness::new(factory()?);
-            let mut report = match &scenario.source {
-                CaptureSource::Generate(tc) => {
-                    let capture = DatasetBuilder::new(tc.clone()).build();
-                    harness.replay(&capture, &scenario.config)?
-                }
-                CaptureSource::Capture(capture) => harness.replay(capture, &scenario.config)?,
-            };
-            report.scenario.clone_from(&scenario.name);
-            Ok(report)
-        })
-        .into_iter()
-        .collect()
-    }
-
     /// Replays `capture` sharded across [`ReplayConfig::shards`]
     /// contiguous capture slices, each served by a fresh backend from
     /// `factory` as an independent single-shard replay, on a bounded
@@ -2684,20 +2573,75 @@ impl<B: ServeBackend> ServeHarness<B> {
         let slices: Vec<Dataset> = (0..shards)
             .map(|s| Dataset::from_records(records[s * n / shards..(s + 1) * n / shards].to_vec()))
             .collect();
-        let shard_config = ReplayConfig {
+        let lane_config = ReplayConfig {
             shards: 1,
             ..config.clone()
         };
-        let workers = config.workers.count(shards);
-        let outcomes = crate::par::scoped_map_with(&slices, workers, |slice| {
-            let mut verdicts: Vec<Verdict> = Vec::new();
-            let report =
-                ServeHarness::new(factory()?).replay_with(slice, &shard_config, &mut verdicts)?;
-            Ok::<_, CoreError>((report, verdicts))
-        });
-        let shard_outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let lanes: Vec<_> = slices.iter().map(|s| (s, lane_config.clone())).collect();
+        let shard_outcomes = replay_lanes(&factory, &lanes, config.workers.count(shards))?;
         Ok(merge_sharded(shard_outcomes))
     }
+}
+
+/// Replays every `(capture, config)` lane through a fresh backend from
+/// `factory` on a pool of `workers` threads, returning each lane's
+/// report and verdict stream in lane order whatever the schedule.
+///
+/// # Errors
+///
+/// The first factory or replay error, in lane order.
+pub(crate) fn replay_lanes<B, F>(
+    factory: &F,
+    lanes: &[(&Dataset, ReplayConfig)],
+    workers: usize,
+) -> Result<Vec<(ServeReport, Vec<Verdict>)>, CoreError>
+where
+    B: ServeBackend,
+    F: Fn() -> Result<B, CoreError> + Sync,
+{
+    crate::par::scoped_map_with(lanes, workers, |(capture, config)| {
+        let mut verdicts: Vec<Verdict> = Vec::new();
+        let report = ServeHarness::new(factory()?).replay_with(capture, config, &mut verdicts)?;
+        Ok((report, verdicts))
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Offered load in frames/s over the arrival span `[first, last]` (zero
+/// for an empty or instantaneous span).
+pub(crate) fn offered_rate(offered: usize, first: SimTime, last: SimTime) -> f64 {
+    let span = last.saturating_sub(first);
+    if span > SimTime::ZERO {
+        offered as f64 / span.as_secs_f64()
+    } else {
+        0.0
+    }
+}
+
+/// Aggregate capacity of parallel lanes: `serviced` frames over the
+/// **slowest** lane's busy wall. `None` unless every lane measured one.
+pub(crate) fn slowest_lane_fps<'a>(
+    lanes: impl IntoIterator<Item = &'a ServeReport>,
+    serviced: usize,
+) -> Option<f64> {
+    let mut max_busy = Duration::ZERO;
+    for lane in lanes {
+        max_busy = max_busy.max(lane.busy_wall()?);
+    }
+    (max_busy > Duration::ZERO).then(|| serviced as f64 / max_busy.as_secs_f64())
+}
+
+/// The lanes' telemetry merged in lane order, or `None` unless every
+/// lane captured some.
+pub(crate) fn merge_lane_telemetry<'a>(
+    lanes: impl IntoIterator<Item = &'a ServeReport>,
+) -> Option<TelemetryReport> {
+    let parts = lanes
+        .into_iter()
+        .map(|lane| lane.telemetry.clone())
+        .collect::<Option<Vec<_>>>()?;
+    Some(TelemetryReport::merge(parts))
 }
 
 /// Folds per-shard replay outcomes into one [`ServeReport`], strictly in
@@ -2744,10 +2688,7 @@ fn merge_sharded(shard_outcomes: Vec<(ServeReport, Vec<Verdict>)>) -> ServeRepor
         telemetry: None,
     };
     let mut lat: Vec<SimTime> = Vec::new();
-    let mut shard_telemetry: Vec<TelemetryReport> = Vec::new();
     let mut first_arrival: Option<SimTime> = None;
-    let mut max_busy = Duration::ZERO;
-    let mut all_walled = true;
     let mut energy_sum = EnergyStats::default();
     let mut any_energy = false;
     for (s, (report, verdicts)) in shard_outcomes.iter().enumerate() {
@@ -2761,10 +2702,6 @@ fn merge_sharded(shard_outcomes: Vec<(ServeReport, Vec<Verdict>)>) -> ServeRepor
             let fa = first_arrival.get_or_insert(report.first_arrival);
             *fa = (*fa).min(report.first_arrival);
             merged.last_arrival = merged.last_arrival.max(report.last_arrival);
-        }
-        match report.busy_wall() {
-            Some(busy) => max_busy = max_busy.max(busy),
-            None => all_walled = false,
         }
         if let Some(e) = report.energy {
             energy_sum.mean_power_w += e.mean_power_w;
@@ -2786,9 +2723,6 @@ fn merge_sharded(shard_outcomes: Vec<(ServeReport, Vec<Verdict>)>) -> ServeRepor
         merged.events.extend(report.events.iter().cloned());
         merged.gateways.extend(report.gateways.iter().cloned());
         merged.verdicts.extend(report.verdicts.iter().copied());
-        if let Some(t) = &report.telemetry {
-            shard_telemetry.push(t.clone());
-        }
         lat.extend(
             verdicts
                 .iter()
@@ -2799,67 +2733,15 @@ fn merge_sharded(shard_outcomes: Vec<(ServeReport, Vec<Verdict>)>) -> ServeRepor
     // the merged stream chronological while ties preserve shard order,
     // independent of the worker count.
     merged.events.sort_by_key(|e| e.time);
-    if shard_telemetry.len() == shard_outcomes.len() {
-        merged.telemetry = Some(TelemetryReport::merge(shard_telemetry));
-    }
+    let lanes = || shard_outcomes.iter().map(|(report, _)| report);
+    merged.telemetry = merge_lane_telemetry(lanes());
     merged.first_arrival = first_arrival.unwrap_or(SimTime::ZERO);
-    let span = merged.last_arrival.saturating_sub(merged.first_arrival);
-    merged.offered_fps = if span > SimTime::ZERO {
-        merged.offered as f64 / span.as_secs_f64()
-    } else {
-        0.0
-    };
-    merged.sustained_fps = (all_walled && max_busy > Duration::ZERO)
-        .then(|| merged.serviced as f64 / max_busy.as_secs_f64());
+    merged.offered_fps = offered_rate(merged.offered, merged.first_arrival, merged.last_arrival);
+    merged.sustained_fps = slowest_lane_fps(lanes(), merged.serviced);
     merged.energy = any_energy.then_some(energy_sum);
     lat.sort_unstable();
     merged.latency = LatencyStats::from_sorted(&lat);
     merged
-}
-
-/// Where a sweep scenario's capture comes from.
-///
-/// # Example
-///
-/// ```
-/// use canids_core::serve::CaptureSource;
-/// use canids_dataset::generator::TrafficConfig;
-///
-/// let source = CaptureSource::Generate(TrafficConfig::default());
-/// assert!(matches!(source, CaptureSource::Generate(_)));
-/// ```
-#[derive(Debug, Clone)]
-pub enum CaptureSource<'a> {
-    /// Synthesise the capture on the sweep thread.
-    Generate(TrafficConfig),
-    /// Replay an existing capture.
-    Capture(&'a Dataset),
-}
-
-/// One sweep scenario: a capture source plus the replay configuration
-/// to serve it under.
-///
-/// # Example
-///
-/// ```
-/// use canids_core::serve::{CaptureSource, ReplayConfig, ServeScenario};
-/// use canids_dataset::generator::TrafficConfig;
-///
-/// let sc = ServeScenario {
-///     name: "normal @ 1M".into(),
-///     source: CaptureSource::Generate(TrafficConfig::default()),
-///     config: ReplayConfig::default(),
-/// };
-/// assert_eq!(sc.name, "normal @ 1M");
-/// ```
-#[derive(Debug, Clone)]
-pub struct ServeScenario<'a> {
-    /// Scenario name (lands in [`ServeReport::scenario`]).
-    pub name: String,
-    /// Capture to replay.
-    pub source: CaptureSource<'a>,
-    /// Replay configuration.
-    pub config: ReplayConfig,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -2876,12 +2758,7 @@ fn finalize(
     let offered = agg.arrivals.len();
     let first_arrival = agg.arrivals.first().copied().unwrap_or(SimTime::ZERO);
     let last_arrival = agg.arrivals.last().copied().unwrap_or(SimTime::ZERO);
-    let span = last_arrival.saturating_sub(first_arrival);
-    let offered_fps = if span > SimTime::ZERO {
-        offered as f64 / span.as_secs_f64()
-    } else {
-        0.0
-    };
+    let offered_fps = offered_rate(offered, first_arrival, last_arrival);
 
     let mut boards = Vec::with_capacity(topology.shards());
     let mut total_dropped = 0u64;
@@ -2982,6 +2859,7 @@ mod tests {
     use crate::deploy::{deploy_multi_ids, DetectorBundle};
     use canids_dataflow::ip::CompileConfig;
     use canids_dataset::attacks::{AttackKind, AttackProfile, BurstSchedule};
+    use canids_dataset::generator::{DatasetBuilder, TrafficConfig};
     use canids_qnn::mlp::{MlpConfig, QuantMlp};
 
     fn untrained_model(seed: u64) -> IntegerMlp {
@@ -3594,42 +3472,143 @@ mod tests {
 
     #[test]
     fn sweep_returns_reports_in_scenario_order() {
-        let model = untrained_model(7);
-        let scenarios = vec![
-            ServeScenario {
-                name: "normal-1m".into(),
-                source: CaptureSource::Generate(TrafficConfig {
-                    duration: SimTime::from_millis(120),
-                    seed: 0x11E,
-                    ..TrafficConfig::default()
-                }),
-                config: ReplayConfig::default(),
-            },
-            ServeScenario {
-                name: "dos-fd".into(),
-                source: CaptureSource::Generate(TrafficConfig {
-                    duration: SimTime::from_millis(120),
-                    attack: Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous)),
-                    seed: 0x5FD,
-                    ..TrafficConfig::default()
-                }),
-                config: ReplayConfig {
-                    pacing: Pacing::FdClass,
-                    ..ReplayConfig::default()
-                },
-            },
+        // A scenario sweep is a loop of replays: one harness serves every
+        // scenario, each replay through a fresh session.
+        let mut harness = ServeHarness::new(SoftwareBackend::single(untrained_model(7)));
+        let dos = AttackProfile::dos().with_schedule(BurstSchedule::Continuous);
+        let fd_class = ReplayConfig {
+            pacing: Pacing::FdClass,
+            ..ReplayConfig::default()
+        };
+        let scenarios = [
+            (None, 0x11E, ReplayConfig::default()),
+            (Some(dos), 0x5FD, fd_class),
         ];
-        let reports =
-            ServeHarness::sweep(|| Ok(SoftwareBackend::single(model.clone())), &scenarios).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].scenario, "normal-1m");
-        assert_eq!(reports[1].scenario, "dos-fd");
+        let mut reports = Vec::new();
+        for (attack, seed, config) in scenarios {
+            let capture = DatasetBuilder::new(TrafficConfig {
+                duration: SimTime::from_millis(120),
+                attack,
+                seed,
+                ..TrafficConfig::default()
+            })
+            .build();
+            reports.push(harness.replay(&capture, &config).unwrap());
+        }
         assert_eq!(reports[0].bitrate_bps, 1_000_000);
         assert_eq!(reports[1].bitrate_bps, 5_000_000);
         for r in &reports {
             assert!(r.offered > 0);
             assert_eq!(r.serviced + r.dropped as usize, r.offered);
         }
+    }
+
+    /// A bookkeeping-only backend, its own session: one model per shard,
+    /// every frame admitted, and every verdict held back until `finish`,
+    /// as a DMA window that never fills delivers them.
+    struct Deferred {
+        topology: ServeTopology,
+        arrivals: Vec<SimTime>,
+    }
+
+    impl ServeBackend for Deferred {
+        type Session<'s> = &'s mut Deferred;
+
+        fn label(&self) -> String {
+            "deferred".to_owned()
+        }
+
+        fn models(&self) -> usize {
+            self.topology.models
+        }
+
+        fn open(&mut self, _config: &ReplayConfig) -> Result<&mut Deferred, CoreError> {
+            self.arrivals.clear();
+            Ok(self)
+        }
+    }
+
+    impl ServeSession for &mut Deferred {
+        fn topology(&self) -> &ServeTopology {
+            &self.topology
+        }
+
+        fn push_shard(
+            &mut self,
+            shard: usize,
+            _ordinal: usize,
+            rec: &LabeledFrame,
+        ) -> Result<ShardPush, CoreError> {
+            if shard == 0 {
+                self.arrivals.push(rec.timestamp);
+            }
+            Ok(ShardPush {
+                delivered: rec.timestamp,
+                admitted: true,
+            })
+        }
+
+        fn drain_verdicts(&mut self, _shard: usize, _out: &mut Vec<ShardVerdict>) {}
+
+        fn backlog(&self, _shard: usize) -> usize {
+            0
+        }
+
+        fn active_models(&self, _shard: usize) -> usize {
+            1
+        }
+
+        fn set_slot_active(&mut self, _slot: Slot, _active: bool) {}
+
+        fn finish(self, out: &mut Vec<ShardVerdict>) -> Result<Vec<ShardTotals>, CoreError> {
+            let shards = self.topology.shards();
+            for shard in 0..shards {
+                for (ordinal, &completed_at) in self.arrivals.iter().enumerate() {
+                    out.push(ShardVerdict {
+                        shard,
+                        ordinal,
+                        completed_at,
+                        flagged: false,
+                        model_flags: 0,
+                        active_mask: 1,
+                    });
+                }
+            }
+            let totals = ShardTotals {
+                serviced: self.arrivals.len(),
+                ..ShardTotals::default()
+            };
+            Ok(vec![totals; shards])
+        }
+    }
+
+    #[test]
+    fn deferred_verdicts_fuse_across_256_shards() {
+        // The per-frame pending-shard count must hold any shard count: a
+        // frame is fused only once all 256 shards have answered it.
+        let shards = 256;
+        let topology = ServeTopology {
+            models: shards,
+            homes: (0..shards).map(|shard| Slot { shard, local: 0 }).collect(),
+            standbys: vec![None; shards],
+            model_names: (0..shards).map(|m| format!("model-{m}")).collect(),
+            shard_names: (0..shards).map(|b| format!("board-{b}")).collect(),
+            shard_models: vec![1; shards],
+            queue_depths: vec![64; shards],
+        };
+        let capture = Dataset::from_records(quick_capture(false, 17).records()[..20].to_vec());
+        let mut verdicts: Vec<Verdict> = Vec::new();
+        let backend = Deferred {
+            topology,
+            arrivals: Vec::new(),
+        };
+        let report = ServeHarness::new(backend)
+            .replay_with(&capture, &ReplayConfig::default(), &mut verdicts)
+            .unwrap();
+        assert_eq!(verdicts.len(), 20);
+        assert!(verdicts.iter().all(|v| v.boards == shards));
+        assert_eq!(report.serviced, 20);
+        assert_eq!(report.fully_covered, 20);
     }
 
     #[test]

@@ -1,33 +1,23 @@
-//! Streaming (frame-at-a-time) evaluation and the line-rate harness.
+//! Streaming (frame-at-a-time) evaluation.
 //!
 //! Every other evaluation path in this crate materialises a capture
 //! before classifying it. A deployed IDS cannot: frames arrive one at a
 //! time, paced by the wire, and the detector must keep up with a
-//! saturated bus. This module provides that serving mode:
-//!
-//! * [`StreamingEvaluator`] — incremental featurisation + per-frame
-//!   integer MLP inference + online [`ConfusionMatrix`] accounting, with
-//!   all per-frame buffers reused (no per-frame feature allocation).
-//!   Streaming and batch evaluation produce *identical* predictions and
-//!   confusion matrices on the same capture — the equivalence tests pin
-//!   this.
-//! * [`LineRateScenario`] — canned wire-pacing scenarios (classic
-//!   1 Mb/s, FD-class) that map onto the unified serving harness
-//!   ([`crate::serve::ServeHarness`] with
-//!   [`crate::serve::SoftwareBackend`] / [`crate::serve::EcuBackend`])
-//!   via [`LineRateScenario::replay_config`].
+//! saturated bus. [`StreamingEvaluator`] provides that serving mode:
+//! incremental featurisation + per-frame integer MLP inference + online
+//! [`ConfusionMatrix`] accounting, with all per-frame buffers reused (no
+//! per-frame feature allocation). Streaming and batch evaluation produce
+//! *identical* predictions and confusion matrices on the same capture —
+//! the equivalence tests pin this. Line-rate replays run it through
+//! [`crate::serve::SoftwareBackend`] under the
+//! [`crate::serve::ServeHarness`], which owns pacing.
 
 use canids_can::time::SimTime;
-use canids_can::timing::Bitrate;
-use canids_dataset::attacks::AttackProfile;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
-use canids_dataset::generator::{Dataset, DatasetBuilder, TrafficConfig};
 use canids_dataset::record::LabeledFrame;
 use canids_qnn::export::{IntScratch, IntegerMlp};
 use canids_qnn::metrics::ConfusionMatrix;
-use canids_soc::ecu::EcuConfig;
 
-use crate::serve::ReplayConfig;
 use crate::telemetry::{Probe, Stage, WallClock};
 
 /// Accumulated wall-clock nanoseconds per hot-path stage, filled by
@@ -246,226 +236,17 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
     }
 }
 
-/// One verdict of an N-detector evaluator: per-model classes plus the
-/// fused (any-model) flag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiStreamVerdict {
-    /// Predicted class per model, in model order (0 = normal).
-    pub classes: Vec<usize>,
-    /// `true` when any model classified the frame as an attack.
-    pub flagged: bool,
-    /// Ground truth of the pushed record.
-    pub truth_attack: bool,
-}
-
-/// Frame-at-a-time evaluator over **N** integer models with **one shared
-/// feature-extraction pass**: each pushed record is encoded and
-/// quantised once, and every model consumes the same buffer — the
-/// software mirror of the ECU's shared feature packing (N detectors, one
-/// featurisation per window instead of N redundant ones).
-///
-/// Per-model predictions and confusion matrices are *identical* to N
-/// independent [`StreamingEvaluator`]s over the same capture; the unit
-/// tests pin this.
-#[derive(Debug, Clone)]
-pub struct MultiStreamingEvaluator<E: FrameEncoder = IdBitsPayloadBits> {
-    models: Vec<IntegerMlp>,
-    encoder: E,
-    fbuf: Vec<f32>,
-    xbuf: Vec<u32>,
-    scratch: IntScratch,
-    cms: Vec<ConfusionMatrix>,
-    fused_cm: ConfusionMatrix,
-    frames: u64,
-}
-
-impl MultiStreamingEvaluator<IdBitsPayloadBits> {
-    /// An N-model evaluator using the paper's 75-bit frame encoding.
-    pub fn new(models: Vec<IntegerMlp>) -> Self {
-        MultiStreamingEvaluator::with_encoder(models, IdBitsPayloadBits)
-    }
-}
-
-impl<E: FrameEncoder> MultiStreamingEvaluator<E> {
-    /// An N-model evaluator with a custom frame encoder. All models must
-    /// share the encoder's input dimension.
-    pub fn with_encoder(models: Vec<IntegerMlp>, encoder: E) -> Self {
-        let dim = encoder.dim();
-        let n = models.len();
-        MultiStreamingEvaluator {
-            models,
-            encoder,
-            fbuf: vec![0.0; dim],
-            xbuf: vec![0; dim],
-            scratch: IntScratch::new(),
-            cms: vec![ConfusionMatrix::new(); n],
-            fused_cm: ConfusionMatrix::new(),
-            frames: 0,
-        }
-    }
-
-    /// Classifies one record through every model off one encoding pass,
-    /// updating the per-model and fused confusion matrices.
-    pub fn push(&mut self, rec: &LabeledFrame) -> MultiStreamVerdict {
-        self.encoder.encode_into(&rec.frame, &mut self.fbuf);
-        let truth_attack = rec.label.is_attack();
-        let mut classes = Vec::with_capacity(self.models.len());
-        let mut flagged = false;
-        // Same quantisation as the single-model evaluator, clamped to
-        // each model's own input levels — performed once and re-clamped
-        // only when a model's level count differs from the buffer's
-        // (never, in the homogeneous fleets deployed here).
-        let mut quantised_for: Option<u32> = None;
-        for (model, cm) in self.models.iter().zip(&mut self.cms) {
-            if quantised_for != Some(model.input_levels) {
-                for (x, &f) in self.xbuf.iter_mut().zip(&self.fbuf) {
-                    *x = (f.round().max(0.0) as u32).min(model.input_levels);
-                }
-                quantised_for = Some(model.input_levels);
-            }
-            let class = model.infer_class(&self.xbuf, &mut self.scratch);
-            cm.record(class != 0, truth_attack);
-            flagged |= class != 0;
-            classes.push(class);
-        }
-        self.fused_cm.record(flagged, truth_attack);
-        self.frames += 1;
-        MultiStreamVerdict {
-            classes,
-            flagged,
-            truth_attack,
-        }
-    }
-
-    /// Per-model confusion matrices, in model order.
-    pub fn confusions(&self) -> &[ConfusionMatrix] {
-        &self.cms
-    }
-
-    /// The fused (any-model-flags) confusion matrix.
-    pub fn fused_confusion(&self) -> &ConfusionMatrix {
-        &self.fused_cm
-    }
-
-    /// Attached models.
-    pub fn models(&self) -> &[IntegerMlp] {
-        &self.models
-    }
-
-    /// Frames classified so far.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Resets the online accounting, keeping the models.
-    pub fn reset(&mut self) {
-        for cm in &mut self.cms {
-            *cm = ConfusionMatrix::new();
-        }
-        self.fused_cm = ConfusionMatrix::new();
-        self.frames = 0;
-    }
-}
-
-/// One line-rate replay scenario: which capture to generate and how fast
-/// to pace it.
-#[derive(Debug, Clone)]
-pub struct LineRateScenario {
-    /// Scenario name (appears in reports and tables).
-    pub name: String,
-    /// Attack to inject, if any.
-    pub attack: Option<AttackProfile>,
-    /// Capture length.
-    pub duration: SimTime,
-    /// Capture seed.
-    pub seed: u64,
-    /// Pacing bitrate of the replay (saturated line rate).
-    pub bitrate: Bitrate,
-    /// Software FIFO depth before drops.
-    pub queue_depth: usize,
-}
-
-impl LineRateScenario {
-    /// A saturated 1 Mb/s classic-CAN scenario.
-    pub fn classic_1m(name: &str, attack: Option<AttackProfile>, duration: SimTime) -> Self {
-        LineRateScenario {
-            name: name.to_owned(),
-            attack,
-            duration,
-            seed: 0x11E,
-            bitrate: Bitrate::HIGH_SPEED_1M,
-            queue_depth: 64,
-        }
-    }
-
-    /// A CAN-FD-class scenario: classic frames paced at a 5 Mb/s data
-    /// rate — the arbitration-phase format is unchanged, only the
-    /// offered frame rate scales.
-    pub fn fd_class(name: &str, attack: Option<AttackProfile>, duration: SimTime) -> Self {
-        LineRateScenario {
-            name: name.to_owned(),
-            attack,
-            duration,
-            seed: 0x5FD,
-            bitrate: Bitrate::new(5_000_000),
-            queue_depth: 64,
-        }
-    }
-
-    /// Synthesises this scenario's capture — the single recipe both
-    /// parallel [`crate::serve::ServeHarness::sweep`] runs and
-    /// sequential replays (e.g. the perf-snapshot driver) use.
-    pub fn generate_capture(&self) -> Dataset {
-        DatasetBuilder::new(TrafficConfig {
-            duration: self.duration,
-            attack: self.attack,
-            seed: self.seed,
-            ..TrafficConfig::default()
-        })
-        .build()
-    }
-}
-
-/// A host-contention caveat for scenario-parallel replays: present when
-/// the host has fewer cores than scenarios (wall-clock service times
-/// then include scheduler time-sharing), absent otherwise.
-pub fn contention_note(scenario_count: usize) -> Option<String> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    (cores < scenario_count).then(|| {
-        format!(
-            "note: {scenario_count} scenarios time-shared {cores} core(s); tail latencies and \
-             drops include host scheduling contention (bench_summary records the uncontended, \
-             sequential numbers)"
-        )
-    })
-}
-
-/// The unified replay configuration a [`LineRateScenario`] maps to:
-/// saturated pacing at the scenario's bitrate, software FIFO at the
-/// scenario's queue depth.
-impl LineRateScenario {
-    /// This scenario as a [`ReplayConfig`] for the serving harness.
-    pub fn replay_config(&self) -> ReplayConfig {
-        ReplayConfig {
-            bitrate: self.bitrate,
-            ecu: EcuConfig {
-                queue_depth: self.queue_depth,
-                ..EcuConfig::default()
-            },
-            ..ReplayConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canids_dataset::attacks::BurstSchedule;
+    use canids_can::timing::Bitrate;
+    use canids_dataset::attacks::{AttackProfile, BurstSchedule};
     use canids_dataset::features::FrameEncoder;
+    use canids_dataset::generator::{Dataset, DatasetBuilder, TrafficConfig};
     use canids_qnn::mlp::{MlpConfig, QuantMlp};
     use canids_soc::ecu::SchedPolicy;
 
-    use crate::serve::{CaptureSource, EcuBackend, ServeHarness, ServeScenario, SoftwareBackend};
+    use crate::serve::{EcuBackend, ReplayConfig, ServeHarness, SoftwareBackend};
 
     fn untrained_model() -> IntegerMlp {
         QuantMlp::new(MlpConfig::paper_4bit())
@@ -538,9 +319,9 @@ mod tests {
     fn line_rate_replay_accounts_every_frame() {
         let model = untrained_model();
         let capture = quick_capture(true, 6);
-        let scenario = LineRateScenario::classic_1m("dos-1m", None, SimTime::from_millis(200));
+        // The default replay: saturated 1 Mb/s pacing into a 64-deep FIFO.
         let report = ServeHarness::new(SoftwareBackend::single(model))
-            .replay(&capture, &scenario.replay_config())
+            .replay(&capture, &ReplayConfig::default())
             .unwrap();
         assert_eq!(report.offered, capture.len());
         assert_eq!(report.serviced + report.dropped as usize, report.offered);
@@ -563,37 +344,34 @@ mod tests {
     }
 
     #[test]
-    fn sweep_runs_scenarios_in_parallel_and_in_order() {
+    fn classic_and_fd_class_scenarios_replay_at_their_line_rates() {
+        use crate::serve::Pacing;
+
         let model = untrained_model();
+        let dos = AttackProfile::dos().with_schedule(BurstSchedule::Continuous);
         let scenarios = [
-            LineRateScenario::classic_1m("normal-1m", None, SimTime::from_millis(120)),
-            LineRateScenario::fd_class(
-                "dos-fd",
-                Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous)),
-                SimTime::from_millis(120),
+            (None, 0x11E, ReplayConfig::default()),
+            (
+                Some(dos),
+                0x5FD,
+                ReplayConfig::default().with_pacing(Pacing::FdClass),
             ),
         ];
-        let serve_scenarios: Vec<ServeScenario<'_>> = scenarios
-            .iter()
-            .map(|s| ServeScenario {
-                name: s.name.clone(),
-                source: CaptureSource::Generate(TrafficConfig {
-                    duration: s.duration,
-                    attack: s.attack,
-                    seed: s.seed,
+        let reports: Vec<_> = scenarios
+            .into_iter()
+            .map(|(attack, seed, config)| {
+                let capture = DatasetBuilder::new(TrafficConfig {
+                    duration: SimTime::from_millis(120),
+                    attack,
+                    seed,
                     ..TrafficConfig::default()
-                }),
-                config: s.replay_config(),
+                })
+                .build();
+                ServeHarness::new(SoftwareBackend::single(model.clone()))
+                    .replay(&capture, &config)
+                    .unwrap()
             })
             .collect();
-        let reports = ServeHarness::sweep(
-            || Ok(SoftwareBackend::single(model.clone())),
-            &serve_scenarios,
-        )
-        .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].scenario, "normal-1m");
-        assert_eq!(reports[1].scenario, "dos-fd");
         assert_eq!(reports[0].bitrate_bps, 1_000_000);
         assert_eq!(reports[1].bitrate_bps, 5_000_000);
         for r in &reports {
@@ -602,47 +380,6 @@ mod tests {
         }
         // FD-class pacing offers a strictly higher frame rate.
         assert!(reports[1].offered_fps > reports[0].offered_fps);
-    }
-
-    #[test]
-    fn multi_evaluator_matches_independent_single_evaluators() {
-        let models: Vec<IntegerMlp> = (0..3)
-            .map(|i| {
-                QuantMlp::new(MlpConfig {
-                    seed: 40 + i,
-                    ..MlpConfig::paper_4bit()
-                })
-                .unwrap()
-                .export()
-                .unwrap()
-            })
-            .collect();
-        let capture = quick_capture(true, 8);
-        let mut multi = MultiStreamingEvaluator::new(models.clone());
-        let mut singles: Vec<StreamingEvaluator> = models
-            .iter()
-            .map(|m| StreamingEvaluator::new(m.clone()))
-            .collect();
-        for rec in capture.iter() {
-            let v = multi.push(rec);
-            assert_eq!(v.classes.len(), 3);
-            let mut any = false;
-            for (k, single) in singles.iter_mut().enumerate() {
-                let sv = single.push(rec);
-                assert_eq!(v.classes[k], sv.class, "model {k} diverged");
-                any |= sv.flagged;
-            }
-            assert_eq!(v.flagged, any);
-            assert_eq!(v.truth_attack, rec.label.is_attack());
-        }
-        for (k, single) in singles.iter().enumerate() {
-            assert_eq!(&multi.confusions()[k], single.confusion(), "model {k}");
-        }
-        assert_eq!(multi.frames(), capture.len() as u64);
-        assert_eq!(multi.fused_confusion().total(), capture.len() as u64);
-        multi.reset();
-        assert_eq!(multi.frames(), 0);
-        assert_eq!(multi.models().len(), 3);
     }
 
     #[test]

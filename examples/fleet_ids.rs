@@ -60,9 +60,9 @@ fn main() -> Result<(), CoreError> {
     println!("\n{table}");
     let deployment = plan.deploy(&bundles, &CompileConfig::default())?;
 
-    // One capture, three fleet replays: the DMA-batch integration at
+    // One capture, four fleet replays: the DMA-batch integration at
     // saturated 1 Mb/s (zero drops), and a per-message overload under
-    // both admission policies (one drops, one sheds).
+    // three admission policies (one drops, two shed).
     let capture = DatasetBuilder::new(TrafficConfig {
         duration: SimTime::from_millis(300),
         attack: Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous)),
@@ -74,49 +74,36 @@ fn main() -> Result<(), CoreError> {
     let overload = ReplayConfig::default()
         .with_bitrate(Bitrate::new(750_000))
         .with_policy(SchedPolicy::Sequential);
-    let scenarios = vec![
-        ServeScenario {
-            name: "dma-batch-32 @ 1M".into(),
-            source: CaptureSource::Capture(&capture),
-            config: ReplayConfig::default().with_policy(SchedPolicy::DmaBatch { batch: 32 }),
-        },
-        ServeScenario {
-            name: "sequential @ 750k".into(),
-            source: CaptureSource::Capture(&capture),
-            config: overload.clone(),
-        },
-        ServeScenario {
-            name: "sequential @ 750k, shed".into(),
-            source: CaptureSource::Capture(&capture),
-            config: overload
+    let scenarios = [
+        (
+            "dma-batch-32 @ 1M",
+            ReplayConfig::default().with_policy(SchedPolicy::DmaBatch { batch: 32 }),
+        ),
+        ("sequential @ 750k", overload.clone()),
+        (
+            "sequential @ 750k, shed",
+            overload
                 .clone()
                 .with_admission(AdmissionPolicy::ShedLowestValue {
                     priorities: priorities.clone(),
                 }),
-        },
-        ServeScenario {
-            name: "sequential @ 750k, measured".into(),
-            source: CaptureSource::Capture(&capture),
-            config: overload
-                .clone()
-                .with_admission(AdmissionPolicy::ShedLowestMeasuredValue {
-                    window: 256,
-                    priorities,
-                }),
-        },
-        // Same best-case replay through the event-driven network core:
-        // bit-identical to the analytic gateway while uncongested, but
-        // with per-gateway occupancy accounting and room for faults.
-        ServeScenario {
-            name: "dma-batch-32 @ 1M, event net".into(),
-            source: CaptureSource::Capture(&capture),
-            config: ReplayConfig::default()
-                .with_policy(SchedPolicy::DmaBatch { batch: 32 })
-                .with_transport(FleetTransport::EventDriven(NetConfig::default())),
-        },
+        ),
+        (
+            "sequential @ 750k, measured",
+            overload.with_admission(AdmissionPolicy::ShedLowestMeasuredValue {
+                window: 256,
+                priorities,
+            }),
+        ),
     ];
-    // One scoped thread per replay, each through a fresh FleetBackend.
-    let reports = ServeHarness::sweep(|| Ok(deployment.serve_backend()), &scenarios)?;
+    // One replay per scenario; each opens a fresh fleet session.
+    let mut harness = ServeHarness::new(deployment.serve_backend());
+    let mut reports = Vec::new();
+    for (name, config) in &scenarios {
+        let mut report = harness.replay(&capture, config)?;
+        report.scenario = (*name).to_owned();
+        reports.push(report);
+    }
 
     let mut results = Table::new(
         "Fleet line rate (gateway-coupled, per-board SoC path)",
@@ -148,10 +135,9 @@ fn main() -> Result<(), CoreError> {
         reports[3].shed_count(),
     );
 
-    // The event-driven replay additionally reports per-gateway load.
-    let event = &reports[4];
+    // Every fleet replay also reports per-gateway load on the transport.
     let mut gw_table = Table::new(
-        "Event-driven transport: per-gateway queues",
+        "Gateway transport (dma-batch-32 @ 1M): per-gateway queues",
         &[
             "Gateway",
             "Forwarded",
@@ -161,7 +147,7 @@ fn main() -> Result<(), CoreError> {
             "Peak at (ms)",
         ],
     );
-    for g in &event.gateways {
+    for g in &reports[0].gateways {
         gw_table.push_row(&[
             format!("gw-{}", g.gateway),
             format!("{}", g.forwarded),

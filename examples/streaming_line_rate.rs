@@ -30,9 +30,9 @@ fn main() -> Result<(), CoreError> {
         detector.test_set.len()
     );
 
-    // Scenario sweep through the unified harness: capture generation and
-    // replay run concurrently on scoped threads, one per scenario, each
-    // through a fresh SoftwareBackend.
+    // One replay per scenario through the unified harness, one after the
+    // other, so each measures its software service time on an otherwise
+    // idle core.
     let duration = canids_can::time::SimTime::from_millis(400);
     let attack = Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous));
     let traffic = |attack, seed| TrafficConfig {
@@ -41,37 +41,31 @@ fn main() -> Result<(), CoreError> {
         seed,
         ..TrafficConfig::default()
     };
-    let scenarios = vec![
-        ServeScenario {
-            name: "normal @ 1 Mb/s".into(),
-            source: CaptureSource::Generate(traffic(None, 0x11E)),
-            config: ReplayConfig::default(),
-        },
-        ServeScenario {
-            name: "DoS flood @ 1 Mb/s".into(),
-            source: CaptureSource::Generate(traffic(attack, 0x11E)),
-            config: ReplayConfig::default(),
-        },
-        ServeScenario {
-            name: "DoS flood @ FD-class 5 Mb/s".into(),
-            source: CaptureSource::Generate(traffic(attack, 0x5FD)),
-            config: ReplayConfig::default().with_pacing(Pacing::FdClass),
-        },
+    let scenarios = [
+        ("normal @ 1 Mb/s", None, 0x11E, Pacing::Saturated),
+        ("DoS flood @ 1 Mb/s", attack, 0x11E, Pacing::Saturated),
+        (
+            "DoS flood @ FD-class 5 Mb/s",
+            attack,
+            0x5FD,
+            Pacing::FdClass,
+        ),
     ];
     let model = detector.int_mlp.clone();
-    let reports = ServeHarness::sweep(|| Ok(SoftwareBackend::single(model.clone())), &scenarios)?;
-
+    let mut harness = ServeHarness::new(SoftwareBackend::single(model.clone()));
     let mut table = Table::new(
         "streaming line-rate replay (frame-at-a-time serving)",
         &ServeReport::table_header(),
     );
-    for r in &reports {
-        table.push_row(&r.table_row());
+    let mut reports = Vec::new();
+    for (name, attack, seed, pacing) in scenarios {
+        let capture = DatasetBuilder::new(traffic(attack, seed)).build();
+        let mut report = harness.replay(&capture, &ReplayConfig::default().with_pacing(pacing))?;
+        report.scenario = name.to_owned();
+        table.push_row(&report.table_row());
+        reports.push(report);
     }
     println!("{table}");
-    if let Some(note) = canids_core::stream::contention_note(scenarios.len()) {
-        println!("{note}\n");
-    }
 
     let classic = &reports[1];
     println!(

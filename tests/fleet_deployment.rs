@@ -8,7 +8,6 @@
 
 use canids_core::fleet::{FleetAction, FleetEvent};
 use canids_core::prelude::*;
-use canids_core::serve::CaptureSource;
 
 /// Untrained paper-topology model (weights seeded): fleet geometry,
 /// timing and admission behaviour do not depend on weight values.
@@ -191,10 +190,9 @@ fn twelve_detectors_on_six_heterogeneous_boards_hold_line_rate_and_degrade_grace
 }
 
 #[test]
-fn policy_sweep_contrasts_admission_policies_in_parallel() {
-    // The scenario-parallel sweep (one scoped thread per replay)
-    // reproduces the sequential contrast: DropFrames
-    // drops under per-message overload, ShedLowestValue does not.
+fn policy_sweep_contrasts_admission_policies() {
+    // One replay per admission policy: DropFrames drops under
+    // per-message overload, ShedLowestValue does not.
     let bundles = twelve_bundles();
     let plan = FleetPlan::build(&bundles, &six_board_fleet()).unwrap();
     let deployment = plan.deploy(&bundles, &CompileConfig::default()).unwrap();
@@ -209,30 +207,22 @@ fn policy_sweep_contrasts_admission_policies_in_parallel() {
         policy: SchedPolicy::Sequential,
         ..EcuConfig::default()
     };
-    let scenarios = vec![
-        ServeScenario {
-            name: "drop-frames".into(),
-            source: CaptureSource::Capture(&capture),
-            config: ReplayConfig {
-                bitrate: Bitrate::new(750_000),
-                ecu: overload,
-                ..ReplayConfig::default()
-            },
+    let drop_frames = ReplayConfig {
+        bitrate: Bitrate::new(750_000),
+        ecu: overload,
+        ..ReplayConfig::default()
+    };
+    let shed_lowest_value = ReplayConfig {
+        admission: AdmissionPolicy::ShedLowestValue {
+            priorities: priorities(),
         },
-        ServeScenario {
-            name: "shed-lowest-value".into(),
-            source: CaptureSource::Capture(&capture),
-            config: ReplayConfig {
-                bitrate: Bitrate::new(750_000),
-                ecu: overload,
-                admission: AdmissionPolicy::ShedLowestValue {
-                    priorities: priorities(),
-                },
-                ..ReplayConfig::default()
-            },
-        },
-    ];
-    let reports = ServeHarness::sweep(|| Ok(deployment.serve_backend()), &scenarios).unwrap();
+        ..drop_frames.clone()
+    };
+    let mut harness = ServeHarness::new(deployment.serve_backend());
+    let reports: Vec<ServeReport> = [drop_frames, shed_lowest_value]
+        .iter()
+        .map(|config| harness.replay(&capture, config).unwrap())
+        .collect();
     assert_eq!(reports.len(), 2);
     assert_eq!(reports[0].admission, "drop-frames");
     assert_eq!(reports[1].admission, "shed-lowest-value");

@@ -1,18 +1,20 @@
-//! Event-driven network core vs analytic gateway path (ISSUE 6).
+//! The fleet transport vs the reference gateway forwarder.
 //!
-//! On uncongested single-backbone topologies the event-driven
-//! [`FleetTransport::EventDriven`] replay must reproduce the analytic
-//! `SegmentForwarder` path **bit for bit** (every f64 compared via
-//! `to_bits`), across all four `SchedPolicy`s and all four
-//! `AdmissionPolicy`s: the event core's `PortService` computes exactly
-//! the analytic forwarding recurrence on carried timestamps, so
-//! identical delivery times must yield identical reports. The analytic
-//! model cannot express congestion or faults, and a babbling-idiot
-//! flood through a finite drop-tail gateway demonstrably diverges.
+//! Every fleet replay forwards backbone frames to each board through the
+//! event-driven [`FleetTransport`]. With the default [`NetConfig`] (an
+//! unbounded drop-tail buffer, no faults) each board's gateway hop must
+//! equal the closed-form `SegmentForwarder` recurrence over the paced
+//! capture **frame for frame**, across all four `SchedPolicy`s and all
+//! four `AdmissionPolicy`s: the transport sits in front of the boards,
+//! so neither scheduling nor admission may move it. The closed form
+//! cannot express congestion or faults, and a babbling-idiot flood
+//! through a finite drop-tail gateway demonstrably diverges from it.
 
+use canids_can::gateway::SegmentForwarder;
 use canids_core::net::{Fault, NetConfig, QueueDiscipline, SegmentId, SinkId};
 use canids_core::prelude::*;
 use canids_core::serve::FleetTransport;
+use canids_dataset::stream::paced_records;
 
 /// Untrained paper-topology model (weights seeded): transport timing
 /// and admission behaviour do not depend on weight values.
@@ -27,8 +29,8 @@ fn seeded_model(seed: u64) -> canids_qnn::IntegerMlp {
 }
 
 /// Four detectors over two ZCU104 boards, two per shard — small enough
-/// to replay 4 policies × 2 transports quickly, loaded enough that a
-/// sequential per-message overload trips every admission policy.
+/// to replay 4 policies quickly, loaded enough that a sequential
+/// per-message overload trips every admission policy.
 fn four_bundles() -> Vec<DetectorBundle> {
     let kinds = [AttackKind::Dos, AttackKind::Fuzzy];
     (0..4)
@@ -60,133 +62,97 @@ fn priorities() -> Vec<u32> {
     (0..4u32).map(|i| 100 - i).collect()
 }
 
-/// Every `ServeReport` field except `gateways` compared bitwise (f64s
-/// via `to_bits`, so "close" is not "equal"). `gateways` is the one
-/// legitimate difference: the analytic transport has no buffer model to
-/// report, the event-driven one does.
-fn assert_reports_bit_identical(a: &ServeReport, b: &ServeReport) {
-    assert_eq!(a.scenario, b.scenario);
-    assert_eq!(a.backend, b.backend);
-    assert_eq!(a.sched, b.sched);
-    assert_eq!(a.admission, b.admission);
-    assert_eq!(a.bitrate_bps, b.bitrate_bps);
-    assert_eq!(a.offered, b.offered);
-    assert_eq!(a.serviced, b.serviced);
-    assert_eq!(a.dropped, b.dropped);
-    assert_eq!(a.first_arrival, b.first_arrival);
-    assert_eq!(a.last_arrival, b.last_arrival);
-    assert_eq!(a.offered_fps.to_bits(), b.offered_fps.to_bits());
-    assert_eq!(
-        a.sustained_fps.map(f64::to_bits),
-        b.sustained_fps.map(f64::to_bits)
-    );
-    assert_eq!(a.latency.p50, b.latency.p50);
-    assert_eq!(a.latency.p99, b.latency.p99);
-    assert_eq!(a.latency.max, b.latency.max);
-    assert_eq!(a.flagged, b.flagged);
-    assert_eq!(a.fully_covered, b.fully_covered);
-    assert_eq!(a.cm, b.cm);
-    match (&a.energy, &b.energy) {
-        (Some(ea), Some(eb)) => {
-            assert_eq!(ea.mean_power_w.to_bits(), eb.mean_power_w.to_bits());
-            assert_eq!(
-                ea.energy_per_message_j.to_bits(),
-                eb.energy_per_message_j.to_bits()
-            );
+/// Board `board`'s `gateway_hop` spans as (backbone arrival, board
+/// delivery), in forwarding order.
+fn gateway_hops(report: &ServeReport, board: u32) -> Vec<(SimTime, SimTime)> {
+    report
+        .telemetry
+        .as_ref()
+        .expect("telemetry is on")
+        .spans
+        .iter()
+        .filter(|s| s.stage == Stage::GatewayHop && s.shard == board)
+        .map(|s| (s.start, s.end))
+        .collect()
+}
+
+/// The reference: one `SegmentForwarder` port over the paced capture.
+fn reference_hops(capture: &Dataset, config: &ReplayConfig) -> Vec<(SimTime, SimTime)> {
+    let wire = config.wire_bitrate();
+    let mut port = SegmentForwarder::new(wire, config.gateway_delay);
+    paced_records(capture, wire)
+        .map(|rec| (rec.timestamp, port.forward(rec.timestamp, &rec.frame)))
+        .collect()
+}
+
+/// Replays `capture` through a fresh fleet under each config and pins
+/// every board's gateway hops to the reference forwarder; uncongested
+/// gateways forward everything they see. Reports come back in config
+/// order.
+fn assert_hops_match_reference(
+    deployment: &FleetDeployment,
+    capture: &Dataset,
+    configs: &[ReplayConfig],
+) -> Vec<ServeReport> {
+    let mut reports = Vec::new();
+    for config in configs {
+        let report = ServeHarness::new(deployment.serve_backend())
+            .replay(capture, config)
+            .expect("fleet replay");
+        let label = format!("{} / {}", report.sched, report.admission);
+        let reference = reference_hops(capture, config);
+        assert_eq!(reference.len(), capture.len());
+        for board in 0..2 {
+            let hops = gateway_hops(&report, board);
+            assert_eq!(hops, reference, "{label}, board {board}");
         }
-        (None, None) => {}
-        _ => panic!("one report meters energy, the other does not"),
-    }
-    assert_eq!(a.boards.len(), b.boards.len());
-    for (ab, bb) in a.boards.iter().zip(&b.boards) {
-        assert_eq!(ab.board, bb.board);
-        assert_eq!(ab.models, bb.models);
-        assert_eq!(ab.offered, bb.offered);
-        assert_eq!(ab.serviced, bb.serviced);
-        assert_eq!(ab.dropped, bb.dropped);
-        assert_eq!(ab.latency.p50, bb.latency.p50);
-        assert_eq!(ab.latency.p99, bb.latency.p99);
-        assert_eq!(ab.latency.max, bb.latency.max);
-        match (&ab.energy, &bb.energy) {
-            (Some(ea), Some(eb)) => {
-                assert_eq!(ea.mean_power_w.to_bits(), eb.mean_power_w.to_bits());
-                assert_eq!(
-                    ea.energy_per_message_j.to_bits(),
-                    eb.energy_per_message_j.to_bits()
-                );
-            }
-            (None, None) => {}
-            _ => panic!("board {} energy mismatch", ab.board),
+        assert_eq!(report.gateways.len(), 2, "{label}");
+        for g in &report.gateways {
+            let counts = (g.forwarded, g.dropped(), g.paused, g.queued);
+            let all_forwarded = (capture.len() as u64, 0, 0, 0);
+            assert_eq!(counts, all_forwarded, "{label}, gw {}", g.gateway);
         }
+        reports.push(report);
     }
-    assert_eq!(a.per_model.len(), b.per_model.len());
-    for (am, bm) in a.per_model.iter().zip(&b.per_model) {
-        assert_eq!(am.model, bm.model);
-        assert_eq!(am.name, bm.name);
-        assert_eq!(am.home, bm.home);
-        assert_eq!(am.consulted, bm.consulted);
-        assert_eq!(am.flagged, bm.flagged);
-        assert_eq!(am.confirmed_positives, bm.confirmed_positives);
-        assert_eq!(am.cm, bm.cm);
-    }
-    assert_eq!(a.events, b.events);
-    assert_eq!(a.verdicts, b.verdicts);
+    reports
+}
+
+fn traced() -> ReplayConfig {
+    ReplayConfig::default().with_telemetry(TelemetryConfig::default())
 }
 
 #[test]
-fn event_transport_matches_analytic_bit_for_bit_across_sched_policies() {
+fn gateway_hops_match_the_forwarder_across_sched_policies() {
     let deployment = two_board_fleet();
     let capture = dos_capture(200, 0x6E7A);
-
-    let policies = [
+    let configs: Vec<ReplayConfig> = [
         SchedPolicy::Sequential,
         SchedPolicy::RoundRobin,
         SchedPolicy::DmaBatch { batch: 32 },
         SchedPolicy::InterruptPerFrame,
-    ];
-    for policy in policies {
-        let analytic_config = ReplayConfig::default().with_policy(policy);
-        let event_config = analytic_config
-            .clone()
-            .with_transport(FleetTransport::EventDriven(NetConfig::default()));
-
-        let analytic = ServeHarness::new(deployment.serve_backend())
-            .replay(&capture, &analytic_config)
-            .expect("analytic replay");
-        let event = ServeHarness::new(deployment.serve_backend())
-            .replay(&capture, &event_config)
-            .expect("event-driven replay");
-
-        assert_reports_bit_identical(&analytic, &event);
-
-        // The one intended difference: only the event-driven transport
-        // carries a per-gateway networking section, and while
-        // uncongested its gateways forward everything they see.
-        assert!(analytic.gateways.is_empty(), "{}", policy.label());
-        assert_eq!(event.gateways.len(), 2, "{}", policy.label());
-        for g in &event.gateways {
-            assert_eq!(g.forwarded, capture.len() as u64, "gw {}", g.gateway);
-            assert_eq!(g.dropped(), 0, "gw {}", g.gateway);
-            assert_eq!(g.paused, 0, "gw {}", g.gateway);
-            assert_eq!(g.queued, 0, "gw {}", g.gateway);
-        }
+    ]
+    .into_iter()
+    .map(|policy| traced().with_policy(policy))
+    .collect();
+    let reports = assert_hops_match_reference(&deployment, &capture, &configs);
+    for (report, config) in reports.iter().zip(&configs) {
+        assert_eq!(report.sched, config.ecu.policy.label());
     }
 }
 
 #[test]
-fn event_transport_matches_analytic_bit_for_bit_across_admission_policies() {
+fn gateway_hops_match_the_forwarder_across_admission_policies() {
     let deployment = two_board_fleet();
     let capture = dos_capture(250, 0xAD31);
-
     // A deliberate per-message overload so every admission policy has
-    // real shed/readmit/migrate decisions to reproduce.
+    // real shed/readmit/migrate decisions around the transport.
     let overloaded = ReplayConfig {
         bitrate: Bitrate::new(750_000),
         ecu: EcuConfig {
             policy: SchedPolicy::Sequential,
             ..EcuConfig::default()
         },
-        ..ReplayConfig::default()
+        ..traced()
     };
     let admissions = [
         AdmissionPolicy::DropFrames,
@@ -201,59 +167,36 @@ fn event_transport_matches_analytic_bit_for_bit_across_admission_policies() {
             priorities: priorities(),
         },
     ];
-    for admission in admissions {
-        let analytic_config = overloaded.clone().with_admission(admission.clone());
-        let event_config = analytic_config
-            .clone()
-            .with_transport(FleetTransport::EventDriven(NetConfig::default()));
-
-        let analytic = ServeHarness::new(deployment.serve_backend())
-            .replay(&capture, &analytic_config)
-            .expect("analytic replay");
-        let event = ServeHarness::new(deployment.serve_backend())
-            .replay(&capture, &event_config)
-            .expect("event-driven replay");
-
-        assert_eq!(analytic.admission, admission.label());
-        assert_reports_bit_identical(&analytic, &event);
-        assert!(analytic.gateways.is_empty());
-        assert_eq!(event.gateways.len(), 2);
+    let configs: Vec<ReplayConfig> = admissions
+        .iter()
+        .map(|admission| overloaded.clone().with_admission(admission.clone()))
+        .collect();
+    let reports = assert_hops_match_reference(&deployment, &capture, &configs);
+    for (report, admission) in reports.iter().zip(&admissions) {
+        assert_eq!(report.admission, admission.label());
     }
-    // The overload is real: DropFrames drops, the shed policies do not.
-    let dropped = ServeHarness::new(deployment.serve_backend())
-        .replay(&capture, &overloaded)
-        .unwrap();
-    assert!(dropped.dropped > 0, "the 750 kb/s overload must drop");
-    let shed = ServeHarness::new(deployment.serve_backend())
-        .replay(
-            &capture,
-            &overloaded
-                .clone()
-                .with_admission(AdmissionPolicy::ShedLowestValue {
-                    priorities: priorities(),
-                }),
-        )
-        .unwrap();
-    assert!(shed.shed_count() >= 1, "the overload must trigger shedding");
+    // The overload is real: DropFrames drops and ShedLowestValue sheds.
+    assert!(reports[0].dropped > 0, "the 750 kb/s overload must drop");
+    assert!(reports[1].shed_count() >= 1, "the overload sheds");
 }
 
 #[test]
 fn congested_event_topology_diverges_from_the_analytic_model() {
     // A babbling idiot floods board 0's gateway port faster than its
     // leaf segment can drain, through a 4-frame shared drop-tail
-    // buffer. The analytic forwarder has no buffer to fill — it keeps
-    // reporting zero loss — while the event-driven core drops board-0
-    // frames with a typed buffer-full reason. This is the scenario the
-    // closed form cannot express.
+    // buffer. The default transport — the closed-form forwarder's
+    // behaviour — has no buffer to fill and reports zero loss, while
+    // the flooded one drops board-0 frames with a typed buffer-full
+    // reason. This is the scenario the closed form cannot express.
     let deployment = two_board_fleet();
     let capture = dos_capture(200, 0xBAB);
 
     let best = ReplayConfig::default().with_policy(SchedPolicy::DmaBatch { batch: 32 });
-    let analytic = ServeHarness::new(deployment.serve_backend())
+    let baseline = ServeHarness::new(deployment.serve_backend())
         .replay(&capture, &best)
         .unwrap();
-    assert_eq!(analytic.dropped, 0, "uncongested baseline keeps up");
-    assert_eq!(analytic.fully_covered, analytic.offered);
+    assert_eq!(baseline.dropped, 0, "uncongested baseline keeps up");
+    assert_eq!(baseline.fully_covered, baseline.offered);
 
     let flooded = best.with_transport(FleetTransport::EventDriven(NetConfig {
         discipline: QueueDiscipline::DropTail { capacity: 4 },
@@ -275,9 +218,9 @@ fn congested_event_topology_diverges_from_the_analytic_model() {
         "the flooded drop-tail gateway must lose board-0 frames"
     );
     assert!(event.fully_covered < event.offered);
-    assert!(event.boards[0].dropped > analytic.boards[0].dropped);
+    assert!(event.boards[0].dropped > baseline.boards[0].dropped);
     // Board 1's gateway is untouched — every frame still arrives there.
-    assert_eq!(event.boards[1].dropped, analytic.boards[1].dropped);
+    assert_eq!(event.boards[1].dropped, baseline.boards[1].dropped);
     // The loss is typed and accounted at gateway 0.
     let g0 = &event.gateways[0];
     assert!(g0.dropped_full > 0, "drop-tail losses must be buffer-full");

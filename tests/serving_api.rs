@@ -11,9 +11,10 @@
 //!    static `ShedLowestValue` policy sheds a different, actually-firing
 //!    model that someone labelled lowest priority. `bench_summary`
 //!    records the same contrast in `BENCH_5.json`.
-//! 3. `ServeHarness::sweep` results are independent of thread
-//!    interleaving: the scenario-parallel sweep matches sequential
-//!    replays bit for bit on the simulated backends.
+//! 3. A scenario sweep is a loop of `ServeHarness::replay` calls: one
+//!    harness replaying several scenarios in turn, in either order,
+//!    matches fresh-backend replays bit for bit on the simulated
+//!    backends.
 use canids_core::prelude::*;
 use canids_core::serve::FleetAction;
 
@@ -328,10 +329,10 @@ fn measured_value_sheds_the_never_firing_model_not_the_lowest_priority() {
 }
 
 #[test]
-fn sweep_results_are_independent_of_thread_interleaving() {
-    // Simulated backends are deterministic, so the scenario-parallel
-    // sweep must reproduce sequential replays bit for bit — per-scenario
-    // results cannot depend on thread interleaving.
+fn a_reused_harness_replays_each_scenario_like_a_fresh_one() {
+    // Every replay opens a fresh session, so one harness looping over
+    // scenarios — forwards or backwards — must reproduce a fresh
+    // backend's replay of each scenario bit for bit.
     let bundles = twelve_bundles();
     let plan = FleetPlan::build(&bundles, &six_board_fleet()).unwrap();
     let deployment = plan.deploy(&bundles, &CompileConfig::default()).unwrap();
@@ -343,7 +344,7 @@ fn sweep_results_are_independent_of_thread_interleaving() {
     })
     .build();
     let priorities: Vec<u32> = (0..12u32).map(|i| 100 - i).collect();
-    let scenarios: Vec<ServeScenario<'_>> = [
+    let configs = [
         ReplayConfig::default().with_policy(SchedPolicy::DmaBatch { batch: 32 }),
         ReplayConfig::default()
             .with_bitrate(Bitrate::new(750_000))
@@ -351,36 +352,25 @@ fn sweep_results_are_independent_of_thread_interleaving() {
         ReplayConfig::default()
             .with_bitrate(Bitrate::new(750_000))
             .with_policy(SchedPolicy::Sequential)
-            .with_admission(AdmissionPolicy::ShedLowestValue {
-                priorities: priorities.clone(),
-            }),
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(i, config)| ServeScenario {
-        name: format!("scenario-{i}"),
-        source: CaptureSource::Capture(&capture),
-        config,
-    })
-    .collect();
+            .with_admission(AdmissionPolicy::ShedLowestValue { priorities }),
+    ];
 
-    let parallel = ServeHarness::sweep(|| Ok(deployment.serve_backend()), &scenarios).unwrap();
-    for (scenario, from_sweep) in scenarios.iter().zip(&parallel) {
-        let sequential = ServeHarness::new(deployment.serve_backend())
-            .replay(&capture, &scenario.config)
+    let mut harness = ServeHarness::new(deployment.serve_backend());
+    let forwards: Vec<ServeReport> = configs
+        .iter()
+        .map(|config| harness.replay(&capture, config).unwrap())
+        .collect();
+    let mut backwards: Vec<ServeReport> = configs
+        .iter()
+        .rev()
+        .map(|config| harness.replay(&capture, config).unwrap())
+        .collect();
+    backwards.reverse();
+    for ((config, a), b) in configs.iter().zip(&forwards).zip(&backwards) {
+        let fresh = ServeHarness::new(deployment.serve_backend())
+            .replay(&capture, config)
             .unwrap();
-        assert_eq!(from_sweep.offered, sequential.offered);
-        assert_eq!(from_sweep.dropped, sequential.dropped);
-        assert_eq!(from_sweep.latency, sequential.latency);
-        assert_eq!(from_sweep.events, sequential.events);
-        assert_eq!(from_sweep.verdicts, sequential.verdicts);
-        assert_eq!(from_sweep.cm, sequential.cm);
-    }
-    // And a second parallel run agrees with the first.
-    let parallel2 = ServeHarness::sweep(|| Ok(deployment.serve_backend()), &scenarios).unwrap();
-    for (a, b) in parallel.iter().zip(&parallel2) {
-        assert_eq!(a.verdicts, b.verdicts);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(a.events, b.events);
+        assert_serve_reports_identical(a, &fresh);
+        assert_serve_reports_identical(b, &fresh);
     }
 }

@@ -56,36 +56,28 @@ fn streaming_order_does_not_leak_state() {
 #[test]
 fn line_rate_replay_is_conservative_and_complete() {
     let detector = trained();
-    let scenarios = [
-        LineRateScenario::classic_1m(
-            "dos-1m",
-            Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous)),
-            canids_can::time::SimTime::from_millis(150),
-        ),
-        LineRateScenario::fd_class(
-            "dos-fd",
-            Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous)),
-            canids_can::time::SimTime::from_millis(150),
-        ),
-    ];
-    let serve_scenarios: Vec<ServeScenario<'_>> = scenarios
-        .iter()
-        .map(|s| ServeScenario {
-            name: s.name.clone(),
-            source: CaptureSource::Generate(TrafficConfig {
-                duration: s.duration,
-                attack: s.attack,
-                seed: s.seed,
-                ..TrafficConfig::default()
-            }),
-            config: s.replay_config(),
+    let dos = AttackProfile::dos().with_schedule(BurstSchedule::Continuous);
+    let mut harness = ServeHarness::new(SoftwareBackend::single(detector.int_mlp.clone()));
+    // The same DoS traffic paced at classic 1 Mb/s, then at a CAN-FD-class
+    // 5 Mb/s data rate.
+    let reports: Vec<ServeReport> = [
+        (0x11E, Bitrate::HIGH_SPEED_1M),
+        (0x5FD, Bitrate::new(5_000_000)),
+    ]
+    .into_iter()
+    .map(|(seed, bitrate)| {
+        let capture = DatasetBuilder::new(TrafficConfig {
+            duration: SimTime::from_millis(150),
+            attack: Some(dos),
+            seed,
+            ..TrafficConfig::default()
         })
-        .collect();
-    let reports = ServeHarness::sweep(
-        || Ok(SoftwareBackend::single(detector.int_mlp.clone())),
-        &serve_scenarios,
-    )
-    .unwrap();
+        .build();
+        harness
+            .replay(&capture, &ReplayConfig::default().with_bitrate(bitrate))
+            .unwrap()
+    })
+    .collect();
     assert_eq!(reports.len(), 2);
     for r in &reports {
         // Conservation: every offered frame is serviced or dropped.
