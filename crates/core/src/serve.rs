@@ -41,6 +41,7 @@ use canids_dataset::record::LabeledFrame;
 use canids_dataset::stream::paced_records;
 use canids_qnn::export::IntegerMlp;
 use canids_qnn::metrics::ConfusionMatrix;
+use canids_qnn::QnnError;
 use canids_soc::ecu::{EcuConfig, EcuStream, IdsEcu, SchedPolicy, ServiceQueue};
 
 use crate::deploy::MultiIdsDeployment;
@@ -894,7 +895,19 @@ impl ServeBackend for SoftwareBackend {
         self.models.len()
     }
 
+    /// # Errors
+    ///
+    /// [`QnnError::DimensionMismatch`] (as [`CoreError::Qnn`]) when a
+    /// model's input width differs from the frame encoding's.
     fn open(&mut self, config: &ReplayConfig) -> Result<SoftwareSession, CoreError> {
+        let dim = IdBitsPayloadBits.dim();
+        if let Some(m) = self.models.iter().find(|m| m.input_dim() != dim) {
+            return Err(CoreError::Qnn(QnnError::DimensionMismatch {
+                context: "software backend: model input vs frame encoding",
+                expected: dim,
+                actual: m.input_dim(),
+            }));
+        }
         let depth = config.ecu.queue_depth.max(1);
         Ok(SoftwareSession {
             evals: self

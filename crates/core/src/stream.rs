@@ -4,18 +4,21 @@
 //! before classifying it. A deployed IDS cannot: frames arrive one at a
 //! time, paced by the wire, and the detector must keep up with a
 //! saturated bus. [`StreamingEvaluator`] provides that serving mode:
-//! incremental featurisation + per-frame integer MLP inference + online
+//! incremental featurisation, packing into a frame bitmask, per-frame
+//! inference on the packed `i32` kernel ([`PackedMlp`]) and online
 //! [`ConfusionMatrix`] accounting, with all per-frame buffers reused (no
-//! per-frame feature allocation). Streaming and batch evaluation produce
-//! *identical* predictions and confusion matrices on the same capture —
-//! the equivalence tests pin this. Line-rate replays run it through
-//! [`crate::serve::SoftwareBackend`] under the
-//! [`crate::serve::ServeHarness`], which owns pacing.
+//! per-frame allocation). A model the kernel cannot represent falls
+//! back to the `i64` reference ([`IntegerMlp::infer_class`]). Streaming
+//! and batch evaluation produce *identical* predictions and confusion
+//! matrices on the same capture — the equivalence tests pin this.
+//! Line-rate replays run it through [`crate::serve::SoftwareBackend`]
+//! under the [`crate::serve::ServeHarness`], which owns pacing.
 
 use canids_can::time::SimTime;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
 use canids_dataset::record::LabeledFrame;
 use canids_qnn::export::{IntScratch, IntegerMlp};
+use canids_qnn::kernel::{pack_features, PackedMlp, PackedScratch};
 use canids_qnn::metrics::ConfusionMatrix;
 
 use crate::telemetry::{Probe, Stage, WallClock};
@@ -36,7 +39,8 @@ use crate::telemetry::{Probe, Stage, WallClock};
 pub struct StagedNanos {
     /// Wall nanoseconds spent encoding the frame into float features.
     pub featurise: u64,
-    /// Wall nanoseconds spent quantising/packing features to levels.
+    /// Wall nanoseconds spent quantising/packing features (into the
+    /// frame bitmask on the kernel path).
     pub pack: u64,
     /// Wall nanoseconds spent in the integer MLP forward pass.
     pub infer: u64,
@@ -79,6 +83,63 @@ impl StreamVerdict {
     }
 }
 
+/// How a frame's features reach the model: packed into a bitmask for
+/// the `i32` kernel, or quantised to levels for the `i64` reference when
+/// the kernel cannot represent the model (or the encoder's width).
+#[derive(Debug, Clone)]
+enum Datapath {
+    Packed {
+        kernel: PackedMlp,
+        bits: u128,
+        scratch: PackedScratch,
+    },
+    Reference {
+        levels: Vec<u32>,
+        scratch: IntScratch,
+    },
+}
+
+impl Datapath {
+    fn new(model: &IntegerMlp, dim: usize) -> Datapath {
+        match PackedMlp::new(model) {
+            Ok(kernel) if kernel.input_dim() == dim => Datapath::Packed {
+                kernel,
+                bits: 0,
+                scratch: PackedScratch::default(),
+            },
+            _ => Datapath::Reference {
+                levels: vec![0; dim],
+                scratch: IntScratch::new(),
+            },
+        }
+    }
+
+    /// Quantises `features` exactly as [`IntegerMlp::infer_bits`] does.
+    /// The kernel only holds one-level (binary) models, where that
+    /// quantisation is `f >= 0.5`.
+    fn pack(&mut self, features: &[f32], input_levels: u32) {
+        match self {
+            Datapath::Packed { bits, .. } => *bits = pack_features(features),
+            Datapath::Reference { levels, .. } => {
+                for (x, &f) in levels.iter_mut().zip(features) {
+                    *x = (f.round().max(0.0) as u32).min(input_levels);
+                }
+            }
+        }
+    }
+
+    fn infer(&mut self, model: &IntegerMlp) -> usize {
+        match self {
+            Datapath::Packed {
+                kernel,
+                bits,
+                scratch,
+            } => kernel.infer_class(*bits, scratch),
+            Datapath::Reference { levels, scratch } => model.infer_class(levels, scratch),
+        }
+    }
+}
+
 /// Frame-at-a-time evaluator over a streamlined integer model.
 ///
 /// # Example
@@ -101,8 +162,7 @@ pub struct StreamingEvaluator<E: FrameEncoder = IdBitsPayloadBits> {
     model: IntegerMlp,
     encoder: E,
     fbuf: Vec<f32>,
-    xbuf: Vec<u32>,
-    scratch: IntScratch,
+    datapath: Datapath,
     cm: ConfusionMatrix,
     frames: u64,
 }
@@ -115,15 +175,15 @@ impl StreamingEvaluator<IdBitsPayloadBits> {
 }
 
 impl<E: FrameEncoder> StreamingEvaluator<E> {
-    /// An evaluator with a custom frame encoder.
+    /// An evaluator with a custom frame encoder. The model is compiled
+    /// onto the packed kernel once, here.
     pub fn with_encoder(model: IntegerMlp, encoder: E) -> Self {
         let dim = encoder.dim();
         StreamingEvaluator {
+            datapath: Datapath::new(&model, dim),
             model,
             encoder,
             fbuf: vec![0.0; dim],
-            xbuf: vec![0; dim],
-            scratch: IntScratch::new(),
             cm: ConfusionMatrix::new(),
             frames: 0,
         }
@@ -131,18 +191,19 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
 
     /// Classifies one record, updating the online confusion matrix.
     ///
-    /// The fused per-frame path: featurise, quantise and infer through
-    /// the evaluator's reusable buffers (including the model's
-    /// [`IntScratch`]) with **zero intermediate allocation**. The
-    /// quantisation of float features to integer levels matches
-    /// [`IntegerMlp::infer_bits`] exactly, so streaming and batch
-    /// predictions are identical.
+    /// The fused per-frame path: featurise, pack and infer through the
+    /// evaluator's reusable buffers with **zero intermediate
+    /// allocation**. The quantisation of float features to integer
+    /// levels matches [`IntegerMlp::infer_bits`] exactly, so streaming
+    /// and batch predictions are identical.
     pub fn push(&mut self, rec: &LabeledFrame) -> StreamVerdict {
         self.encoder.encode_into(&rec.frame, &mut self.fbuf);
-        for (x, &f) in self.xbuf.iter_mut().zip(&self.fbuf) {
-            *x = (f.round().max(0.0) as u32).min(self.model.input_levels);
-        }
-        let class = self.model.infer_class(&self.xbuf, &mut self.scratch);
+        self.datapath.pack(&self.fbuf, self.model.input_levels);
+        let class = self.datapath.infer(&self.model);
+        self.record(class, rec)
+    }
+
+    fn record(&mut self, class: usize, rec: &LabeledFrame) -> StreamVerdict {
         let flagged = class != 0;
         let truth_attack = rec.label.is_attack();
         self.cm.record(flagged, truth_attack);
@@ -179,24 +240,14 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
         stages.featurise += t0.elapsed_nanos();
 
         let t1 = WallClock::start();
-        for (x, &f) in self.xbuf.iter_mut().zip(&self.fbuf) {
-            *x = (f.round().max(0.0) as u32).min(self.model.input_levels);
-        }
+        self.datapath.pack(&self.fbuf, self.model.input_levels);
         stages.pack += t1.elapsed_nanos();
 
         let t2 = WallClock::start();
-        let class = self.model.infer_class(&self.xbuf, &mut self.scratch);
+        let class = self.datapath.infer(&self.model);
         stages.infer += t2.elapsed_nanos();
 
-        let flagged = class != 0;
-        let truth_attack = rec.label.is_attack();
-        self.cm.record(flagged, truth_attack);
-        self.frames += 1;
-        StreamVerdict {
-            class,
-            flagged,
-            truth_attack,
-        }
+        self.record(class, rec)
     }
 
     /// [`push_batch`](Self::push_batch) with per-stage wall profiling
@@ -459,5 +510,57 @@ mod tests {
             eval.push(rec);
         }
         assert_eq!(eval.frames(), 20);
+    }
+
+    #[test]
+    fn packing_quantises_edge_features_like_infer_bits() {
+        use canids_can::frame::CanFrame;
+        const EDGES: [f32; 10] = [
+            0.5,
+            0.499_999_97,
+            -0.0,
+            -0.7,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            0.0,
+            1e30,
+        ];
+        /// Feature `i` of a frame is `EDGES[(id + i) % 10]`.
+        #[derive(Clone, Copy)]
+        struct EdgeEncoder;
+        impl FrameEncoder for EdgeEncoder {
+            fn dim(&self) -> usize {
+                12
+            }
+            fn encode(&self, frame: &CanFrame) -> Vec<f32> {
+                let id = usize::from(frame.id().base_id());
+                (0..12).map(|i| EDGES[(id + i) % EDGES.len()]).collect()
+            }
+        }
+        let capture = quick_capture(true, 8);
+        for seed in 0..4 {
+            let model = QuantMlp::new(MlpConfig {
+                input_dim: 12,
+                hidden: vec![10, 6],
+                seed,
+                ..MlpConfig::default()
+            })
+            .unwrap()
+            .export()
+            .unwrap();
+            let mut eval = StreamingEvaluator::with_encoder(model.clone(), EdgeEncoder);
+            for rec in capture.iter().take(64) {
+                let want = model.infer_bits(&EdgeEncoder.encode(&rec.frame));
+                assert_eq!(eval.push(rec).class, want.class, "seed {seed}");
+                match &eval.datapath {
+                    Datapath::Packed { scratch, .. } => {
+                        assert_eq!(scratch.scores(), want.scores.as_slice(), "seed {seed}")
+                    }
+                    Datapath::Reference { .. } => panic!("a binary 12-input model packs"),
+                }
+            }
+        }
     }
 }

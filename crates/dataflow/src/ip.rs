@@ -5,8 +5,16 @@
 //! register map for the AXI-Lite control interface, folding, resource
 //! and power estimates, a cycle-accurate simulator, and a built-in
 //! bit-exactness verification step (FINN's cppsim/rtlsim gate).
+//!
+//! The IP's functional model, [`AcceleratorIp::infer`], runs the packed
+//! `i32` kernel ([`PackedMlp`]) compiled once here and shared by every
+//! clone of the IP. A model the kernel cannot represent keeps the
+//! dataflow graph's `i64` functional model ([`DataflowGraph::compute`]).
+
+use std::sync::Arc;
 
 use canids_qnn::export::IntegerMlp;
+use canids_qnn::kernel::{pack_levels, PackedMlp};
 use serde::Serialize;
 
 use crate::error::DataflowError;
@@ -16,7 +24,7 @@ use crate::passes::{round_and_clip_thresholds, validate_thresholds_sorted};
 use crate::power::{estimate_power, PowerCoefficients, PowerEstimate};
 use crate::resources::{estimate_resources, Device, ResourceEstimate, Utilization};
 use crate::simulator::{AcceleratorSim, SimConfig};
-use crate::verify::verify_bit_exact;
+use crate::verify::verify_with;
 
 /// Compilation parameters.
 #[derive(Debug, Clone)]
@@ -124,12 +132,17 @@ pub struct AcceleratorIp {
     clock_hz: u64,
     sim_config: SimConfig,
     resources: ResourceEstimate,
+    /// Single-frame latency, `Σ (fold_i + 1)` cycles.
+    latency_cycles: u64,
+    /// The packed serving kernel (`None` when the model does not fit it).
+    kernel: Option<Arc<PackedMlp>>,
 }
 
 impl AcceleratorIp {
     /// Compiles a streamlined integer network into an IP core:
     /// lowering → threshold passes → folding → resource estimation →
-    /// bit-exactness verification.
+    /// packed-kernel compilation → bit-exactness verification of both
+    /// the graph and the kernel.
     ///
     /// # Errors
     ///
@@ -141,6 +154,7 @@ impl AcceleratorIp {
         validate_thresholds_sorted(&graph)?;
         let folding = auto_fold(&graph, config.goal)?;
         let resources = estimate_resources(&graph, &folding);
+        let latency_cycles = folding.fold_cycles(&graph).iter().map(|f| f + 1).sum();
         let ip = AcceleratorIp {
             name: config.name,
             graph,
@@ -150,8 +164,16 @@ impl AcceleratorIp {
                 fifo_depth: config.fifo_depth,
             },
             resources,
+            latency_cycles,
+            kernel: PackedMlp::new(model).ok().map(Arc::new),
         };
-        verify_bit_exact(&ip.graph, model, config.verify_samples, 0xC051)?;
+        verify_with(
+            &[&|x: &[u32]| ip.graph.compute(x), &|x: &[u32]| ip.infer(x)],
+            ip.input_dim(),
+            model,
+            config.verify_samples,
+            0xC051,
+        )?;
         Ok(ip)
     }
 
@@ -192,14 +214,29 @@ impl AcceleratorIp {
             .expect("folding validated at compile time")
     }
 
-    /// Functional (untimed) inference.
+    /// Functional (untimed) inference: the packed kernel for a binary
+    /// input vector, the dataflow graph's functional model otherwise
+    /// (and for a model the kernel cannot represent). Both are
+    /// bit-identical to the compiled [`IntegerMlp`].
     pub fn infer(&self, x: &[u32]) -> (usize, Vec<i64>) {
-        self.graph.compute(x)
+        let packed = self
+            .kernel
+            .as_ref()
+            .filter(|k| k.input_dim() == x.len())
+            .zip(pack_levels(x));
+        match packed {
+            Some((kernel, bits)) => {
+                let p = kernel.infer(bits);
+                (p.class, p.scores)
+            }
+            None => self.graph.compute(x),
+        }
     }
 
-    /// Single-frame compute latency in cycles.
+    /// Single-frame compute latency in cycles (the simulator's
+    /// [`AcceleratorSim::single_frame_latency_cycles`], fixed at compile).
     pub fn latency_cycles(&self) -> u64 {
-        self.simulator().single_frame_latency_cycles()
+        self.latency_cycles
     }
 
     /// Single-frame compute latency in seconds at the IP clock.

@@ -2,9 +2,11 @@
 //!
 //! Every compiled accelerator must produce *identical* classes and scores
 //! to the streamlined [`IntegerMlp`] reference for every input. The
-//! compile flow runs [`verify_bit_exact`] on seeded random vectors before
-//! an IP is handed to the SoC; integration tests re-run it across the
-//! full stack (property-based in `tests/cosim_bit_exactness.rs`).
+//! compile flow runs the [`verify_bit_exact`] check on seeded random
+//! vectors, against the dataflow graph and the IP's packed serving
+//! kernel, before an IP is handed to the SoC; integration tests re-run
+//! it across the full stack (property-based in
+//! `tests/cosim_bit_exactness.rs`).
 
 use canids_qnn::export::IntegerMlp;
 
@@ -41,7 +43,30 @@ pub fn verify_bit_exact(
     samples: usize,
     seed: u64,
 ) -> Result<(), DataflowError> {
-    let dim = graph.input_dim();
+    verify_with(
+        &[&|x: &[u32]| graph.compute(x)],
+        graph.input_dim(),
+        model,
+        samples,
+        seed,
+    )
+}
+
+/// A functional model of a compiled network: input levels in, class and
+/// scores out.
+pub(crate) type FunctionalModel<'a> = &'a dyn Fn(&[u32]) -> (usize, Vec<i64>);
+
+/// [`verify_bit_exact`] for several functional models of one
+/// `dim`-input network at once, each sample checked against one
+/// reference inference (the compile gate checks the graph and the IP's
+/// packed kernel together).
+pub(crate) fn verify_with(
+    infers: &[FunctionalModel<'_>],
+    dim: usize,
+    model: &IntegerMlp,
+    samples: usize,
+    seed: u64,
+) -> Result<(), DataflowError> {
     let mut state = seed | 1;
     let mut next_bit = move || {
         // xorshift64* — deterministic input generator.
@@ -53,13 +78,15 @@ pub fn verify_bit_exact(
     for sample in 0..samples {
         let x: Vec<u32> = (0..dim).map(|_| u32::from(next_bit())).collect();
         let want = model.infer(&x);
-        let (class, scores) = graph.compute(&x);
-        if class != want.class || scores != want.scores {
-            return Err(DataflowError::VerificationFailed {
-                sample,
-                expected: want.class,
-                actual: class,
-            });
+        for infer in infers {
+            let (class, scores) = infer(&x);
+            if class != want.class || scores != want.scores {
+                return Err(DataflowError::VerificationFailed {
+                    sample,
+                    expected: want.class,
+                    actual: class,
+                });
+            }
         }
     }
     Ok(())

@@ -356,6 +356,25 @@ mod tests {
     }
 
     #[test]
+    fn panic_in_lib_scans_the_core_and_qnn_libraries_only() {
+        let src = "pub fn head(xs: &[u8]) -> u8 {\n    *xs.first().unwrap()\n}\n";
+        for (path, findings) in [
+            ("crates/core/src/x.rs", 1),
+            ("crates/qnn/src/layers/x.rs", 1),
+            ("crates/dataflow/src/x.rs", 0),
+            ("crates/qnn/tests/x.rs", 0),
+        ] {
+            let mut report = Report::default();
+            audit_source(path, src, &mut report);
+            assert_eq!(report.findings.len(), findings, "{path}");
+            if let Some(f) = report.findings.first() {
+                assert_eq!(f.rule, Rule::PanicInLib);
+                assert!(!f.message.contains("canids-core"), "{}", f.message);
+            }
+        }
+    }
+
+    #[test]
     fn trailing_and_above_allow_forms_suppress() {
         let mut report = Report::default();
         audit_source(

@@ -42,10 +42,11 @@ pub enum Rule {
     /// kernel ship on the inference path while training keeps the
     /// pinned order — accumulation anywhere else must name its order.
     FloatReassociation,
-    /// `unwrap`/`expect`/`panic!` in non-test `canids-core` library
-    /// code. Library panics take down whole serving harnesses; fallible
-    /// paths must return typed `CoreError`s, and invariant-backed
-    /// panics must document the invariant in an allow.
+    /// `unwrap`/`expect`/`panic!` in non-test library code of the
+    /// serving crates (`canids-core`, `canids-qnn`). Library panics take
+    /// down whole serving harnesses; fallible paths must return the
+    /// crate's typed error, and invariant-backed panics must document
+    /// the invariant in an allow.
     PanicInLib,
     /// A malformed `lint:allow` comment (unknown rule id or missing
     /// `: <reason>`). Suppression must stay auditable, so a broken
@@ -101,8 +102,8 @@ impl Rule {
                  helpers or document the fixed order with lint:allow(float-reassociation)"
             }
             Rule::PanicInLib => {
-                "panicking in canids-core library code; return a typed CoreError or \
-                 document the invariant with lint:allow(panic-in-lib)"
+                "panicking in serving-crate library code; return the crate's typed \
+                 error or document the invariant with lint:allow(panic-in-lib)"
             }
             Rule::BadAllow => "malformed lint:allow comment",
         }
@@ -466,10 +467,16 @@ fn is_int_type(s: &str) -> bool {
     )
 }
 
-/// Rule 5: `unwrap()` / `expect(..)` / `panic!` in `canids-core`
-/// non-test library code.
+/// Library source trees [`panic_in_lib`] scans.
+const PANIC_FREE_LIBS: [&str; 2] = ["crates/core/src", "crates/qnn/src"];
+
+/// Rule 5: `unwrap()` / `expect(..)` / `panic!` in the non-test library
+/// code of [`PANIC_FREE_LIBS`].
 fn panic_in_lib(file: &SourceFile, out: &mut Vec<Finding>) {
-    if file.context != Context::Lib || !file.rel_path.starts_with("crates/core/src") {
+    let scanned = PANIC_FREE_LIBS
+        .iter()
+        .any(|root| file.rel_path.starts_with(root));
+    if file.context != Context::Lib || !scanned {
         return;
     }
     let toks = &file.lexed.tokens;

@@ -28,6 +28,20 @@ pub enum QnnError {
     },
     /// Model has no hidden layers where one was required.
     EmptyTopology,
+    /// A model quantity outside what the packed serving kernel
+    /// ([`crate::kernel::PackedMlp`]) can store.
+    KernelRange {
+        /// What does not fit (e.g. `"weight code"`, `"accumulator"`).
+        quantity: &'static str,
+        /// Layer index: hidden layers first, the output layer last.
+        layer: usize,
+        /// The offending value.
+        value: i64,
+        /// Smallest value the kernel holds.
+        min: i64,
+        /// Largest value the kernel holds.
+        max: i64,
+    },
 }
 
 impl fmt::Display for QnnError {
@@ -44,6 +58,16 @@ impl fmt::Display for QnnError {
                 write!(f, "label {label} out of range for {classes} classes")
             }
             QnnError::EmptyTopology => write!(f, "model must have at least one layer"),
+            QnnError::KernelRange {
+                quantity,
+                layer,
+                value,
+                min,
+                max,
+            } => write!(
+                f,
+                "layer {layer}: {quantity} {value} outside the packed kernel's {min}..={max}"
+            ),
         }
     }
 }

@@ -71,23 +71,35 @@ impl IntBlock {
     /// Bounds of the integer accumulator given inputs in `0..=in_levels`
     /// — the datapath width the hardware must provision.
     pub fn acc_bounds(&self, in_levels: u32) -> (i64, i64) {
-        let mut lo = 0i64;
-        let mut hi = 0i64;
-        for j in 0..self.out_dim {
-            let mut jlo = 0i64;
-            let mut jhi = 0i64;
-            for &w in self.weight_row(j) {
-                if w > 0 {
-                    jhi += i64::from(w) * i64::from(in_levels);
-                } else {
-                    jlo += i64::from(w) * i64::from(in_levels);
-                }
-            }
-            lo = lo.min(jlo);
-            hi = hi.max(jhi);
-        }
-        (lo, hi)
+        acc_bounds(&self.weights, self.in_dim, self.out_dim, in_levels)
     }
+}
+
+/// Accumulator bounds of row-major `out_dim × in_dim` weights over inputs
+/// in `0..=in_levels`: the most negative and most positive neuron sums,
+/// widened to include 0.
+pub(crate) fn acc_bounds(
+    weights: &[i32],
+    in_dim: usize,
+    out_dim: usize,
+    in_levels: u32,
+) -> (i64, i64) {
+    let mut lo = 0i64;
+    let mut hi = 0i64;
+    for j in 0..out_dim {
+        let mut jlo = 0i64;
+        let mut jhi = 0i64;
+        for &w in &weights[j * in_dim..(j + 1) * in_dim] {
+            if w > 0 {
+                jhi += i64::from(w) * i64::from(in_levels);
+            } else {
+                jlo += i64::from(w) * i64::from(in_levels);
+            }
+        }
+        lo = lo.min(jlo);
+        hi = hi.max(jhi);
+    }
+    (lo, hi)
 }
 
 /// The streamlined output layer: integer weights plus fixed-point bias.
@@ -155,10 +167,11 @@ pub struct IntegerMlp {
     pub act_bits: u8,
 }
 
-/// Reusable buffers for [`IntegerMlp::infer_class`] — the
-/// zero-allocation serving path. One scratch per evaluator/worker; the
-/// buffers grow to the model's widest layer on first use and are reused
-/// on every subsequent frame.
+/// Reusable buffers for [`IntegerMlp::infer_class`], the `i64`
+/// reference path: the fallback that serves a model the packed kernel
+/// ([`crate::kernel::PackedMlp`]) cannot represent, and the independent
+/// check the kernel is tested against. The buffers grow to the model's
+/// widest layer on first use and are reused on every subsequent frame.
 #[derive(Debug, Clone, Default)]
 pub struct IntScratch {
     act: Vec<u32>,
@@ -195,20 +208,17 @@ impl IntegerMlp {
 
     /// Integer-only inference through caller-owned buffers: identical
     /// arithmetic to [`infer`](Self::infer) (which delegates here), but
-    /// allocation-free once `scratch` has warmed up — the per-frame hot
-    /// path of the streaming evaluators and the software serving
-    /// backend. Scores stay readable via [`IntScratch::scores`].
+    /// allocation-free once `scratch` has warmed up. This `i64` path is
+    /// the reference the packed serving kernel
+    /// ([`crate::kernel::PackedMlp`]) is pinned against, and the fallback
+    /// serving path for a model that kernel refuses. Scores stay
+    /// readable via [`IntScratch::scores`].
     ///
     /// # Panics
     ///
     /// Panics when `x.len()` differs from the first layer's input width.
     pub fn infer_class(&self, x: &[u32], scratch: &mut IntScratch) -> usize {
-        let first_dim = self
-            .blocks
-            .first()
-            .map(|b| b.in_dim)
-            .unwrap_or(self.output.in_dim);
-        assert_eq!(x.len(), first_dim, "input dimension mismatch");
+        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
         scratch.act.clear();
         scratch.act.extend_from_slice(x);
         for block in &self.blocks {
@@ -261,6 +271,11 @@ impl IntegerMlp {
             .map(|&b| (b.round().max(0.0) as u32).min(self.input_levels))
             .collect();
         self.infer(&x)
+    }
+
+    /// Input width: the first layer's input dimension.
+    pub fn input_dim(&self) -> usize {
+        self.blocks.first().map_or(self.output.in_dim, |b| b.in_dim)
     }
 
     /// `(in_dim, out_dim)` of every layer, hidden then output.

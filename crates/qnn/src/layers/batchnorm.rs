@@ -164,6 +164,7 @@ impl BatchNorm1d {
         let cache = self
             .cache
             .take()
+            // lint:allow(panic-in-lib): documented `# Panics` contract; the trainer always runs a training-mode forward first
             .expect("backward requires a training-mode forward");
         let n = dy.rows().max(1) as f32;
         let mut dx = Matrix::zeros(dy.rows(), dy.cols());

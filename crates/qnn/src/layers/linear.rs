@@ -152,6 +152,7 @@ impl QuantLinear {
         let x = self
             .cache_x
             .take()
+            // lint:allow(panic-in-lib): documented `# Panics` contract; the trainer always runs a training-mode forward first
             .expect("backward requires a training-mode forward");
         linear_backward_params(dy, &x, &mut self.weight.grad, &mut self.bias.grad);
         linear_backward_input(dy, &self.wq)

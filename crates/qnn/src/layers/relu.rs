@@ -64,6 +64,7 @@ impl QuantReLU {
         let z = self
             .cache_z
             .take()
+            // lint:allow(panic-in-lib): documented `# Panics` contract; the trainer always runs a training-mode forward first
             .expect("backward requires a training-mode forward");
         let mut dx = Matrix::zeros(dy.rows(), dy.cols());
         for ((o, &g), &v) in dx

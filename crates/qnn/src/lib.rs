@@ -12,7 +12,10 @@
 //! * [`metrics`] — the precision/recall/F1/FNR quartet of Table I,
 //! * [`export`] — FINN-style streamlining to an integer-only
 //!   MultiThreshold network ([`IntegerMlp`]), bit-exact by construction
-//!   and consumed by the `canids-dataflow` hardware compiler.
+//!   and consumed by the `canids-dataflow` hardware compiler,
+//! * [`kernel`] — [`kernel::PackedMlp`], the same network compiled onto
+//!   a packed `i8`-weight, `i32`-accumulator datapath that serves every
+//!   frame.
 //!
 //! # Example
 //!
@@ -43,6 +46,7 @@
 
 pub mod error;
 pub mod export;
+pub mod kernel;
 pub mod layers;
 pub mod loss;
 pub mod metrics;

@@ -1,17 +1,22 @@
 //! The FINN cosim invariant, property-tested across the whole stack:
 //!
 //! float fake-quant network → integer export → dataflow graph →
-//! cycle-accurate simulator → memory-mapped peripheral
+//! cycle-accurate simulator → memory-mapped peripheral, and the packed
+//! `i32` serving kernel beside them
 //!
 //! must all produce identical classes (and scores where exposed) for
 //! every input.
 
 use canids_can::time::SimTime;
+use canids_core::stream::StreamingEvaluator;
 use canids_dataflow::folding::{auto_fold, FoldingGoal};
 use canids_dataflow::graph::DataflowGraph;
 use canids_dataflow::ip::{AcceleratorIp, CompileConfig, RegisterMap};
 use canids_dataflow::simulator::{AcceleratorSim, SimConfig};
 use canids_dataflow::verify::verify_bit_exact;
+use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
+use canids_dataset::generator::{DatasetBuilder, TrafficConfig};
+use canids_qnn::kernel::{pack_levels, PackedMlp};
 use canids_qnn::prelude::*;
 use canids_soc::accel::{pack_features, AccelPeripheral, CTRL_START};
 use canids_soc::axi::MmioDevice;
@@ -50,6 +55,35 @@ fn trained_model(bits: u8, hidden: Vec<usize>, seed: u64) -> IntegerMlp {
     mlp.export().unwrap()
 }
 
+/// Deterministic binary input vectors.
+fn random_inputs(dim: usize, n: usize, seed: u64) -> Vec<Vec<u32>> {
+    let mut state = seed | 1;
+    let mut bit = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63) & 1 == 1
+    };
+    (0..n)
+        .map(|_| (0..dim).map(|_| u32::from(bit())).collect())
+        .collect()
+}
+
+/// The packed kernel and the compiled IP's functional model both match
+/// `model.infer` in class and scores on every input.
+fn assert_kernel_and_ip_exact(model: &IntegerMlp, ip: &AcceleratorIp, inputs: &[Vec<u32>]) {
+    let kernel = PackedMlp::new(model).unwrap();
+    for x in inputs {
+        let want = model.infer(x);
+        assert_eq!(
+            kernel.infer(pack_levels(x).unwrap()),
+            want,
+            "kernel, x={x:?}"
+        );
+        assert_eq!(ip.infer(x), (want.class, want.scores), "IP, x={x:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -76,8 +110,12 @@ proptest! {
             prop_assert_eq!(&report.scores[i], &want.scores);
         }
 
-        // Layer 3: the memory-mapped peripheral must be exact.
+        // Layer 3: the packed serving kernel, alone and behind the
+        // compiled IP, must be exact.
         let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
+        assert_kernel_and_ip_exact(&model, &ip, &inputs);
+
+        // Layer 4: the memory-mapped peripheral must be exact.
         let mut dev = AccelPeripheral::new(ip);
         let mut now = SimTime::ZERO;
         for x in &inputs {
@@ -118,4 +156,48 @@ fn paper_topology_cosim_holds() {
     let model = mlp.export().unwrap();
     let graph = DataflowGraph::from_integer_mlp(&model).unwrap();
     verify_bit_exact(&graph, &model, 512, 0xC0).unwrap();
+    let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
+    let mut inputs = random_inputs(75, 512, 0xC0DE);
+    inputs.extend([vec![0; 75], vec![1; 75]]);
+    assert_kernel_and_ip_exact(&model, &ip, &inputs);
+}
+
+#[test]
+fn sixteen_bit_codes_serve_bit_exactly_on_the_reference_path() {
+    // 16-bit weight codes do not fit the kernel's i8 storage: the kernel
+    // refuses the model with a typed error, and both serving paths keep
+    // the i64 reference and stay bit-identical to `infer`.
+    let model = QuantMlp::new(MlpConfig {
+        weight_bits: BitWidth::new(16).unwrap(),
+        ..MlpConfig::paper_4bit()
+    })
+    .unwrap()
+    .export()
+    .unwrap();
+    assert!(matches!(
+        PackedMlp::new(&model),
+        Err(QnnError::KernelRange {
+            quantity: "weight code",
+            ..
+        })
+    ));
+
+    let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
+    for x in random_inputs(75, 256, 0x16) {
+        let want = model.infer(&x);
+        assert_eq!(ip.infer(&x), (want.class, want.scores));
+    }
+
+    let capture = DatasetBuilder::new(TrafficConfig {
+        duration: SimTime::from_millis(100),
+        seed: 0x16B,
+        ..TrafficConfig::default()
+    })
+    .build();
+    let mut eval = StreamingEvaluator::new(model.clone());
+    for rec in capture.iter() {
+        let want = model.infer_bits(&IdBitsPayloadBits.encode(&rec.frame));
+        assert_eq!(eval.push(rec).class, want.class);
+    }
+    assert_eq!(eval.frames(), capture.len() as u64);
 }

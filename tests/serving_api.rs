@@ -15,6 +15,9 @@
 //!    harness replaying several scenarios in turn, in either order,
 //!    matches fresh-backend replays bit for bit on the simulated
 //!    backends.
+//! 4. A software model whose input width does not match the frame
+//!    encoding is a typed error from every serving entry point, not a
+//!    panic on the first frame.
 use canids_core::prelude::*;
 use canids_core::serve::FleetAction;
 
@@ -373,4 +376,35 @@ fn a_reused_harness_replays_each_scenario_like_a_fresh_one() {
         assert_serve_reports_identical(a, &fresh);
         assert_serve_reports_identical(b, &fresh);
     }
+}
+
+#[test]
+fn a_model_narrower_than_the_frame_encoding_is_a_typed_error() {
+    let narrow = QuantMlp::new(MlpConfig {
+        input_dim: 12,
+        hidden: vec![8],
+        ..MlpConfig::default()
+    })
+    .unwrap()
+    .export()
+    .unwrap();
+    let expected = CoreError::Qnn(QnnError::DimensionMismatch {
+        context: "software backend: model input vs frame encoding",
+        expected: 75,
+        actual: 12,
+    });
+    let capture = saturated_dos_capture();
+
+    let replay = ServeHarness::new(SoftwareBackend::new(vec![seeded_model(1), narrow.clone()]))
+        .replay(&capture, &ReplayConfig::default());
+    assert_eq!(replay.unwrap_err(), expected);
+
+    let mut pop = Population::new();
+    pop.push(TenantStream::new("vehicle-0", capture.clone()));
+    pop.push(TenantStream::new("vehicle-1", capture));
+    let served = pop.serve(
+        || Ok(SoftwareBackend::single(narrow.clone())),
+        &PopulationConfig::default(),
+    );
+    assert_eq!(served.unwrap_err(), expected);
 }
