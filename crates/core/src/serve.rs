@@ -338,13 +338,14 @@ pub struct ReplayConfig {
     /// per-call overhead amortises. Ignored by simulated backends (their
     /// batching knob is [`SchedPolicy::DmaBatch`]).
     pub batch: usize,
+    /// Worker pool for [`ServeHarness::replay_sharded`] — an
+    /// *execution-only* knob: it sets how many shards replay at once,
+    /// and any value produces a bit-identical merged [`ServeReport`].
+    pub workers: ShardWorkers,
     /// Capture shards of [`ServeHarness::replay_sharded`]: the capture
     /// splits into this many contiguous slices, each replayed as an
     /// independent single-shard session and merged in shard order. A
     /// *semantic* knob — results depend on it, never on `workers`.
-    pub workers: ShardWorkers,
-    /// How many capture shards [`ServeHarness::replay_sharded`] splits
-    /// the replay into.
     pub shards: usize,
     /// Opt-in telemetry capture ([`crate::telemetry`]): per-stage
     /// tracing spans and an integer metrics registry, attached to
@@ -3195,7 +3196,10 @@ mod tests {
         // Observability must be free: the same replay with and without a
         // probe attached produces a bit-identical report. On the fully
         // simulated ECU path that covers timing too; on the software
-        // path the wall-derived figures are excluded by contract.
+        // path the wall-derived figures are excluded by contract. Drops
+        // are wall-derived there as well (a host stall inside one timed
+        // push overflows a shallow FIFO in one replay only), so the
+        // software half runs into a FIFO as deep as the capture.
         let bundles = vec![
             DetectorBundle::new(AttackKind::Dos, untrained_model(1)),
             DetectorBundle::new(AttackKind::Fuzzy, untrained_model(2)),
@@ -3214,7 +3218,13 @@ mod tests {
         assert_eq!(fingerprint(&off, true), fingerprint(&on, true), "ecu");
 
         let model = untrained_model(3);
-        let sw_config = ReplayConfig::default();
+        let sw_config = ReplayConfig {
+            ecu: EcuConfig {
+                queue_depth: capture.len() + 1,
+                ..EcuConfig::default()
+            },
+            ..ReplayConfig::default()
+        };
         let sw_traced = sw_config.clone().with_telemetry(TelemetryConfig::default());
         let sw_off = ServeHarness::new(SoftwareBackend::single(model.clone()))
             .replay(&capture, &sw_config)
@@ -3222,6 +3232,8 @@ mod tests {
         let sw_on = ServeHarness::new(SoftwareBackend::single(model))
             .replay(&capture, &sw_traced)
             .unwrap();
+        assert_eq!(sw_off.dropped, 0, "deep FIFO admits everything");
+        assert_eq!(sw_on.dropped, 0, "deep FIFO admits everything");
         assert_eq!(
             fingerprint(&sw_off, false),
             fingerprint(&sw_on, false),

@@ -7,8 +7,7 @@
 //! strict shard order, exactly like `merge_sharded` reports). The one
 //! audited exception is [`WallClock`]: the single workspace gate through
 //! which wall-time reads are allowed (the software backend reports
-//! *measured host latency* by contract, and the bench harness times real
-//! kernels).
+//! *measured host latency* by contract).
 //!
 //! Three layers:
 //!
@@ -772,10 +771,10 @@ impl TelemetryReport {
 /// The workspace's single audited gate for wall-clock reads.
 ///
 /// Sim-clocked code must never read the host clock (`canids_lint`'s
-/// `wallclock-in-sim` rule enforces this); the two legitimate consumers —
-/// the software backend, which reports *measured host latency* by
-/// contract, and the bench harness, which times real kernels — route
-/// through this shim so the audit surface is exactly one allow site.
+/// `wallclock-in-sim` rule enforces this); the one legitimate consumer,
+/// the software backend, reports *measured host latency* by contract and
+/// routes through this shim so the audit surface is exactly one allow
+/// site.
 ///
 /// ```
 /// use canids_core::telemetry::WallClock;
@@ -790,7 +789,7 @@ pub struct WallClock;
 impl WallClock {
     /// Start a wall-clock measurement.
     pub fn start() -> WallInstant {
-        // lint:allow(wallclock-in-sim): the single audited wall-time gate — software-backend measured latency and bench timing route through here
+        // lint:allow(wallclock-in-sim): the single audited wall-time gate — software-backend measured latency routes through here
         WallInstant(std::time::Instant::now())
     }
 }

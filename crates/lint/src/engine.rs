@@ -305,7 +305,7 @@ mod tests {
     fn classify_by_path() {
         assert_eq!(classify("crates/core/src/serve.rs"), Context::Lib);
         assert_eq!(
-            classify("crates/bench/src/bin/bench_summary.rs"),
+            classify("crates/bench/src/bin/table1_accuracy.rs"),
             Context::Bin
         );
         assert_eq!(classify("examples/quickstart.rs"), Context::Example);

@@ -4,12 +4,13 @@
 //! determinism: the event-driven transport is pinned to the analytic
 //! gateway path via `f64::to_bits`, the event-skip simulator and the
 //! harness unification were accepted only because reports matched digit
-//! for digit, and the reassociated SIMD `linear_forward` is gated on
-//! being able to say which paths may reorder float sums. This crate is
-//! the static enforcement of those invariants: a dependency-free,
-//! token-level analysis pass (hand-rolled lexer, no `syn` — crates.io
-//! is unreachable here) with five rules, an explicit audited
-//! suppression syntax, and a JSON report CI can trend.
+//! for digit, and training and evaluation share one float summation
+//! order because nothing outside `qnn::tensor`'s pinned-order helpers
+//! may reorder a float sum. This crate is the static enforcement of
+//! those invariants: a dependency-free, token-level analysis pass
+//! (hand-rolled lexer, no `syn` — crates.io is unreachable here) with
+//! five rules, an explicit audited suppression syntax, and a JSON
+//! report CI can trend.
 //!
 //! ## Rules
 //!

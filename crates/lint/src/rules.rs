@@ -18,12 +18,11 @@ pub enum Rule {
     /// `Instant::now`/`SystemTime` in simulated or report-producing
     /// code. Wall-clock reads make replays irreproducible; simulated
     /// time must come from `SimTime`. The single genuine wall-clock
-    /// read lives behind `canids_core::telemetry::WallClock` — every
-    /// measured path (the software-backend service timer, the bench
-    /// harness) routes through that shim, so the workspace carries
-    /// exactly one audited allow for this rule. The telemetry module
-    /// gets no blanket exemption: a raw `Instant::now` there is still
-    /// a finding.
+    /// read lives behind `canids_core::telemetry::WallClock` — the one
+    /// measured path (the software-backend service timer) routes
+    /// through that shim, so the workspace carries exactly one audited
+    /// allow for this rule. The telemetry module gets no blanket
+    /// exemption: a raw `Instant::now` there is still a finding.
     WallclockInSim,
     /// `HashMap`/`HashSet` anywhere in the workspace. Their iteration
     /// order is randomised per process, so any fold, report line or
@@ -38,9 +37,9 @@ pub enum Rule {
     TruncatingCast,
     /// Float accumulation (`.sum()`, additive `fold`, `+=` on a float
     /// local) outside the pinned-order kernel helpers in `qnn::tensor`.
-    /// Summation order is the contract that lets the reassociated SIMD
-    /// kernel ship on the inference path while training keeps the
-    /// pinned order — accumulation anywhere else must name its order.
+    /// Summation order is part of every float bit-exactness contract,
+    /// so training and evaluation share one pinned order — accumulation
+    /// anywhere else must name its order.
     FloatReassociation,
     /// `unwrap`/`expect`/`panic!` in non-test library code of the
     /// serving crates (`canids-core`, `canids-qnn`). Library panics take
@@ -234,8 +233,8 @@ fn is_id_like(t: &str) -> bool {
 /// functions that *define* the workspace's summation order. Float
 /// accumulation inside these bodies is the contract, not a violation;
 /// accumulation in any other `tensor.rs` function is a reassociation
-/// point and must carry its own audited allow. Today exactly one such
-/// site exists: `linear_forward_fast_into`, the inference-path kernel.
+/// point and must carry its own audited allow. No such site exists:
+/// training and evaluation share the pinned order.
 const PINNED_TENSOR_FNS: [&str; 6] = [
     "dot8",
     "dot",

@@ -3,7 +3,7 @@
 //! `canids_lint` binary maps findings to exit codes the CI step can
 //! key on.
 
-use canids_lint::audit_workspace;
+use canids_lint::{audit_workspace, Rule};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -43,6 +43,19 @@ fn workspace_is_clean_at_head() {
             allow.line
         );
     }
+    // `qnn::tensor` owns the workspace's float summation order, and
+    // every kernel in it keeps that order: none may carry an allow to
+    // reorder a float sum.
+    let tensor_allows: Vec<usize> = report
+        .allows
+        .iter()
+        .filter(|a| a.rule == Rule::FloatReassociation && a.file == "crates/qnn/src/tensor.rs")
+        .map(|a| a.line)
+        .collect();
+    assert!(
+        tensor_allows.is_empty(),
+        "crates/qnn/src/tensor.rs carries float-reassociation allows at lines {tensor_allows:?}"
+    );
 }
 
 fn run_lint(root: &Path, extra: &[&str]) -> std::process::Output {

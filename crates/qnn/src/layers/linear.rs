@@ -5,9 +5,7 @@ use rand::Rng;
 
 use crate::params::ParamTensor;
 use crate::quant::{BitWidth, WeightQuantizer};
-use crate::tensor::{
-    linear_backward_input, linear_backward_params, linear_forward, linear_forward_fast, Matrix,
-};
+use crate::tensor::{linear_backward_input, linear_backward_params, linear_forward, Matrix};
 
 /// A fully-connected layer whose weights are fake-quantised to a symmetric
 /// integer grid on every forward pass (quantisation-aware training).
@@ -110,35 +108,16 @@ impl QuantLinear {
 
     /// Forward pass: `y = x · quant(W)ᵀ + b`.
     ///
-    /// In training mode the input is cached for the backward pass and
-    /// the pinned-order [`linear_forward`] kernel runs, so training
-    /// trajectories stay bit-reproducible. Eval mode takes the
-    /// reassociated [`linear_forward_fast`] kernel: logits can differ
-    /// from the pinned kernel in the last float bits, so classification
-    /// can move only where the top logits *mathematically tie* within
-    /// kernel rounding (pinned by proptest — see
-    /// `tests/proptest_fast_kernel.rs`); the deployed post-quantisation
-    /// integer path is bit-identical unconditionally.
+    /// Both modes run the pinned-order [`linear_forward`] kernel, so
+    /// training and evaluation share one float summation order. In
+    /// training mode the input is also cached for the backward pass.
     pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         self.last_scale = self
             .quantizer
             .fake_quantize(&self.weight.data, self.wq.as_mut_slice());
         if train {
             self.cache_x = Some(x.clone());
-            linear_forward(x, &self.wq, &self.bias.data)
-        } else {
-            linear_forward_fast(x, &self.wq, &self.bias.data)
         }
-    }
-
-    /// Eval-mode forward on the **pinned-order** kernel — the
-    /// re-validation reference for [`forward`](Self::forward)'s fast
-    /// path. Identical arithmetic to a pre-fast-kernel eval forward;
-    /// never caches, never used by training.
-    pub fn forward_reference(&mut self, x: &Matrix) -> Matrix {
-        self.last_scale = self
-            .quantizer
-            .fake_quantize(&self.weight.data, self.wq.as_mut_slice());
         linear_forward(x, &self.wq, &self.bias.data)
     }
 

@@ -169,33 +169,6 @@ impl QuantMlp {
         self.output.forward(input, train)
     }
 
-    /// Eval-mode logits on the **pinned-order** kernel — the
-    /// re-validation reference for the fast inference path.
-    ///
-    /// [`forward`](Self::forward) with `train == false` runs every
-    /// linear layer on the reassociated `linear_forward_fast` kernel;
-    /// this walks the identical block structure (same BN running-stat
-    /// and activation-quantiser eval transforms) with the pinned-order
-    /// `linear_forward` instead. Logits may differ in the last float
-    /// bits; classifications may move only on mathematically tied
-    /// logits (where float order is rounding-defined under either
-    /// kernel) — pinned by proptest over random models and by a
-    /// capture-replay test.
-    pub fn forward_reference(&mut self, x: &Matrix) -> Matrix {
-        let mut h = None;
-        for block in &mut self.blocks {
-            let input = h.as_ref().unwrap_or(x);
-            let z = block.linear.forward_reference(input);
-            let z = match &mut block.bn {
-                Some(bn) => bn.forward(&z, false),
-                None => z,
-            };
-            h = Some(block.act.forward(&z, false));
-        }
-        let input = h.as_ref().unwrap_or(x);
-        self.output.forward_reference(input)
-    }
-
     /// Backward pass from the logit gradient (after a training-mode
     /// forward). Accumulates parameter gradients in every layer.
     pub fn backward(&mut self, dlogits: &Matrix) {

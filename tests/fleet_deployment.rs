@@ -3,8 +3,8 @@
 //! 1 Mb/s backbone with zero drops under the best integration, and under
 //! a deliberate per-message overload the `ShedLowestValue` admission
 //! policy sheds only each overloaded shard's lowest-priority model — no
-//! frame drops — while `DropFrames` measurably drops. `bench_summary`
-//! records the same scenario in `BENCH_4.json`.
+//! frame drops — while `DropFrames` measurably drops. The `fleet_ids`
+//! example prints the same contrast.
 
 use canids_core::fleet::{FleetAction, FleetEvent};
 use canids_core::prelude::*;

@@ -9,8 +9,8 @@
 //! 2. The capstone: `AdmissionPolicy::ShedLowestMeasuredValue` sheds the
 //!    never-firing (useless) model on the overload capture, while the
 //!    static `ShedLowestValue` policy sheds a different, actually-firing
-//!    model that someone labelled lowest priority. `bench_summary`
-//!    records the same contrast in `BENCH_5.json`.
+//!    model that someone labelled lowest priority. The `serving_api`
+//!    example prints the same contrast.
 //! 3. A scenario sweep is a loop of `ServeHarness::replay` calls: one
 //!    harness replaying several scenarios in turn, in either order,
 //!    matches fresh-backend replays bit for bit on the simulated
