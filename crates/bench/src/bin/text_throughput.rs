@@ -53,8 +53,8 @@ fn main() -> Result<(), CoreError> {
     );
 
     // 4. Streaming serving mode: replay saturated captures frame-at-a-
-    // time through the trained detector at true bus pacing, measuring
-    // real software service times (one scenario at a time).
+    // time through the trained detector at true bus pacing, with the
+    // software service time modelled on the sim clock.
     eprintln!("[throughput] streaming line-rate replay ...");
     let dos = Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous));
     let fd_class = Bitrate::new(5_000_000);

@@ -14,7 +14,8 @@
 //! 2. **Compilation** — [`DeploymentPlan::deploy`] compiles each bundle
 //!    with its planned folding goal (scenario-parallel on scoped
 //!    threads), attaches every IP to one simulated ZCU104 and wraps the
-//!    board in an [`IdsEcu`] whose [`SchedPolicy`] is first-class
+//!    board in an [`IdsEcu`] whose
+//!    [`SchedPolicy`](canids_soc::ecu::SchedPolicy) is first-class
 //!    configuration.
 //! 3. **Serving** — the ECU featurises and packs each frame **once** and
 //!    feeds the same packed words to all N models (see
@@ -34,7 +35,7 @@ use canids_dataflow::DataflowError;
 use canids_dataset::attacks::AttackKind;
 use canids_qnn::export::IntegerMlp;
 use canids_soc::board::{BoardConfig, Zcu104Board};
-use canids_soc::ecu::{EcuConfig, IdsEcu, SchedPolicy};
+use canids_soc::ecu::{EcuConfig, IdsEcu};
 
 use crate::error::CoreError;
 
@@ -410,7 +411,8 @@ impl std::fmt::Debug for MultiIdsDeployment {
 
 impl MultiIdsDeployment {
     /// A fresh ECU over the already-compiled IPs (new board, new clock)
-    /// — the way to replay one capture under several [`SchedPolicy`]s
+    /// — the way to replay one capture under several
+    /// [`SchedPolicy`](canids_soc::ecu::SchedPolicy)s
     /// without recompiling or fighting the monotonic board time.
     ///
     /// # Errors
@@ -426,23 +428,6 @@ impl MultiIdsDeployment {
     /// [`crate::serve::ReplayConfig::ecu`].
     pub fn serve_backend(&self) -> crate::serve::EcuBackend<'_> {
         crate::serve::EcuBackend::new(self)
-    }
-
-    /// Fresh ECUs for each policy, paired with the policy label — the
-    /// per-policy ablation harness.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SoC attach errors.
-    pub fn policy_ecus(
-        &self,
-        base: EcuConfig,
-        policies: &[SchedPolicy],
-    ) -> Result<Vec<(SchedPolicy, IdsEcu)>, CoreError> {
-        policies
-            .iter()
-            .map(|&policy| Ok((policy, self.fresh_ecu(EcuConfig { policy, ..base })?)))
-            .collect()
     }
 }
 
@@ -490,6 +475,7 @@ pub fn deploy_multi_ids(
 mod tests {
     use super::*;
     use canids_qnn::prelude::*;
+    use canids_soc::ecu::SchedPolicy;
 
     fn tiny_model(seed: u64) -> IntegerMlp {
         QuantMlp::new(MlpConfig {
@@ -694,15 +680,14 @@ mod tests {
     #[test]
     fn fresh_ecu_reuses_compiled_ips() {
         let deployment = deploy_multi_ids(&bundles(2), CompileConfig::default()).unwrap();
-        let pairs = deployment
-            .policy_ecus(
-                EcuConfig::default(),
-                &[SchedPolicy::Sequential, SchedPolicy::DmaBatch { batch: 8 }],
-            )
-            .unwrap();
-        assert_eq!(pairs.len(), 2);
-        for (policy, ecu) in &pairs {
-            assert_eq!(ecu.config().policy, *policy);
+        for policy in [SchedPolicy::Sequential, SchedPolicy::DmaBatch { batch: 8 }] {
+            let ecu = deployment
+                .fresh_ecu(EcuConfig {
+                    policy,
+                    ..EcuConfig::default()
+                })
+                .unwrap();
+            assert_eq!(ecu.config().policy, policy);
             assert_eq!(ecu.models().len(), 2);
         }
     }

@@ -85,9 +85,9 @@ pub use serve::{
     EcuBackend, FleetBackend, FleetTransport, Pacing, ReplayConfig, ServeBackend, ServeHarness,
     ServeReport, ShardWorkers, SoftwareBackend, Verdict, VerdictSink,
 };
-pub use stream::{StagedNanos, StreamVerdict, StreamingEvaluator};
+pub use stream::{StreamVerdict, StreamingEvaluator};
 pub use telemetry::{
-    MetricsRegistry, Probe, Span, Stage, StageStats, TelemetryConfig, TelemetryReport, WallClock,
+    MetricsRegistry, Probe, Span, Stage, StageStats, TelemetryConfig, TelemetryReport,
 };
 
 /// Convenience re-exports spanning the whole stack.
@@ -113,7 +113,7 @@ pub mod prelude {
     };
     pub use crate::stream::{StreamVerdict, StreamingEvaluator};
     pub use crate::telemetry::{
-        MetricsRegistry, Probe, Span, Stage, TelemetryConfig, TelemetryReport, WallClock,
+        MetricsRegistry, Probe, Span, Stage, TelemetryConfig, TelemetryReport,
     };
     pub use canids_baselines::prelude::*;
     pub use canids_can::prelude::*;

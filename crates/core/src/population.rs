@@ -315,7 +315,8 @@ pub struct TenantReport {
     /// Confirmed positives (flagged frames whose ground truth was an
     /// attack) among the tenant's served frames.
     pub confirmed_positives: usize,
-    /// Verdict latency over the tenant's served frames.
+    /// Verdict latency over the tenant's served frames, on the sim
+    /// clock.
     pub latency: LatencyStats,
     /// Number of admitted residency windows the stream was served in
     /// (1 without sheds; 0 when shed for its whole lifetime).
@@ -395,13 +396,14 @@ pub struct PopulationReport {
     pub last_arrival: SimTime,
     /// Offered load in frames/s over the population-clock span.
     pub offered_fps: f64,
-    /// Aggregate measured host capacity in frames/s: total served frames
-    /// over the **slowest** tenant replay's busy wall (software backends
-    /// only — `None` on simulated backends, exactly like the sharded
+    /// Aggregate modelled capacity in frames/s: total served frames over
+    /// the **slowest** tenant replay's modelled busy time (software
+    /// backends only, at `serve::SOFTWARE_FRAME_COST` per frame per
+    /// model — `None` on simulated backends, exactly like the sharded
     /// merge).
     pub sustained_fps: Option<f64>,
-    /// Pooled verdict latency over every served frame, merged in
-    /// tenant-ordinal order then sorted.
+    /// Pooled verdict latency over every served frame, on the sim
+    /// clock, merged in tenant-ordinal order then sorted.
     pub latency: LatencyStats,
     /// Cross-tenant admission events in population-clock order.
     pub events: Vec<TenantEvent>,
@@ -877,7 +879,7 @@ impl Ledger {
 
         let offered_fps = offered_rate(offered, self.first_arrival, self.last_arrival);
         // Aggregate capacity mirrors the sharded merge: total served
-        // frames over the slowest tenant's busy wall.
+        // frames over the slowest tenant's modelled busy time.
         let lanes = || tenant_reports.iter().map(|t| &t.serve);
         let sustained_fps = slowest_lane_fps(lanes(), serviced);
 

@@ -2,8 +2,9 @@
 //! substrate this crate models.
 //!
 //! * [`ServeBackend`] — the substrate trait, with three
-//!   implementations: [`SoftwareBackend`] (host-measured
-//!   [`crate::stream::StreamingEvaluator`] serving), [`EcuBackend`]
+//!   implementations: [`SoftwareBackend`]
+//!   ([`crate::stream::StreamingEvaluator`] serving at the modelled
+//!   [`SOFTWARE_FRAME_COST`]), [`EcuBackend`]
 //!   (one simulated N-detector ECU via
 //!   [`crate::deploy::MultiIdsDeployment`] + `EcuStream`) and
 //!   [`FleetBackend`] ([`crate::fleet::FleetDeployment`] + gateway
@@ -28,6 +29,11 @@
 //! Admission governance (overload hysteresis, shed/readmit/migrate)
 //! lives in the harness, not in any one backend, so every substrate that
 //! exposes model activation gets graceful degradation for free.
+//!
+//! Every backend serves on one clock, the simulated [`SimTime`]: the
+//! ECU and fleet book their cycle and transport models, the software
+//! backend books [`SOFTWARE_FRAME_COST`]. A report is therefore a pure
+//! function of capture, models and configuration, whatever the host.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
@@ -49,8 +55,8 @@ use crate::error::CoreError;
 use crate::fleet::{FleetDeployment, Slot};
 use crate::net::{FleetNet, GatewayLoad, NetConfig, NetOutcome};
 use crate::report::{EnergyStats, LatencyStats};
-use crate::stream::{StagedNanos, StreamVerdict, StreamingEvaluator};
-use crate::telemetry::{Counter, Probe, Stage, TelemetryConfig, TelemetryReport, WallClock};
+use crate::stream::{StreamVerdict, StreamingEvaluator};
+use crate::telemetry::{Counter, Probe, Stage, TelemetryConfig, TelemetryReport};
 
 /// How replay arrivals are paced onto the serving substrate.
 ///
@@ -312,13 +318,10 @@ pub struct ReplayConfig {
     /// pacing under [`Pacing::FdClass`] (fixed 5 Mb/s) and
     /// [`Pacing::AsRecorded`].
     pub bitrate: Bitrate,
-    /// Base per-shard ECU/service configuration ([`SchedPolicy`], FIFO
-    /// depth). The software backend uses `queue_depth` for its service
-    /// FIFO.
+    /// Per-shard ECU/service configuration ([`SchedPolicy`], FIFO
+    /// depth), the same for every board. The software backend uses
+    /// `queue_depth` for its service FIFO.
     pub ecu: EcuConfig,
-    /// Per-board scheduling-policy overrides (board index, policy) —
-    /// heterogeneous fleets run heterogeneous integrations.
-    pub ecu_overrides: Vec<(usize, SchedPolicy)>,
     /// Overload governance.
     pub admission: AdmissionPolicy,
     /// Overload-detector hysteresis.
@@ -332,11 +335,16 @@ pub struct ReplayConfig {
     /// Backbone-to-board frame transport (fleet backend only).
     pub transport: FleetTransport,
     /// Software-backend inference window: frames per batched dispatch.
-    /// `1` serves frame-at-a-time (the historical path, bit-identical to
-    /// it); `N > 1` defers admitted frames into a window and classifies
-    /// the whole window in one measured dispatch, DMA-batch style, so
-    /// per-call overhead amortises. Ignored by simulated backends (their
-    /// batching knob is [`SchedPolicy::DmaBatch`]).
+    /// `1` serves frame-at-a-time; `N > 1` defers admitted frames into a
+    /// window and classifies the whole window in one dispatch,
+    /// DMA-batch style, with service starting when the window fills.
+    /// Each frame is booked at [`SOFTWARE_FRAME_COST`] per active model
+    /// either way, so the window changes latency, never capacity. The
+    /// window is clamped to `ecu.queue_depth`: unflushed window frames
+    /// occupy FIFO slots, so a wider window could never fill, exactly as
+    /// [`SchedPolicy::DmaBatch`] is clamped on the ECU. Ignored by
+    /// simulated backends (their batching knob is
+    /// [`SchedPolicy::DmaBatch`]).
     pub batch: usize,
     /// Worker pool for [`ServeHarness::replay_sharded`] — an
     /// *execution-only* knob: it sets how many shards replay at once,
@@ -395,7 +403,6 @@ impl Default for ReplayConfig {
             pacing: Pacing::Saturated,
             bitrate: Bitrate::HIGH_SPEED_1M,
             ecu: EcuConfig::default(),
-            ecu_overrides: Vec::new(),
             admission: AdmissionPolicy::DropFrames,
             thresholds: OverloadThresholds::default(),
             gateway_delay: SimTime::from_micros(20),
@@ -440,7 +447,9 @@ impl ReplayConfig {
         self
     }
 
-    /// Sets the software-backend inference window (builder style).
+    /// Sets the software-backend inference window (builder style). The
+    /// software backend clamps it to `ecu.queue_depth` when it opens a
+    /// session (see [`ReplayConfig::batch`]).
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
         self
@@ -473,16 +482,6 @@ impl ReplayConfig {
             Pacing::FdClass => Bitrate::new(5_000_000),
             Pacing::Saturated | Pacing::AsRecorded => self.bitrate,
         }
-    }
-
-    /// The ECU configuration board `b` serves under (base plus
-    /// override).
-    pub fn ecu_for(&self, board: usize) -> EcuConfig {
-        let mut c = self.ecu;
-        if let Some(&(_, policy)) = self.ecu_overrides.iter().find(|&&(b, _)| b == board) {
-            c.policy = policy;
-        }
-        c
     }
 }
 
@@ -728,8 +727,10 @@ pub struct ShardTotals {
     pub serviced: usize,
     /// Board power/energy accounting (absent on the software backend).
     pub energy: Option<EnergyStats>,
-    /// Wall-clock busy time of a software shard (drives the sustained
-    /// frames/s figure; absent on simulated backends).
+    /// Modelled busy time of a software shard on the sim clock: the sum
+    /// of its frames' [`SOFTWARE_FRAME_COST`] bookings, which
+    /// [`ServeReport::sustained_fps`] divides into. Absent on simulated
+    /// backends. Despite the name, no host clock is read.
     pub busy_wall: Option<Duration>,
 }
 
@@ -752,10 +753,6 @@ pub struct ShardTotals {
 pub trait ServeSession {
     /// The session's static shape.
     fn topology(&self) -> &ServeTopology;
-
-    /// Warms caches/weights outside the measured clock (no-op on
-    /// simulated backends).
-    fn warmup(&mut self, _rec: &LabeledFrame) {}
 
     /// Offers one frame to shard `shard`.
     ///
@@ -790,7 +787,7 @@ pub trait ServeSession {
     }
 
     /// Attaches a telemetry [`Probe`] for the rest of the session: the
-    /// substrate records per-stage spans (featurise/pack/infer, DMA
+    /// substrate records per-stage spans (inference dispatches, DMA
     /// windows, gateway hops) through it. Default: ignore the probe
     /// (an uninstrumented substrate still replays correctly — it just
     /// contributes no stage spans).
@@ -848,10 +845,31 @@ pub trait ServeBackend {
 // Software backend
 // --------------------------------------------------------------------
 
+/// Modelled software service time per frame per active model.
+///
+/// The software backend books this cost on the sim clock, as the ECU
+/// books its cycle model: a dispatch of `n` frames with `k` active
+/// models serves each frame for `k × SOFTWARE_FRAME_COST` (at least
+/// 1 ns), from the dispatch's service start. The value is the
+/// benchmark's traced `stream.push_ns_per_frame` on `line_1m` (one
+/// detector): about 0.9 µs on a 2-core x86-64 host, with traced runs
+/// reading 0.8–1.3 µs as co-tenant load varies. There is no
+/// per-dispatch term: the traced `stream.push` and `stream.push_batch`
+/// rows agree within noise.
+///
+/// ```
+/// use canids_core::serve::SOFTWARE_FRAME_COST;
+///
+/// assert_eq!(SOFTWARE_FRAME_COST.as_nanos(), 900);
+/// ```
+pub const SOFTWARE_FRAME_COST: SimTime = SimTime::from_nanos(900);
+
 /// The pure-software substrate: N [`StreamingEvaluator`]s behind one
-/// [`ServiceQueue`], service times measured on the host wall clock —
-/// what *this machine* can serve, as opposed to the simulated-SoC
-/// backends.
+/// [`ServiceQueue`]. Classification runs on the host; service time is
+/// modelled on the sim clock at [`SOFTWARE_FRAME_COST`] per frame per
+/// active model, so drops, latency and `sustained_fps` are identical on
+/// every run and every host, as on the simulated-SoC backends. Host
+/// speed is the benchmark's to measure, not the report's.
 ///
 /// # Example
 ///
@@ -863,7 +881,7 @@ pub trait ServeBackend {
 /// let capture = IdsPipeline::new(PipelineConfig::dos().quick()).generate_capture();
 /// let mut harness = ServeHarness::new(SoftwareBackend::single(report.detector.int_mlp.clone()));
 /// let serve = harness.replay(&capture, &ReplayConfig::default())?;
-/// assert!(serve.sustained_fps.is_some(), "software reports host capacity");
+/// assert!(serve.sustained_fps.is_some(), "software reports its modelled capacity");
 /// # Ok::<(), canids_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -918,13 +936,16 @@ impl ServeBackend for SoftwareBackend {
                 .collect(),
             active: vec![true; self.models.len()],
             queue: ServiceQueue::new(depth),
-            batch: config.batch.max(1),
+            // Unflushed window frames occupy FIFO slots, so a window
+            // wider than the FIFO would never fill.
+            batch: config.batch.clamp(1, depth),
             window_ords: Vec::new(),
             window_recs: Vec::new(),
             verdict_buf: Vec::new(),
+            flags: Vec::new(),
             dropped: 0,
             serviced: 0,
-            busy_wall: Duration::ZERO,
+            busy: SimTime::ZERO,
             pending: Vec::new(),
             topology: ServeTopology::single_shard(&self.names, depth),
             probe: None,
@@ -951,38 +972,30 @@ pub struct SoftwareSession {
     evals: Vec<StreamingEvaluator>,
     active: Vec<bool>,
     queue: ServiceQueue,
-    /// Frames per batched inference dispatch (1 = frame-at-a-time).
+    /// Frames per inference dispatch (1 = frame-at-a-time), at most the
+    /// FIFO depth.
     batch: usize,
-    /// Ordinals/records of admitted frames awaiting a batched dispatch
-    /// (always empty when `batch == 1`).
+    /// Ordinals/records of admitted frames awaiting their dispatch.
     window_ords: Vec<usize>,
     window_recs: Vec<LabeledFrame>,
     /// Reusable per-dispatch verdict buffer.
     verdict_buf: Vec<StreamVerdict>,
+    /// Reusable per-dispatch (flagged, model flags) buffer.
+    flags: Vec<(bool, u64)>,
     dropped: u64,
     serviced: usize,
-    busy_wall: Duration,
+    /// Modelled service time booked so far.
+    busy: SimTime,
     pending: Vec<ShardVerdict>,
     topology: ServeTopology,
-    /// Telemetry probe; when attached, dispatches run the staged push
-    /// path so featurise/pack/infer get individual wall measurements.
+    /// Telemetry probe; when attached, each dispatch records one
+    /// [`Stage::Infer`] span.
     probe: Option<Probe>,
 }
 
 impl ServeSession for SoftwareSession {
     fn topology(&self) -> &ServeTopology {
         &self.topology
-    }
-
-    fn warmup(&mut self, rec: &LabeledFrame) {
-        // Page in weights and settle caches outside the measured clock,
-        // then clear the online accounting the warmup touched.
-        for eval in &mut self.evals {
-            for _ in 0..8 {
-                eval.push(rec);
-            }
-            eval.reset();
-        }
     }
 
     fn push_shard(
@@ -992,77 +1005,26 @@ impl ServeSession for SoftwareSession {
         rec: &LabeledFrame,
     ) -> Result<ShardPush, CoreError> {
         let arrival = rec.timestamp;
-        if !self
+        let admitted = self
             .queue
-            .admit_with_pending(arrival, self.window_recs.len())
-        {
-            self.dropped += 1;
-            return Ok(ShardPush {
-                delivered: arrival,
-                admitted: false,
-            });
-        }
-        if self.batch > 1 {
+            .admit_with_pending(arrival, self.window_recs.len());
+        if admitted {
             // Defer into the window; the whole window is classified in
-            // one measured dispatch when it fills (or at finish), with
-            // service starting at the flush-trigger arrival — the same
-            // deferred-verdict semantics as `SchedPolicy::DmaBatch`.
+            // one dispatch when it fills (or at finish), with service
+            // starting at the flush-trigger arrival — the same
+            // deferred-verdict semantics as `SchedPolicy::DmaBatch`. At
+            // batch 1 every frame is its own window.
             self.window_ords.push(ordinal);
             self.window_recs.push(*rec);
             if self.window_recs.len() >= self.batch {
                 self.flush_window(arrival);
             }
-            return Ok(ShardPush {
-                delivered: arrival,
-                admitted: true,
-            });
+        } else {
+            self.dropped += 1;
         }
-        // The software backend reports measured host latency by
-        // contract; `WallClock` is the workspace's one audited gate.
-        let t0 = WallClock::start();
-        let mut stages = StagedNanos::default();
-        let mut flagged = false;
-        let mut model_flags = 0u64;
-        for (k, (eval, _)) in self
-            .evals
-            .iter_mut()
-            .zip(&self.active)
-            .enumerate()
-            .filter(|&(_, (_, &a))| a)
-        {
-            let v = if self.probe.is_some() {
-                eval.push_staged(rec, &mut stages)
-            } else {
-                eval.push(rec)
-            };
-            if v.flagged {
-                flagged = true;
-                if k < 64 {
-                    model_flags |= 1 << k;
-                }
-            }
-        }
-        let wall = t0.elapsed();
-        self.busy_wall += wall;
-        // At least 1 ns of simulated service so completions advance.
-        let service = SimTime::from_nanos((wall.as_nanos() as u64).max(1));
-        let start = self.queue.start_time(arrival);
-        let completed_at = self.queue.serve(start, service);
-        if let Some(probe) = &self.probe {
-            stages.record_from(probe, 0, start);
-        }
-        self.serviced += 1;
-        self.pending.push(ShardVerdict {
-            shard: 0,
-            ordinal,
-            completed_at,
-            flagged,
-            model_flags,
-            active_mask: canids_soc::ecu::active_mask_of(&self.active),
-        });
         Ok(ShardPush {
             delivered: arrival,
-            admitted: true,
+            admitted,
         })
     }
 
@@ -1102,27 +1064,27 @@ impl ServeSession for SoftwareSession {
             dropped: self.dropped,
             serviced: self.serviced,
             energy: None,
-            busy_wall: Some(self.busy_wall),
+            busy_wall: Some(Duration::from_nanos(self.busy.as_nanos())),
         }])
     }
 }
 
 impl SoftwareSession {
-    /// Classifies every buffered window frame in one measured dispatch
-    /// and books their (deferred) verdicts, service beginning at
+    /// Classifies every buffered window frame in one dispatch and books
+    /// their (deferred) verdicts on the sim clock, service beginning at
     /// `ready` — the flush trigger's arrival, mirroring the DMA-batch
-    /// transfer instant. Per-frame service time is the dispatch wall
-    /// clock split evenly across the window.
+    /// transfer instant — or when the server frees up. Each frame is
+    /// served for [`SOFTWARE_FRAME_COST`] per active model (at least
+    /// 1 ns, so completions advance), and the dispatch records one
+    /// [`Stage::Infer`] span from its service start to its last
+    /// completion.
     fn flush_window(&mut self, ready: SimTime) {
         let n = self.window_recs.len();
         if n == 0 {
             return;
         }
-        let mut flags = vec![(false, 0u64); n];
-        // The software backend reports measured host latency by
-        // contract; `WallClock` is the workspace's one audited gate.
-        let t0 = WallClock::start();
-        let mut stages = StagedNanos::default();
+        self.flags.clear();
+        self.flags.resize(n, (false, 0));
         for (k, (eval, _)) in self
             .evals
             .iter_mut()
@@ -1131,12 +1093,8 @@ impl SoftwareSession {
             .filter(|&(_, (_, &a))| a)
         {
             self.verdict_buf.clear();
-            if self.probe.is_some() {
-                eval.push_batch_staged(&self.window_recs, &mut self.verdict_buf, &mut stages);
-            } else {
-                eval.push_batch(&self.window_recs, &mut self.verdict_buf);
-            }
-            for (slot, v) in flags.iter_mut().zip(&self.verdict_buf) {
+            eval.push_batch(&self.window_recs, &mut self.verdict_buf);
+            for (slot, v) in self.flags.iter_mut().zip(&self.verdict_buf) {
                 if v.flagged {
                     slot.0 = true;
                     if k < 64 {
@@ -1145,19 +1103,15 @@ impl SoftwareSession {
                 }
             }
         }
-        let wall = t0.elapsed();
-        self.busy_wall += wall;
-        if let Some(probe) = &self.probe {
-            // One span triple per window, laid from the dispatch start.
-            stages.record_from(probe, 0, self.queue.start_time(ready));
-        }
-        // Even split, at least 1 ns each so completions advance.
-        let per = SimTime::from_nanos(((wall.as_nanos() as u64) / n as u64).max(1));
+        let active = self.active.iter().filter(|&&a| a).count() as u64;
+        let per = SimTime::from_nanos(SOFTWARE_FRAME_COST.mul_u64(active).as_nanos().max(1));
         let active_mask = canids_soc::ecu::active_mask_of(&self.active);
+        let dispatch_start = self.queue.start_time(ready);
+        let mut completed_at = dispatch_start;
         self.window_recs.clear();
-        for (ordinal, (flagged, model_flags)) in self.window_ords.drain(..).zip(flags) {
+        for (ordinal, &(flagged, model_flags)) in self.window_ords.drain(..).zip(&self.flags) {
             let start = self.queue.start_time(ready);
-            let completed_at = self.queue.serve(start, per);
+            completed_at = self.queue.serve(start, per);
             self.serviced += 1;
             self.pending.push(ShardVerdict {
                 shard: 0,
@@ -1167,6 +1121,10 @@ impl SoftwareSession {
                 model_flags,
                 active_mask,
             });
+        }
+        self.busy += per.mul_u64(n as u64);
+        if let Some(probe) = &self.probe {
+            probe.record(0, Stage::Infer, dispatch_start, completed_at);
         }
     }
 }
@@ -1295,10 +1253,8 @@ impl ServeBackend for EcuBackend<'_> {
 
     fn open(&mut self, config: &ReplayConfig) -> Result<EcuSession<'_>, CoreError> {
         let ecu: &mut IdsEcu = match &mut self.source {
-            EcuSource::Deployment(d) => self.session_ecu.insert(d.fresh_ecu(config.ecu_for(0))?),
-            EcuSource::OwnedDeployment(d) => {
-                self.session_ecu.insert(d.fresh_ecu(config.ecu_for(0))?)
-            }
+            EcuSource::Deployment(d) => self.session_ecu.insert(d.fresh_ecu(config.ecu)?),
+            EcuSource::OwnedDeployment(d) => self.session_ecu.insert(d.fresh_ecu(config.ecu)?),
             EcuSource::Ecu(ecu) => ecu,
         };
         let depth = ecu.config().queue_depth.max(1);
@@ -1556,10 +1512,8 @@ impl ServeBackend for FleetBackend<'_> {
             .deployment
             .shards
             .iter()
-            .enumerate()
-            .map(|(b, shard)| {
-                crate::fleet::build_shard_ecu(shard, &extra_ips[b], config.ecu_for(b))
-            })
+            .zip(&extra_ips)
+            .map(|(shard, extra)| crate::fleet::build_shard_ecu(shard, extra, config.ecu))
             .collect::<Result<_, _>>()?;
         let mut sessions: Vec<EcuStream<'_>> = self.ecus.iter_mut().map(IdsEcu::stream).collect();
         for sb in standbys.iter().flatten() {
@@ -1584,9 +1538,7 @@ impl ServeBackend for FleetBackend<'_> {
                 .map(|s| s.spec.name.clone())
                 .collect(),
             shard_models: self.deployment.shards.iter().map(|s| s.ips.len()).collect(),
-            queue_depths: (0..m)
-                .map(|b| config.ecu_for(b).queue_depth.max(1))
-                .collect(),
+            queue_depths: vec![config.ecu.queue_depth.max(1); m],
         };
         let FleetTransport::EventDriven(net_config) = &config.transport;
         Ok(FleetSession {
@@ -1791,7 +1743,7 @@ pub struct BoardServeReport {
     /// Frames dropped at this board's FIFO.
     pub dropped: u64,
     /// Verdict latency from backbone arrival (gateway forwarding
-    /// included on the fleet backend).
+    /// included on the fleet backend), on the sim clock.
     pub latency: LatencyStats,
     /// Board power/energy (absent on the software backend).
     pub energy: Option<EnergyStats>,
@@ -1872,11 +1824,13 @@ pub struct ServeReport {
     /// captures carry epoch timestamps, so an absolute-time denominator
     /// would be nonsense).
     pub offered_fps: f64,
-    /// Measured host service capacity in frames/s (software backend
-    /// only: serviced ÷ busy wall time).
+    /// Modelled service capacity in frames/s (software backend only):
+    /// serviced frames ÷ their modelled busy time on the sim clock, at
+    /// [`SOFTWARE_FRAME_COST`] per frame per active model. Not a host
+    /// measurement; `None` on simulated backends.
     pub sustained_fps: Option<f64>,
-    /// Fused verdict latency: per frame, the slowest serving shard's
-    /// verdict measured from backbone arrival.
+    /// Fused verdict latency on the sim clock: per frame, the slowest
+    /// serving shard's verdict measured from backbone arrival.
     pub latency: LatencyStats,
     /// Frames any shard flagged.
     pub flagged: usize,
@@ -1912,17 +1866,6 @@ impl ServeReport {
     /// `true` when no shard dropped a frame.
     pub fn keeps_up(&self) -> bool {
         self.dropped == 0
-    }
-
-    /// The measured busy wall time behind [`sustained_fps`] (software
-    /// backends only): `serviced ÷ sustained_fps`. `None` where there is
-    /// no host-capacity figure (simulated backends, empty replays).
-    ///
-    /// [`sustained_fps`]: ServeReport::sustained_fps
-    pub fn busy_wall(&self) -> Option<Duration> {
-        self.sustained_fps
-            .filter(|&f| f > 0.0)
-            .map(|f| Duration::from_secs_f64(self.serviced as f64 / f))
     }
 
     /// Shed events (excluding re-admissions and migrations).
@@ -2488,9 +2431,6 @@ impl<B: ServeBackend> ServeHarness<B> {
         let mut agg = Aggregator::new(&topology);
         let mut fresh: Vec<ShardVerdict> = Vec::new();
 
-        if let Some(first) = capture.records().first() {
-            session.warmup(first);
-        }
         let records: Box<dyn Iterator<Item = LabeledFrame> + '_> = match config.pacing {
             Pacing::Saturated | Pacing::FdClass => {
                 Box::new(paced_records(capture, config.wire_bitrate()))
@@ -2561,8 +2501,8 @@ impl<B: ServeBackend> ServeHarness<B> {
     /// shard order (confusion matrices, counts, latency samples,
     /// verdict stream), so the merged [`ServeReport`] is bit-identical
     /// for any pool size. The merged `sustained_fps` is total serviced
-    /// frames over the **slowest** shard's busy wall (aggregate capacity
-    /// with one core per lane); `offered_fps` spans the overlapping
+    /// frames over the **slowest** shard's modelled busy time (aggregate
+    /// capacity with one server per lane); `offered_fps` spans the overlapping
     /// shard clocks, i.e. it sums the per-lane offered rates.
     ///
     /// With `shards == 1` this is exactly [`replay`](Self::replay).
@@ -2634,16 +2574,18 @@ pub(crate) fn offered_rate(offered: usize, first: SimTime, last: SimTime) -> f64
 }
 
 /// Aggregate capacity of parallel lanes: `serviced` frames over the
-/// **slowest** lane's busy wall. `None` unless every lane measured one.
+/// **slowest** lane's modelled busy time, each lane's being its
+/// `serviced ÷ sustained_fps`. `None` unless every lane has a capacity.
 pub(crate) fn slowest_lane_fps<'a>(
     lanes: impl IntoIterator<Item = &'a ServeReport>,
     serviced: usize,
 ) -> Option<f64> {
-    let mut max_busy = Duration::ZERO;
+    let mut max_busy_s = 0.0f64;
     for lane in lanes {
-        max_busy = max_busy.max(lane.busy_wall()?);
+        let fps = lane.sustained_fps.filter(|&f| f > 0.0)?;
+        max_busy_s = max_busy_s.max(lane.serviced as f64 / fps);
     }
-    (max_busy > Duration::ZERO).then(|| serviced as f64 / max_busy.as_secs_f64())
+    (max_busy_s > 0.0).then(|| serviced as f64 / max_busy_s)
 }
 
 /// The lanes' telemetry merged in lane order, or `None` unless every
@@ -2778,8 +2720,8 @@ fn finalize(
     let mut total_dropped = 0u64;
     let mut energy_sum = EnergyStats::default();
     let mut any_energy = false;
-    let mut busy_wall = Duration::ZERO;
-    let mut any_wall = false;
+    let mut busy = Duration::ZERO;
+    let mut any_busy = false;
     for (b, totals_b) in totals.iter().enumerate() {
         total_dropped += totals_b.dropped;
         if let Some(e) = totals_b.energy {
@@ -2788,8 +2730,8 @@ fn finalize(
             any_energy = true;
         }
         if let Some(w) = totals_b.busy_wall {
-            busy_wall += w;
-            any_wall = true;
+            busy += w;
+            any_busy = true;
         }
         boards.push(BoardServeReport {
             board: topology.shard_names[b].clone(),
@@ -2815,8 +2757,8 @@ fn finalize(
         .collect();
     let serviced = verdicts.len();
     let total_serviced: usize = agg.shard_serviced.iter().sum();
-    let sustained_fps = if any_wall && busy_wall > Duration::ZERO {
-        Some(total_serviced as f64 / busy_wall.as_secs_f64())
+    let sustained_fps = if any_busy && busy > Duration::ZERO {
+        Some(total_serviced as f64 / busy.as_secs_f64())
     } else {
         None
     };
@@ -2911,15 +2853,6 @@ mod tests {
             .bits_per_sec(),
             5_000_000
         );
-        let with_override = ReplayConfig {
-            ecu_overrides: vec![(1, SchedPolicy::DmaBatch { batch: 8 })],
-            ..config
-        };
-        assert_eq!(with_override.ecu_for(0).policy, SchedPolicy::Sequential);
-        assert_eq!(
-            with_override.ecu_for(1).policy,
-            SchedPolicy::DmaBatch { batch: 8 }
-        );
     }
 
     #[test]
@@ -2965,20 +2898,18 @@ mod tests {
             .unwrap();
         assert_eq!(report.backend, "software");
         assert_eq!(report.offered, capture.len());
-        assert_eq!(report.serviced + report.dropped as usize, report.offered);
-        // No drops at this pace in practice; when none, the fused CM is
-        // the evaluator's CM and every verdict matches the record.
-        if report.dropped == 0 {
-            assert_eq!(report.cm, *reference.confusion());
-            assert_eq!(verdicts.len(), capture.len());
-            for (v, rec) in verdicts.iter().zip(capture.iter()) {
-                assert_eq!(v.truth_attack, rec.label.is_attack());
-                assert_eq!(v.flagged, v.model_flags != 0);
-                assert_eq!(v.consulted, 1);
-                assert_eq!(v.boards, 1);
-            }
+        // The modelled service time is far below the wire inter-arrival
+        // time, so nothing drops: the fused CM is the evaluator's CM and
+        // every verdict matches the record.
+        assert_eq!(report.dropped, 0);
+        assert_eq!(report.cm, *reference.confusion());
+        assert_eq!(verdicts.len(), capture.len());
+        for (v, rec) in verdicts.iter().zip(capture.iter()) {
+            assert_eq!(v.truth_attack, rec.label.is_attack());
+            assert_eq!(v.flagged, v.model_flags != 0);
+            assert_eq!(v.consulted, 1);
+            assert_eq!(v.boards, 1);
         }
-        // Ordinals arrive strictly increasing either way.
         assert!(verdicts.windows(2).all(|w| w[0].ordinal < w[1].ordinal));
         assert!(report.sustained_fps.is_some());
         assert!(report.energy.is_none(), "no rail model in software");
@@ -2991,22 +2922,30 @@ mod tests {
 
     #[test]
     fn batched_software_dispatch_never_changes_classification() {
-        // Batching is a dispatch optimisation: with a FIFO deep enough
-        // that nothing can drop, every window size classifies every
-        // frame identically to the frame-at-a-time path (same per-model
-        // prediction sequence, so same CM and flag counts), and the
-        // verdict stream still covers each ordinal exactly once.
+        // Batching is a dispatch optimisation: every window size
+        // classifies every frame identically to the frame-at-a-time path
+        // (same per-model prediction sequence, so same CM and flag
+        // counts), and the verdict stream still covers each ordinal
+        // exactly once. A window wider than the default 64-deep FIFO is
+        // clamped to it, so it still fills and nothing drops.
         let models: Vec<IntegerMlp> = (0..2).map(|i| untrained_model(60 + i)).collect();
         let capture = quick_capture(true, 11);
         let deep = EcuConfig {
             queue_depth: capture.len() + 1,
             ..EcuConfig::default()
         };
+        let cases = [
+            (1usize, deep),
+            (8, deep),
+            (32, deep),
+            (1000, deep),
+            (128, ReplayConfig::default().ecu),
+        ];
         let mut baseline: Option<(ConfusionMatrix, usize)> = None;
-        for batch in [1usize, 8, 32, 1000] {
+        for (batch, ecu) in cases {
             let mut verdicts: Vec<Verdict> = Vec::new();
             let config = ReplayConfig {
-                ecu: deep,
+                ecu,
                 ..ReplayConfig::default().with_batch(batch)
             };
             let mut harness = ServeHarness::new(SoftwareBackend::new(models.clone()));
@@ -3014,7 +2953,7 @@ mod tests {
                 .replay_with(&capture, &config, &mut verdicts)
                 .unwrap();
             assert_eq!(report.offered, capture.len(), "batch {batch}");
-            assert_eq!(report.dropped, 0, "deep FIFO admits everything");
+            assert_eq!(report.dropped, 0, "batch {batch} admits everything");
             assert_eq!(report.serviced, capture.len(), "batch {batch}");
             assert_eq!(verdicts.len(), capture.len(), "batch {batch}");
             let mut ords: Vec<usize> = verdicts.iter().map(|v| v.ordinal).collect();
@@ -3048,18 +2987,17 @@ mod tests {
         }
         let mut harness = ServeHarness::new(SoftwareBackend::new(models));
         let report = harness.replay(&capture, &ReplayConfig::default()).unwrap();
-        if report.dropped == 0 {
-            for (m, single) in report.per_model.iter().zip(&singles) {
-                assert_eq!(m.cm, *single.confusion(), "model {}", m.model);
-                assert_eq!(m.consulted, capture.len());
-            }
+        assert_eq!(report.dropped, 0);
+        for (m, single) in report.per_model.iter().zip(&singles) {
+            assert_eq!(m.cm, *single.confusion(), "model {}", m.model);
+            assert_eq!(m.consulted, capture.len());
         }
     }
 
     /// Every deterministic field of a report, with float fields rendered
     /// via their exact bit patterns. `include_timing` adds the
-    /// latency/sustained figures — exact on simulated backends, host
-    /// noise on the software backend.
+    /// latency/sustained figures, which every backend books on the sim
+    /// clock.
     fn fingerprint(r: &ServeReport, include_timing: bool) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
@@ -3139,31 +3077,30 @@ mod tests {
 
     #[test]
     fn sharded_software_classification_is_independent_of_worker_count() {
-        // Software shard timing is measured wall clock, so only the
-        // deterministic subset (counts, CMs, rates, the verdict stream)
-        // is pinned across pool sizes.
+        // Software shard timing is modelled on the sim clock, so the
+        // whole report — latency and sustained capacity included — is
+        // pinned across pool sizes at the default 64-deep FIFO.
         let model = untrained_model(7);
         let capture = quick_capture(true, 14);
         let mut prints = Vec::new();
-        for workers in [ShardWorkers::Fixed(1), ShardWorkers::Fixed(2)] {
-            let config = ReplayConfig {
-                ecu: EcuConfig {
-                    queue_depth: capture.len() + 1,
-                    ..EcuConfig::default()
-                },
-                ..ReplayConfig::default().with_shards(3).with_workers(workers)
-            };
+        for workers in [
+            ShardWorkers::Fixed(1),
+            ShardWorkers::Fixed(2),
+            ShardWorkers::Auto,
+        ] {
+            let config = ReplayConfig::default().with_shards(3).with_workers(workers);
             let report = ServeHarness::replay_sharded(
                 || Ok(SoftwareBackend::single(model.clone())),
                 &capture,
                 &config,
             )
             .unwrap();
-            assert_eq!(report.dropped, 0, "deep FIFO admits everything");
+            assert_eq!(report.dropped, 0);
             assert!(report.sustained_fps.is_some(), "software reports capacity");
-            prints.push(fingerprint(&report, false));
+            prints.push(fingerprint(&report, true));
         }
-        assert_eq!(prints[0], prints[1]);
+        assert_eq!(prints[0], prints[1], "1 vs 2 workers");
+        assert_eq!(prints[0], prints[2], "1 vs auto workers");
     }
 
     #[test]
@@ -3194,12 +3131,9 @@ mod tests {
     #[test]
     fn telemetry_never_perturbs_the_report() {
         // Observability must be free: the same replay with and without a
-        // probe attached produces a bit-identical report. On the fully
-        // simulated ECU path that covers timing too; on the software
-        // path the wall-derived figures are excluded by contract. Drops
-        // are wall-derived there as well (a host stall inside one timed
-        // push overflows a shallow FIFO in one replay only), so the
-        // software half runs into a FIFO as deep as the capture.
+        // probe attached produces a bit-identical report, timing
+        // included, on the simulated ECU path and on the software path
+        // (whose service time is modelled on the same sim clock).
         let bundles = vec![
             DetectorBundle::new(AttackKind::Dos, untrained_model(1)),
             DetectorBundle::new(AttackKind::Fuzzy, untrained_model(2)),
@@ -3218,13 +3152,7 @@ mod tests {
         assert_eq!(fingerprint(&off, true), fingerprint(&on, true), "ecu");
 
         let model = untrained_model(3);
-        let sw_config = ReplayConfig {
-            ecu: EcuConfig {
-                queue_depth: capture.len() + 1,
-                ..EcuConfig::default()
-            },
-            ..ReplayConfig::default()
-        };
+        let sw_config = ReplayConfig::default();
         let sw_traced = sw_config.clone().with_telemetry(TelemetryConfig::default());
         let sw_off = ServeHarness::new(SoftwareBackend::single(model.clone()))
             .replay(&capture, &sw_config)
@@ -3232,11 +3160,9 @@ mod tests {
         let sw_on = ServeHarness::new(SoftwareBackend::single(model))
             .replay(&capture, &sw_traced)
             .unwrap();
-        assert_eq!(sw_off.dropped, 0, "deep FIFO admits everything");
-        assert_eq!(sw_on.dropped, 0, "deep FIFO admits everything");
         assert_eq!(
-            fingerprint(&sw_off, false),
-            fingerprint(&sw_on, false),
+            fingerprint(&sw_off, true),
+            fingerprint(&sw_on, true),
             "software"
         );
     }
@@ -3284,21 +3210,30 @@ mod tests {
         assert!(dma.count > 0, "batched replay drains DMA windows");
         assert!(dma.count as usize <= batched.serviced);
 
-        // Software path: the fused featurise -> pack -> infer split is
-        // present for every serviced frame.
+        // Software path: one modelled infer span per dispatch — one per
+        // serviced frame at batch 1, one per window at batch 32 — each
+        // as long as its frames' booked service time.
         let model = untrained_model(5);
-        let sw = ServeHarness::new(SoftwareBackend::single(model))
-            .replay(
-                &capture,
-                &ReplayConfig::default().with_telemetry(TelemetryConfig::default()),
-            )
-            .unwrap();
-        let ts = sw.telemetry.as_ref().unwrap();
-        for stage in [Stage::Featurise, Stage::Pack, Stage::Infer] {
+        for batch in [1usize, 32] {
+            let sw = ServeHarness::new(SoftwareBackend::single(model.clone()))
+                .replay(
+                    &capture,
+                    &ReplayConfig::default()
+                        .with_batch(batch)
+                        .with_telemetry(TelemetryConfig::default()),
+                )
+                .unwrap();
+            let infer = sw.telemetry.as_ref().unwrap().stage_stats(Stage::Infer);
+            assert_eq!(sw.dropped, 0, "batch {batch}");
             assert_eq!(
-                ts.stage_stats(stage).count as usize,
-                sw.serviced,
-                "{stage:?}"
+                infer.count as usize,
+                sw.serviced.div_ceil(batch),
+                "batch {batch}"
+            );
+            assert_eq!(
+                infer.total_ns,
+                SOFTWARE_FRAME_COST.mul_u64(sw.serviced as u64).as_nanos(),
+                "batch {batch}"
             );
         }
     }

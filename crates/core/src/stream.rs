@@ -14,56 +14,11 @@
 //! Line-rate replays run it through [`crate::serve::SoftwareBackend`]
 //! under the [`crate::serve::ServeHarness`], which owns pacing.
 
-use canids_can::time::SimTime;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
 use canids_dataset::record::LabeledFrame;
 use canids_qnn::export::{IntScratch, IntegerMlp};
 use canids_qnn::kernel::{pack_features, PackedMlp, PackedScratch};
 use canids_qnn::metrics::ConfusionMatrix;
-
-use crate::telemetry::{Probe, Stage, WallClock};
-
-/// Accumulated wall-clock nanoseconds per hot-path stage, filled by
-/// [`StreamingEvaluator::push_staged`] — the profiled variant of the
-/// fused featurise→pack→infer dispatch. A serving session accumulates
-/// one of these per dispatch and lays the stages out as consecutive
-/// telemetry spans from the service start.
-///
-/// ```
-/// let mut stages = canids_core::stream::StagedNanos::default();
-/// stages.featurise += 120;
-/// stages.infer += 480;
-/// assert_eq!(stages.total(), 600);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StagedNanos {
-    /// Wall nanoseconds spent encoding the frame into float features.
-    pub featurise: u64,
-    /// Wall nanoseconds spent quantising/packing features (into the
-    /// frame bitmask on the kernel path).
-    pub pack: u64,
-    /// Wall nanoseconds spent in the integer MLP forward pass.
-    pub infer: u64,
-}
-
-impl StagedNanos {
-    /// Total nanoseconds across the three stages.
-    pub fn total(&self) -> u64 {
-        self.featurise + self.pack + self.infer
-    }
-
-    /// Records the three stages on `probe` as consecutive spans laid
-    /// out from `start` on the virtual clock (featurise, then pack,
-    /// then infer).
-    pub fn record_from(&self, probe: &Probe, shard: u32, start: SimTime) {
-        let f_end = start + SimTime::from_nanos(self.featurise);
-        let p_end = f_end + SimTime::from_nanos(self.pack);
-        let i_end = p_end + SimTime::from_nanos(self.infer);
-        probe.record(shard, Stage::Featurise, start, f_end);
-        probe.record(shard, Stage::Pack, f_end, p_end);
-        probe.record(shard, Stage::Infer, p_end, i_end);
-    }
-}
 
 /// One streaming verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,43 +183,6 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
         }
     }
 
-    /// [`push`](Self::push) with per-stage wall profiling: identical
-    /// classification and accounting, but each of the three fused
-    /// stages (featurise, quantise/pack, infer) is bracketed by the
-    /// audited [`WallClock`] shim and its nanoseconds accumulate into
-    /// `stages`. Only the telemetry-instrumented serving path calls
-    /// this; the unprofiled [`push`](Self::push) stays measurement-free.
-    pub fn push_staged(&mut self, rec: &LabeledFrame, stages: &mut StagedNanos) -> StreamVerdict {
-        let t0 = WallClock::start();
-        self.encoder.encode_into(&rec.frame, &mut self.fbuf);
-        stages.featurise += t0.elapsed_nanos();
-
-        let t1 = WallClock::start();
-        self.datapath.pack(&self.fbuf, self.model.input_levels);
-        stages.pack += t1.elapsed_nanos();
-
-        let t2 = WallClock::start();
-        let class = self.datapath.infer(&self.model);
-        stages.infer += t2.elapsed_nanos();
-
-        self.record(class, rec)
-    }
-
-    /// [`push_batch`](Self::push_batch) with per-stage wall profiling
-    /// (see [`push_staged`](Self::push_staged)); stage nanoseconds for
-    /// the whole window accumulate into `stages`.
-    pub fn push_batch_staged(
-        &mut self,
-        recs: &[LabeledFrame],
-        out: &mut Vec<StreamVerdict>,
-        stages: &mut StagedNanos,
-    ) {
-        out.reserve(recs.len());
-        for rec in recs {
-            out.push(self.push_staged(rec, stages));
-        }
-    }
-
     /// The online confusion matrix over everything pushed so far.
     pub fn confusion(&self) -> &ConfusionMatrix {
         &self.cm
@@ -290,6 +208,7 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canids_can::time::SimTime;
     use canids_can::timing::Bitrate;
     use canids_dataset::attacks::{AttackProfile, BurstSchedule};
     use canids_dataset::features::FrameEncoder;
@@ -381,17 +300,15 @@ mod tests {
         assert!(report.latency.p50 <= report.latency.p99);
         assert!(report.latency.p99 <= report.latency.max);
         assert!(report.latency.max > SimTime::ZERO);
-        // Release builds comfortably sustain classic-CAN line rate; debug
-        // builds are not a performance statement, so only gate there.
-        if !cfg!(debug_assertions) {
-            assert!(
-                report.keeps_up() && report.sustained_fps.unwrap_or(0.0) >= report.offered_fps,
-                "sustained {:.0} fps vs offered {:.0} fps, dropped {}",
-                report.sustained_fps.unwrap_or(0.0),
-                report.offered_fps,
-                report.dropped
-            );
-        }
+        // The modelled software service keeps classic-CAN line rate in
+        // every build profile: service time is declared, not measured.
+        assert!(
+            report.keeps_up() && report.sustained_fps.unwrap_or(0.0) >= report.offered_fps,
+            "sustained {:.0} fps vs offered {:.0} fps, dropped {}",
+            report.sustained_fps.unwrap_or(0.0),
+            report.offered_fps,
+            report.dropped
+        );
     }
 
     #[test]

@@ -4,17 +4,19 @@
 //! clock — never the host's wall clock, so a replay instrumented with
 //! telemetry produces the **bit-identical** trace and metrics snapshot on
 //! every run and for any worker count (per-shard registries merge in
-//! strict shard order, exactly like `merge_sharded` reports). The one
-//! audited exception is [`WallClock`]: the single workspace gate through
-//! which wall-time reads are allowed (the software backend reports
-//! *measured host latency* by contract).
+//! strict shard order, exactly like `merge_sharded` reports). Every
+//! backend serves on that clock: the simulated ECU and fleet book their
+//! cycle and transport models, and the software backend books the
+//! declared [`crate::serve::SOFTWARE_FRAME_COST`]. Host speed is not
+//! measured here.
 //!
 //! Three layers:
 //!
 //! 1. **Spans** — [`Span`] records a `[start, end)` interval on the
-//!    virtual clock for one pipeline [`Stage`] (featurise → pack → infer
-//!    on the software path, DMA windows on the ECU path, gateway hops in
-//!    the fleet network, admission decisions in the harness).
+//!    virtual clock for one pipeline [`Stage`] (modelled inference
+//!    dispatches on the software path, DMA windows on the ECU path,
+//!    gateway hops in the fleet network, admission decisions in the
+//!    harness).
 //! 2. **Metrics** — [`MetricsRegistry`] holds typed integer counters and
 //!    fixed power-of-two-bucket histograms keyed by static interned
 //!    names. All-integer state makes bit-determinism trivial.
@@ -54,16 +56,16 @@ use std::rc::Rc;
 ///
 /// assert_eq!(Stage::DmaWindow.name(), "dma_window");
 /// assert_eq!(Stage::from_name("infer"), Some(Stage::Infer));
-/// assert_eq!(Stage::ALL.len(), 8);
+/// assert_eq!(Stage::ALL.len(), 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Feature extraction over a raw CAN frame (software hot path).
-    Featurise,
-    /// Quantise-and-pack of the feature vector into integer levels.
-    Pack,
-    /// Forward pass through the quantised MLP (or the simulated
-    /// accelerator's service interval on the ECU path).
+    /// One inference dispatch. On the software path: a modelled span
+    /// from the dispatch's service start to its last frame's completion,
+    /// each frame booked at [`crate::serve::SOFTWARE_FRAME_COST`] per
+    /// active model (one span per frame at batch 1, one per window
+    /// above). On the ECU path: the simulated accelerator's service
+    /// interval for one frame.
     Infer,
     /// One buffered DMA batch window on the simulated ECU: from service
     /// start of the window to completion of the whole batch.
@@ -84,9 +86,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in the canonical (merge and export) order.
-    pub const ALL: [Stage; 8] = [
-        Stage::Featurise,
-        Stage::Pack,
+    pub const ALL: [Stage; 6] = [
         Stage::Infer,
         Stage::DmaWindow,
         Stage::GatewayHop,
@@ -102,8 +102,6 @@ impl Stage {
     /// ```
     pub const fn name(self) -> &'static str {
         match self {
-            Stage::Featurise => "featurise",
-            Stage::Pack => "pack",
             Stage::Infer => "infer",
             Stage::DmaWindow => "dma_window",
             Stage::GatewayHop => "gateway_hop",
@@ -116,14 +114,12 @@ impl Stage {
     /// Position in [`Stage::ALL`]; indexes the per-stage histogram table.
     pub const fn index(self) -> usize {
         match self {
-            Stage::Featurise => 0,
-            Stage::Pack => 1,
-            Stage::Infer => 2,
-            Stage::DmaWindow => 3,
-            Stage::GatewayHop => 4,
-            Stage::Admission => 5,
-            Stage::TenantAdmission => 6,
-            Stage::TenantWindow => 7,
+            Stage::Infer => 0,
+            Stage::DmaWindow => 1,
+            Stage::GatewayHop => 2,
+            Stage::Admission => 3,
+            Stage::TenantAdmission => 4,
+            Stage::TenantWindow => 5,
         }
     }
 
@@ -132,7 +128,7 @@ impl Stage {
     ///
     /// ```
     /// use canids_core::telemetry::Stage;
-    /// assert_eq!(Stage::from_name("pack"), Some(Stage::Pack));
+    /// assert_eq!(Stage::from_name("gateway_hop"), Some(Stage::GatewayHop));
     /// assert_eq!(Stage::from_name("nope"), None);
     /// ```
     pub fn from_name(name: &str) -> Option<Stage> {
@@ -208,12 +204,16 @@ impl Counter {
 /// A closed `[start, end)` interval on the virtual clock, attributed to
 /// one [`Stage`] and the shard (serving lane / board) that produced it.
 ///
+/// Every span is sim or modelled time, never host time: simulated
+/// backends record their simulated intervals, and the software backend
+/// records its modelled service time.
+///
 /// ```
 /// use canids_core::telemetry::{Span, Stage};
 /// use canids_can::time::SimTime;
 ///
 /// let span = Span {
-///     stage: Stage::Featurise,
+///     stage: Stage::Infer,
 ///     start: SimTime::from_micros(5),
 ///     end: SimTime::from_micros(7),
 ///     shard: 0,
@@ -350,8 +350,8 @@ impl Histogram {
 /// use canids_can::time::SimTime;
 ///
 /// let probe = Probe::new(&TelemetryConfig::default());
-/// probe.record(0, Stage::Pack, SimTime::ZERO, SimTime::from_nanos(800));
-/// let stats = probe.take_report().stage_stats(Stage::Pack);
+/// probe.record(0, Stage::Infer, SimTime::ZERO, SimTime::from_nanos(800));
+/// let stats = probe.take_report().stage_stats(Stage::Infer);
 /// assert_eq!(stats.count, 1);
 /// assert_eq!(stats.max_ns, 800);
 /// ```
@@ -768,53 +768,6 @@ impl TelemetryReport {
     }
 }
 
-/// The workspace's single audited gate for wall-clock reads.
-///
-/// Sim-clocked code must never read the host clock (`canids_lint`'s
-/// `wallclock-in-sim` rule enforces this); the one legitimate consumer,
-/// the software backend, reports *measured host latency* by contract and
-/// routes through this shim so the audit surface is exactly one allow
-/// site.
-///
-/// ```
-/// use canids_core::telemetry::WallClock;
-///
-/// let t0 = WallClock::start();
-/// let ns = t0.elapsed_nanos();
-/// assert!(ns < u64::MAX);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct WallClock;
-
-impl WallClock {
-    /// Start a wall-clock measurement.
-    pub fn start() -> WallInstant {
-        // lint:allow(wallclock-in-sim): the single audited wall-time gate — software-backend measured latency routes through here
-        WallInstant(std::time::Instant::now())
-    }
-}
-
-/// An opaque wall-clock anchor returned by [`WallClock::start`].
-///
-/// ```
-/// let t0 = canids_core::telemetry::WallClock::start();
-/// assert!(t0.elapsed() >= std::time::Duration::ZERO);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct WallInstant(std::time::Instant);
-
-impl WallInstant {
-    /// Elapsed wall time since the anchor.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.0.elapsed()
-    }
-
-    /// Elapsed wall time in nanoseconds, saturating at `u64::MAX`.
-    pub fn elapsed_nanos(&self) -> u64 {
-        u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,11 +814,11 @@ mod tests {
     #[test]
     fn metrics_only_capture_retains_no_spans() {
         let probe = Probe::new(&TelemetryConfig::default().with_spans(false));
-        probe.record(0, Stage::Pack, SimTime::ZERO, SimTime::from_nanos(10));
+        probe.record(0, Stage::Infer, SimTime::ZERO, SimTime::from_nanos(10));
         let report = probe.take_report();
         assert!(report.spans.is_empty());
         assert_eq!(report.metrics.counter(Counter::SpansDropped), 0);
-        assert_eq!(report.stage_stats(Stage::Pack).count, 1);
+        assert_eq!(report.stage_stats(Stage::Infer).count, 1);
     }
 
     #[test]
@@ -938,12 +891,5 @@ mod tests {
         for s in Stage::ALL {
             assert!(json.contains(&format!("\"{}\"", s.name())));
         }
-    }
-
-    #[test]
-    fn wallclock_shim_measures_forward() {
-        let t0 = WallClock::start();
-        let d = t0.elapsed();
-        assert!(t0.elapsed_nanos() >= d.as_nanos() as u64 || d.is_zero());
     }
 }

@@ -95,14 +95,6 @@ pub fn paced_records(dataset: &Dataset, bitrate: Bitrate) -> PacedRecords<'_> {
     }
 }
 
-impl Dataset {
-    /// Streams this capture's records re-paced to saturated line rate at
-    /// `bitrate` (see [`paced_records`]).
-    pub fn stream_paced(&self, bitrate: Bitrate) -> PacedRecords<'_> {
-        paced_records(self, bitrate)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +170,7 @@ mod tests {
     #[test]
     fn exact_size_and_clock_track_progress() {
         let ds = capture();
-        let mut it = ds.stream_paced(Bitrate::HIGH_SPEED_500K);
+        let mut it = paced_records(&ds, Bitrate::HIGH_SPEED_500K);
         assert_eq!(it.len(), ds.len());
         let first = it.next().unwrap();
         assert_eq!(it.len(), ds.len() - 1);

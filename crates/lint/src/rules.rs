@@ -17,12 +17,12 @@ use crate::report::Finding;
 pub enum Rule {
     /// `Instant::now`/`SystemTime` in simulated or report-producing
     /// code. Wall-clock reads make replays irreproducible; simulated
-    /// time must come from `SimTime`. The single genuine wall-clock
-    /// read lives behind `canids_core::telemetry::WallClock` — the one
-    /// measured path (the software-backend service timer) routes
-    /// through that shim, so the workspace carries exactly one audited
-    /// allow for this rule. The telemetry module gets no blanket
-    /// exemption: a raw `Instant::now` there is still a finding.
+    /// time must come from `SimTime`. Every serving backend, the
+    /// software one included, books service time on the sim clock, so
+    /// the workspace carries no allow for this rule: host speed is
+    /// measured by the out-of-workspace benchmark. The telemetry module
+    /// gets no blanket exemption: a raw `Instant::now` there is a
+    /// finding.
     WallclockInSim,
     /// `HashMap`/`HashSet` anywhere in the workspace. Their iteration
     /// order is randomised per process, so any fold, report line or

@@ -1,5 +1,5 @@
 // A telemetry module gets no blanket exemption: a raw wall-clock read
-// outside the audited WallClock shim is still a finding.
+// without an allow is a finding.
 pub struct WallClock;
 
 impl WallClock {

@@ -1,5 +1,5 @@
-// The audited shape: the telemetry shim's single wall-clock read
-// carries the workspace's one wallclock-in-sim allow.
+// The audited shape: a wall-clock read in a telemetry module carries an
+// explicit wallclock-in-sim allow with its reason.
 pub struct WallClock;
 
 impl WallClock {

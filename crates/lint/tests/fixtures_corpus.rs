@@ -47,10 +47,10 @@ fn wallclock_in_sim_pair() {
     check_pair(Rule::WallclockInSim, "wallclock_bad", "wallclock_allowed");
 }
 
-/// The telemetry module is where the real workspace's single audited
-/// wall-clock gate lives — and it gets no blanket exemption: a raw
-/// `Instant::now` inside `crates/core/src/telemetry.rs` is still a
-/// finding, and only the explicit shim allow suppresses it.
+/// The telemetry module gets no blanket exemption from the rule: a raw
+/// `Instant::now` inside `crates/core/src/telemetry.rs` is a finding,
+/// and only an explicit allow suppresses it. (The real workspace reads
+/// no host clock there, or anywhere in the serving core.)
 #[test]
 fn wallclock_in_telemetry_shim_pair() {
     check_pair(

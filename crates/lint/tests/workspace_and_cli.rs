@@ -56,6 +56,18 @@ fn workspace_is_clean_at_head() {
         tensor_allows.is_empty(),
         "crates/qnn/src/tensor.rs carries float-reassociation allows at lines {tensor_allows:?}"
     );
+    // Every serving backend books time on the sim clock, so no code at
+    // HEAD reads the host clock under an allow.
+    let wallclock_allows: Vec<String> = report
+        .allows
+        .iter()
+        .filter(|a| a.rule == Rule::WallclockInSim)
+        .map(|a| format!("{}:{}", a.file, a.line))
+        .collect();
+    assert!(
+        wallclock_allows.is_empty(),
+        "HEAD carries wallclock-in-sim allows at {wallclock_allows:?}"
+    );
 }
 
 fn run_lint(root: &Path, extra: &[&str]) -> std::process::Output {

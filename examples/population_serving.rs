@@ -112,9 +112,9 @@ fn main() -> Result<(), CoreError> {
     }
 
     // The report merge is bit-deterministic in tenant-ordinal order: on
-    // the simulated ECU backend (the software path measures real host
-    // wall-clock, so its latencies are honest, not replayable) any
-    // worker count produces the identical fingerprint.
+    // the simulated ECU backend, as on the software backend (whose
+    // service time is modelled on the same sim clock), any worker count
+    // produces the identical fingerprint.
     let bundles = vec![detector.bundle(AttackKind::Dos)];
     let ecu_factory = || {
         Ok(EcuBackend::owning(deploy_multi_ids(

@@ -49,7 +49,8 @@ fn main() -> Result<(), CoreError> {
         &ServeReport::table_header(),
     );
 
-    // 1. Software: wall-clock service times on this host.
+    // 1. Software: inference on this host, service time modelled on the
+    //    sim clock (`SOFTWARE_FRAME_COST` per frame per model).
     let mut software = ServeHarness::new(SoftwareBackend::new(models));
     table.push_row(&software.replay(&capture, &config)?.table_row());
 

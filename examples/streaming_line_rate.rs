@@ -1,7 +1,8 @@
 //! Streaming line-rate evaluation: train a DoS detector, then serve it
 //! frame-at-a-time against saturated 1 Mb/s classic-CAN and CAN-FD-class
-//! replays, reporting sustained frames/s, p50/p99 verdict latency and
-//! FIFO drops.
+//! replays, reporting the modelled service capacity (frames/s at
+//! `SOFTWARE_FRAME_COST` per frame), p50/p99 verdict latency and FIFO
+//! drops, all on the sim clock.
 //!
 //! ```sh
 //! cargo run --release -p canids-core --example streaming_line_rate
@@ -30,9 +31,7 @@ fn main() -> Result<(), CoreError> {
         detector.test_set.len()
     );
 
-    // One replay per scenario through the unified harness, one after the
-    // other, so each measures its software service time on an otherwise
-    // idle core.
+    // One replay per scenario through the unified harness.
     let duration = canids_can::time::SimTime::from_millis(400);
     let attack = Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous));
     let traffic = |attack, seed| TrafficConfig {
@@ -69,7 +68,7 @@ fn main() -> Result<(), CoreError> {
 
     let classic = &reports[1];
     println!(
-        "1 Mb/s DoS replay: {} frames, accuracy {:.2}%, sustained {:.0} fps vs offered {:.0} fps",
+        "1 Mb/s DoS replay: {} frames, accuracy {:.2}%, modelled capacity {:.0} fps vs offered {:.0} fps",
         classic.serviced,
         classic.cm.accuracy() * 100.0,
         classic.sustained_fps.unwrap_or(0.0),
@@ -85,7 +84,7 @@ fn main() -> Result<(), CoreError> {
     let workers = parse_workers(std::env::args());
     let dos_capture = DatasetBuilder::new(traffic(attack, 0x11E)).build();
     println!("\nscale-out sweep ({workers:?} workers, batch 32):");
-    println!("  shards  workers  sustained_fps  dropped");
+    println!("  shards  workers  modelled_fps  dropped");
     for shards in [1usize, 2, 4, 8] {
         let config = ReplayConfig::default()
             .with_batch(32)
@@ -97,7 +96,7 @@ fn main() -> Result<(), CoreError> {
             &config,
         )?;
         println!(
-            "  {:>6}  {:>7}  {:>13.0}  {:>7}",
+            "  {:>6}  {:>7}  {:>12.0}  {:>7}",
             shards,
             workers.count(shards),
             r.sustained_fps.unwrap_or(0.0),

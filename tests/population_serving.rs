@@ -116,17 +116,20 @@ fn population_fingerprint_is_invariant_across_worker_counts() {
     // Six tenant streams of uneven length onto a two-slot pool: sheds
     // engage at arrival, readmits engage as short streams finish. Every
     // worker count must report the same bits — scheduling is
-    // execution-only.
+    // execution-only — on the simulated ECU and on the software backend,
+    // whose service time is modelled on the same sim clock.
     let bundles = vec![
         DetectorBundle::new(AttackKind::Dos, seeded_model(910)),
         DetectorBundle::new(AttackKind::Fuzzy, seeded_model(911)),
     ];
-    let factory = || {
+    let ecu_factory = || {
         Ok(EcuBackend::owning(deploy_multi_ids(
             &bundles,
             CompileConfig::default(),
         )?))
     };
+    let models: Vec<_> = bundles.iter().map(|b| b.model.clone()).collect();
+    let software_factory = || Ok(SoftwareBackend::new(models.clone()));
 
     let mut pop = Population::new();
     for (k, ms) in [60u64, 140, 80, 160, 100, 120].iter().enumerate() {
@@ -146,7 +149,19 @@ fn population_fingerprint_is_invariant_across_worker_counts() {
             capacity: 2,
             window: 64,
         });
+    let software = base.clone().with_replay(base.replay.clone().with_batch(8));
 
+    assert_invariant_across_workers(&pop, ecu_factory, &base);
+    assert_invariant_across_workers(&pop, software_factory, &software);
+}
+
+/// Serves `pop` at workers 1, 2 and Auto and asserts one fingerprint,
+/// with the overload (sheds, readmits) and telemetry engaged.
+fn assert_invariant_across_workers<B, F>(pop: &Population, factory: F, base: &PopulationConfig)
+where
+    B: ServeBackend,
+    F: Fn() -> Result<B, CoreError> + Sync,
+{
     let mut prints = Vec::new();
     for workers in [
         ShardWorkers::Fixed(1),
@@ -154,7 +169,7 @@ fn population_fingerprint_is_invariant_across_worker_counts() {
         ShardWorkers::Auto,
     ] {
         let report = pop
-            .serve(factory, &base.clone().with_workers(workers))
+            .serve(&factory, &base.clone().with_workers(workers))
             .unwrap();
         // The overload is real: more streams than slots forces sheds,
         // and uneven stream lengths free slots for readmission.
