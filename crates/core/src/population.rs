@@ -6,19 +6,23 @@
 //! bus; a production backend monitors a vehicle *population* — every
 //! vehicle uploads a small capture stream (one tenant, ~500 kb/s wire
 //! pacing) and the backend serves all of them at once. This module is
-//! that layer, built on top of
-//! [`ServeHarness`](crate::serve::ServeHarness):
+//! that layer, built on top of [`ServeHarness`]:
 //!
 //! * [`TenantStream`] / [`Population`] — the tenant registry: each
 //!   tenant is one capture at its own wire bitrate and static priority,
 //!   arriving on a staggered deterministic schedule
 //!   ([`PopulationConfig::stagger`] between tenant ordinals).
-//! * **Work-stealing scheduling** — tenant replays run on the crate's
-//!   internal deterministic work-stealing chunk pool (`par`). The tenant
-//!   is the stealing unit, so per-tenant frame order is preserved by
-//!   construction while a slow tenant no longer pins a contiguous slice
-//!   of the population to one worker. The pool size
+//! * **One lane per tenant** — tenant replays run on the crate's
+//!   internal claim-counter pool (`par`): each worker claims the next
+//!   unserved tenant off one atomic counter, and the results are sorted
+//!   back into tenant order. The tenant is the unit of work, so
+//!   per-tenant frame order is preserved by construction, and a slow
+//!   tenant holds up only the worker serving it. The pool size
 //!   ([`PopulationConfig::workers`]) is execution-only.
+//! * **One pacing pass** — each tenant's lane returns its frames'
+//!   arrival times beside its report and verdicts, and the admission
+//!   ledger builds the population schedule from them, so no capture is
+//!   paced twice.
 //! * [`TenantAdmission`] — cross-tenant admission control generalising
 //!   [`crate::serve::AdmissionPolicy::ShedLowestMeasuredValue`] from
 //!   models to tenant streams: when more streams are live than the
@@ -30,14 +34,13 @@
 //!   population percentiles (pooled verdict latency, drops, sustained
 //!   fps) with a **bit-deterministic merge in tenant-ordinal order**:
 //!   [`PopulationReport::fingerprint`] is identical for any worker
-//!   count, the same guarantee the sharded replay and telemetry merges
-//!   pin for shards.
+//!   count.
 //!
 //! Determinism contract: a single-tenant population run is bit-identical
-//! to a plain [`ServeHarness::replay`](crate::serve::ServeHarness::replay)
-//! of the same capture under the same [`ReplayConfig`] — phase 1 *is*
-//! that code path, and the admission ledger (phase 2) is pure integer
-//! bookkeeping over the deterministic arrival schedule.
+//! to a plain [`ServeHarness::replay`] of the same capture under the
+//! same [`ReplayConfig`] — phase 1 *is* that code path, and the
+//! admission ledger (phase 2) is pure integer bookkeeping over the
+//! arrival schedule phase 1 paced.
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -46,13 +49,11 @@ use std::fmt::Write as _;
 use canids_can::time::SimTime;
 use canids_can::timing::Bitrate;
 use canids_dataset::generator::Dataset;
-use canids_dataset::stream::paced_records;
 
 use crate::error::CoreError;
 use crate::report::LatencyStats;
 use crate::serve::{
-    merge_lane_telemetry, offered_rate, replay_lanes, slowest_lane_fps, Pacing, ReplayConfig,
-    ServeBackend, ServeReport, ShardWorkers, Verdict,
+    offered_rate, ReplayConfig, ServeBackend, ServeHarness, ServeReport, ShardWorkers, Verdict,
 };
 use crate::telemetry::{Probe, Stage, TelemetryReport};
 
@@ -178,8 +179,7 @@ impl TenantAdmission {
 pub struct PopulationConfig {
     /// Per-tenant replay template. Each tenant replays under this
     /// configuration with [`ReplayConfig::bitrate`] replaced by the
-    /// tenant's own bitrate and [`ReplayConfig::shards`] forced to 1
-    /// (the population layer owns the parallelism).
+    /// tenant's own bitrate.
     pub replay: ReplayConfig,
     /// Deterministic arrival stagger: tenant `k`'s stream starts at
     /// `k · stagger` on the population clock.
@@ -322,8 +322,7 @@ pub struct TenantReport {
     /// (1 without sheds; 0 when shed for its whole lifetime).
     pub windows: usize,
     /// The tenant's phase-1 replay report, bit-identical to a plain
-    /// [`ServeHarness::replay`](crate::serve::ServeHarness::replay) of
-    /// the same capture and configuration.
+    /// [`ServeHarness::replay`] of the same capture and configuration.
     pub serve: ServeReport,
 }
 
@@ -399,8 +398,9 @@ pub struct PopulationReport {
     /// Aggregate modelled capacity in frames/s: total served frames over
     /// the **slowest** tenant replay's modelled busy time (software
     /// backends only, at `serve::SOFTWARE_FRAME_COST` per frame per
-    /// model — `None` on simulated backends, exactly like the sharded
-    /// merge).
+    /// model — `None` on simulated backends). A tenant replay that
+    /// serviced no frame (an empty capture, say) books no busy time and
+    /// is skipped, so it cannot erase the others' capacity.
     pub sustained_fps: Option<f64>,
     /// Pooled verdict latency over every served frame, on the sim
     /// clock, merged in tenant-ordinal order then sorted.
@@ -556,14 +556,14 @@ impl Population {
     /// Serves every tenant stream, each through a fresh backend from
     /// `factory`, and aggregates one [`PopulationReport`].
     ///
-    /// Phase 1 replays each tenant independently on the work-stealing
+    /// Phase 1 replays each tenant independently on the claim-counter
     /// pool — per-tenant results are bit-identical to a plain
-    /// [`ServeHarness::replay`](crate::serve::ServeHarness::replay) under
-    /// the tenant's configuration, whatever the scheduling. Phase 2
-    /// sweeps the staggered population arrival schedule through the
-    /// cross-tenant admission ledger (single-threaded integer
-    /// bookkeeping), producing the tenant event log and the
-    /// frame-conservation accounting. The merge runs in
+    /// [`ServeHarness::replay`] under the tenant's configuration,
+    /// whatever the scheduling — and keeps each frame's arrival time.
+    /// Phase 2 sweeps the staggered population arrival schedule built
+    /// from those times through the cross-tenant admission ledger
+    /// (single-threaded integer bookkeeping), producing the tenant event
+    /// log and the frame-conservation accounting. The merge runs in
     /// tenant-ordinal order, so the report fingerprint does not depend
     /// on [`PopulationConfig::workers`].
     ///
@@ -602,21 +602,15 @@ impl Population {
         B: ServeBackend,
         F: Fn() -> Result<B, CoreError> + Sync,
     {
-        let n = self.tenants.len();
-        if n == 0 {
+        if self.tenants.is_empty() {
             return Ok(PopulationReport::default());
         }
 
         // Phase 1: every tenant replays independently and in parallel on
-        // the work-stealing pool. The tenant is the stealing unit, so
+        // the claim-counter pool. The tenant is the unit of work, so
         // per-tenant frame order is trivially preserved and each result
         // is deterministic regardless of which worker served it.
-        let lanes: Vec<(&Dataset, ReplayConfig)> = self
-            .tenants
-            .iter()
-            .map(|tenant| (&tenant.capture, tenant_replay_config(config, tenant)))
-            .collect();
-        let outcomes = replay_lanes(&factory, &lanes, config.workers.count(n))?;
+        let outcomes = replay_lanes(&factory, &self.tenants, config)?;
 
         // Phase 2: the cross-tenant admission ledger — a single-threaded
         // sweep over the staggered population arrival schedule.
@@ -625,15 +619,65 @@ impl Population {
     }
 }
 
-/// The replay configuration tenant streams serve under: the population
-/// template with the tenant's own bitrate, single-sharded (the
-/// population layer owns the parallelism).
-fn tenant_replay_config(config: &PopulationConfig, tenant: &TenantStream) -> ReplayConfig {
-    ReplayConfig {
-        bitrate: tenant.bitrate,
-        shards: 1,
-        ..config.replay.clone()
+/// One tenant lane's phase-1 result: its replay report, its verdict
+/// stream, and every frame's arrival time in ordinal order (dropped
+/// frames included).
+struct LaneOutcome {
+    report: ServeReport,
+    verdicts: Vec<Verdict>,
+    arrivals: Vec<SimTime>,
+}
+
+/// Replays every tenant, one lane each, through a fresh backend from
+/// `factory` on the configured worker pool, under the population's
+/// replay template at the tenant's own bitrate. Returns each lane's
+/// outcome in tenant order whatever the schedule.
+///
+/// # Errors
+///
+/// The first factory or replay error, in tenant order.
+fn replay_lanes<B, F>(
+    factory: &F,
+    tenants: &[TenantStream],
+    config: &PopulationConfig,
+) -> Result<Vec<LaneOutcome>, CoreError>
+where
+    B: ServeBackend,
+    F: Fn() -> Result<B, CoreError> + Sync,
+{
+    let workers = config.workers.count(tenants.len());
+    crate::par::scoped_map_with(tenants, workers, |tenant| {
+        let replay = config.replay.clone().with_bitrate(tenant.bitrate);
+        let mut verdicts: Vec<Verdict> = Vec::new();
+        let (report, arrivals) = ServeHarness::new(factory()?).replay_arrivals(
+            &tenant.capture,
+            &replay,
+            &mut verdicts,
+        )?;
+        Ok(LaneOutcome {
+            report,
+            verdicts,
+            arrivals,
+        })
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Aggregate capacity of parallel lanes: `serviced` frames over the
+/// **slowest** lane's modelled busy time, each lane's being its
+/// `serviced ÷ sustained_fps`. Lanes that serviced no frame book no busy
+/// time and are skipped; `None` unless every other lane has a capacity.
+fn slowest_lane_fps<'a>(
+    lanes: impl IntoIterator<Item = &'a ServeReport>,
+    serviced: usize,
+) -> Option<f64> {
+    let mut max_busy_s = 0.0f64;
+    for lane in lanes.into_iter().filter(|lane| lane.serviced > 0) {
+        let fps = lane.sustained_fps.filter(|&f| f > 0.0)?;
+        max_busy_s = max_busy_s.max(lane.serviced as f64 / fps);
     }
+    (max_busy_s > 0.0).then(|| serviced as f64 / max_busy_s)
 }
 
 /// One offered frame on the population clock.
@@ -667,7 +711,7 @@ impl Ledger {
     fn sweep(
         tenants: &[TenantStream],
         config: &PopulationConfig,
-        outcomes: &[(ServeReport, Vec<Verdict>)],
+        outcomes: &[LaneOutcome],
     ) -> Ledger {
         let n = tenants.len();
         let (capacity, window) = match config.admission {
@@ -679,42 +723,28 @@ impl Ledger {
             }
         };
 
-        // The population arrival schedule: each tenant's frames paced
-        // exactly as its replay paced them (same `paced_records` code
-        // path), offset by the tenant's stagger slot, then interleaved
-        // in (time, tenant, ordinal) order.
-        let mut frames: Vec<FrameAt> = Vec::new();
-        for (k, tenant) in tenants.iter().enumerate() {
+        // The population arrival schedule: each tenant's frames at the
+        // arrival times its replay paced them at, offset by the tenant's
+        // stagger slot, then interleaved in (time, tenant, ordinal)
+        // order.
+        let mut frames: Vec<FrameAt> =
+            Vec::with_capacity(outcomes.iter().map(|lane| lane.arrivals.len()).sum());
+        for (k, lane) in outcomes.iter().enumerate() {
             let offset = config.stagger.mul_u64(k as u64);
-            let template = tenant_replay_config(config, tenant);
-            match template.pacing {
-                Pacing::Saturated | Pacing::FdClass => {
-                    let paced = paced_records(&tenant.capture, template.wire_bitrate());
-                    frames.extend(paced.enumerate().map(|(o, rec)| FrameAt {
-                        time: offset + rec.timestamp,
-                        tenant: k,
-                        ordinal: o,
-                    }));
-                }
-                Pacing::AsRecorded => {
-                    frames.extend(tenant.capture.records().iter().enumerate().map(|(o, rec)| {
-                        FrameAt {
-                            time: offset + rec.timestamp,
-                            tenant: k,
-                            ordinal: o,
-                        }
-                    }));
-                }
-            }
+            frames.extend(lane.arrivals.iter().enumerate().map(|(o, &t)| FrameAt {
+                time: offset + t,
+                tenant: k,
+                ordinal: o,
+            }));
         }
         frames.sort_by_key(|f| (f.time, f.tenant, f.ordinal));
 
         // Per-tenant verdict table, indexed by local frame ordinal
         // (frames the backend dropped have no verdict).
         let mut verdict_of: Vec<Vec<Option<Verdict>>> = Vec::with_capacity(n);
-        for (k, (_, verdicts)) in outcomes.iter().enumerate() {
+        for (k, lane) in outcomes.iter().enumerate() {
             let mut table = vec![None; tenants[k].capture.len()];
-            for v in verdicts {
+            for v in &lane.verdicts {
                 if v.ordinal < table.len() {
                     table[v.ordinal] = Some(*v);
                 }
@@ -850,11 +880,11 @@ impl Ledger {
         mut self,
         tenants: &[TenantStream],
         config: &PopulationConfig,
-        outcomes: Vec<(ServeReport, Vec<Verdict>)>,
+        outcomes: Vec<LaneOutcome>,
     ) -> PopulationReport {
         let mut tenant_reports = Vec::with_capacity(tenants.len());
         let mut pooled: Vec<SimTime> = Vec::new();
-        for (k, (serve, _)) in outcomes.into_iter().enumerate() {
+        for (k, lane) in outcomes.into_iter().enumerate() {
             let lats = std::mem::take(&mut self.latencies[k]);
             pooled.extend(&lats);
             tenant_reports.push(TenantReport {
@@ -867,7 +897,7 @@ impl Ledger {
                 confirmed_positives: self.confirmed[k],
                 latency: LatencyStats::from_unsorted(lats),
                 windows: self.windows[k].len(),
-                serve,
+                serve: lane.report,
             });
         }
 
@@ -878,8 +908,8 @@ impl Ledger {
         let confirmed_positives: usize = tenant_reports.iter().map(|t| t.confirmed_positives).sum();
 
         let offered_fps = offered_rate(offered, self.first_arrival, self.last_arrival);
-        // Aggregate capacity mirrors the sharded merge: total served
-        // frames over the slowest tenant's modelled busy time.
+        // Aggregate capacity: total served frames over the slowest
+        // tenant's modelled busy time.
         let lanes = || tenant_reports.iter().map(|t| &t.serve);
         let sustained_fps = slowest_lane_fps(lanes(), serviced);
 
@@ -888,7 +918,11 @@ impl Ledger {
             // re-tags each tenant's spans with its ordinal — one trace
             // lane per tenant — then shifts them onto the population
             // clock by the tenant's stagger offset.
-            let mut merged = merge_lane_telemetry(lanes()).unwrap_or_default();
+            let mut merged = lanes()
+                .map(|lane| lane.telemetry.clone())
+                .collect::<Option<Vec<_>>>()
+                .map(TelemetryReport::merge)
+                .unwrap_or_default();
             for span in &mut merged.spans {
                 let offset = config.stagger.mul_u64(u64::from(span.shard));
                 span.start += offset;

@@ -15,8 +15,8 @@
 //!   composable [`ServeReport`] (shared
 //!   [`LatencyStats`]/[`EnergyStats`]/drop accounting, optional
 //!   per-model and per-board sections, admission event log). Several
-//!   scenarios are several [`ServeHarness::replay`] calls;
-//!   [`ServeHarness::replay_sharded`] splits one capture into lanes.
+//!   scenarios are several [`ServeHarness::replay`] calls; many capture
+//!   streams served at once are a [`crate::population::Population`].
 //! * [`Verdict`] / [`VerdictSink`] — the typed per-frame verdict
 //!   stream every replay emits. Verdicts carry per-model flag masks and
 //!   ground truth, which is what makes **value-driven admission**
@@ -346,14 +346,10 @@ pub struct ReplayConfig {
     /// simulated backends (their batching knob is
     /// [`SchedPolicy::DmaBatch`]).
     pub batch: usize,
-    /// Worker pool for [`ServeHarness::replay_sharded`] — an
-    /// *execution-only* knob: it sets how many shards replay at once,
-    /// and any value produces a bit-identical merged [`ServeReport`].
-    pub workers: ShardWorkers,
-    /// Capture shards of [`ServeHarness::replay_sharded`]: the capture
-    /// splits into this many contiguous slices, each replayed as an
-    /// independent single-shard session and merged in shard order. A
-    /// *semantic* knob — results depend on it, never on `workers`.
+    /// Read by nothing: a replay serves one capture as one lane. The
+    /// field stays only because `perfbench` builds
+    /// `ReplayConfig { shards: 1, .. }`, and goes with the next change
+    /// to that crate.
     pub shards: usize,
     /// Opt-in telemetry capture ([`crate::telemetry`]): per-stage
     /// tracing spans and an integer metrics registry, attached to
@@ -363,9 +359,12 @@ pub struct ReplayConfig {
     pub telemetry: Option<TelemetryConfig>,
 }
 
-/// Worker-thread count for sharded replays: an *execution-only* knob —
-/// any value produces bit-identical [`ServeReport`]s, it only sets how
-/// many shards run concurrently.
+/// Worker-thread count of the population lane pool
+/// ([`crate::population::PopulationConfig::workers`]): an
+/// *execution-only* knob — any value produces a bit-identical
+/// [`crate::population::PopulationReport`], it only sets how many
+/// tenant lanes replay at once. (The name predates the population
+/// layer; `perfbench` uses it.)
 ///
 /// # Example
 ///
@@ -377,15 +376,15 @@ pub struct ReplayConfig {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardWorkers {
-    /// One worker per available core (capped at the shard count).
+    /// One worker per available core (capped at the lane count).
     #[default]
     Auto,
-    /// Exactly this many workers (capped at the shard count; min 1).
+    /// Exactly this many workers (capped at the lane count; min 1).
     Fixed(usize),
 }
 
 impl ShardWorkers {
-    /// The effective pool size for `jobs` shards.
+    /// The effective pool size for `jobs` lanes.
     pub fn count(self, jobs: usize) -> usize {
         let cap = jobs.max(1);
         match self {
@@ -409,7 +408,6 @@ impl Default for ReplayConfig {
             migration_delay: SimTime::from_millis(2),
             transport: FleetTransport::default(),
             batch: 1,
-            workers: ShardWorkers::Auto,
             shards: 1,
             telemetry: None,
         }
@@ -452,18 +450,6 @@ impl ReplayConfig {
     /// session (see [`ReplayConfig::batch`]).
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
-        self
-    }
-
-    /// Sets the sharded-replay shard count (builder style).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the sharded-replay worker pool (builder style).
-    pub fn with_workers(mut self, workers: ShardWorkers) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -643,14 +629,6 @@ impl ServeTopology {
     /// Shard count.
     pub fn shards(&self) -> usize {
         self.shard_names.len()
-    }
-
-    /// The fleet model occupying `slot`, if any (home or standby).
-    pub fn slot_model(&self, slot: Slot) -> Option<usize> {
-        self.homes
-            .iter()
-            .position(|&h| h == slot)
-            .or_else(|| self.standbys.iter().position(|&s| s == Some(slot)))
     }
 }
 
@@ -1204,9 +1182,10 @@ impl<'d> EcuBackend<'d> {
 
     /// A backend that owns its deployment — same session semantics as
     /// [`new`](EcuBackend::new), without borrowing from the caller.
-    /// This is the form a [`ServeHarness::replay_sharded`] factory
-    /// returns: the deployment is compiled on the worker thread and
-    /// lives inside the backend, so nothing non-`Sync` crosses threads.
+    /// This is the form a [`crate::population::Population::serve`]
+    /// factory returns: the deployment is compiled on the worker thread
+    /// and lives inside the backend, so nothing non-`Sync` crosses
+    /// threads.
     pub fn owning(deployment: MultiIdsDeployment) -> Self {
         let names = deployment
             .plan
@@ -1857,8 +1836,8 @@ pub struct ServeReport {
     pub verdicts: Vec<(SimTime, bool)>,
     /// Telemetry captured during the replay: per-stage spans plus the
     /// metrics snapshot. `None` unless the replay was configured with
-    /// [`ReplayConfig::with_telemetry`]; sharded replays merge per-shard
-    /// reports in strict shard order.
+    /// [`ReplayConfig::with_telemetry`]; a population merges its tenants'
+    /// reports in strict tenant order.
     pub telemetry: Option<TelemetryReport>,
 }
 
@@ -2410,6 +2389,20 @@ impl<B: ServeBackend> ServeHarness<B> {
         config: &ReplayConfig,
         sink: &mut dyn VerdictSink,
     ) -> Result<ServeReport, CoreError> {
+        self.replay_arrivals(capture, config, sink)
+            .map(|(report, _)| report)
+    }
+
+    /// [`replay_with`](Self::replay_with), also returning every frame's
+    /// arrival time in ordinal order, dropped frames included: the
+    /// population ledger builds its schedule from them instead of pacing
+    /// the capture a second time.
+    pub(crate) fn replay_arrivals(
+        &mut self,
+        capture: &Dataset,
+        config: &ReplayConfig,
+        sink: &mut dyn VerdictSink,
+    ) -> Result<(ServeReport, Vec<SimTime>), CoreError> {
         if let Some(p) = config.admission.priorities() {
             let expected = self.backend.models();
             if p.len() != expected {
@@ -2480,86 +2473,15 @@ impl<B: ServeBackend> ServeHarness<B> {
             backend_label,
             config,
             &topology,
-            agg,
+            &mut agg,
             ctl,
             &totals,
             gateways,
             net_events,
         );
         report.telemetry = telemetry;
-        Ok(report)
+        Ok((report, agg.arrivals))
     }
-
-    /// Replays `capture` sharded across [`ReplayConfig::shards`]
-    /// contiguous capture slices, each served by a fresh backend from
-    /// `factory` as an independent single-shard replay, on a bounded
-    /// pool of [`ReplayConfig::workers`] threads.
-    ///
-    /// Shard count is the *semantic* knob — each slice re-paces from
-    /// time zero, modelling that many parallel serving lanes — and the
-    /// worker count is *execution-only*: per-shard results are merged in
-    /// shard order (confusion matrices, counts, latency samples,
-    /// verdict stream), so the merged [`ServeReport`] is bit-identical
-    /// for any pool size. The merged `sustained_fps` is total serviced
-    /// frames over the **slowest** shard's modelled busy time (aggregate
-    /// capacity with one server per lane); `offered_fps` spans the overlapping
-    /// shard clocks, i.e. it sums the per-lane offered rates.
-    ///
-    /// With `shards == 1` this is exactly [`replay`](Self::replay).
-    ///
-    /// # Errors
-    ///
-    /// The first factory or replay error, if any.
-    pub fn replay_sharded<F>(
-        factory: F,
-        capture: &Dataset,
-        config: &ReplayConfig,
-    ) -> Result<ServeReport, CoreError>
-    where
-        F: Fn() -> Result<B, CoreError> + Sync,
-    {
-        let shards = config.shards.max(1);
-        if shards == 1 {
-            return ServeHarness::new(factory()?).replay(capture, config);
-        }
-        let records = capture.records();
-        let n = records.len();
-        let slices: Vec<Dataset> = (0..shards)
-            .map(|s| Dataset::from_records(records[s * n / shards..(s + 1) * n / shards].to_vec()))
-            .collect();
-        let lane_config = ReplayConfig {
-            shards: 1,
-            ..config.clone()
-        };
-        let lanes: Vec<_> = slices.iter().map(|s| (s, lane_config.clone())).collect();
-        let shard_outcomes = replay_lanes(&factory, &lanes, config.workers.count(shards))?;
-        Ok(merge_sharded(shard_outcomes))
-    }
-}
-
-/// Replays every `(capture, config)` lane through a fresh backend from
-/// `factory` on a pool of `workers` threads, returning each lane's
-/// report and verdict stream in lane order whatever the schedule.
-///
-/// # Errors
-///
-/// The first factory or replay error, in lane order.
-pub(crate) fn replay_lanes<B, F>(
-    factory: &F,
-    lanes: &[(&Dataset, ReplayConfig)],
-    workers: usize,
-) -> Result<Vec<(ServeReport, Vec<Verdict>)>, CoreError>
-where
-    B: ServeBackend,
-    F: Fn() -> Result<B, CoreError> + Sync,
-{
-    crate::par::scoped_map_with(lanes, workers, |(capture, config)| {
-        let mut verdicts: Vec<Verdict> = Vec::new();
-        let report = ServeHarness::new(factory()?).replay_with(capture, config, &mut verdicts)?;
-        Ok((report, verdicts))
-    })
-    .into_iter()
-    .collect()
 }
 
 /// Offered load in frames/s over the arrival span `[first, last]` (zero
@@ -2573,139 +2495,12 @@ pub(crate) fn offered_rate(offered: usize, first: SimTime, last: SimTime) -> f64
     }
 }
 
-/// Aggregate capacity of parallel lanes: `serviced` frames over the
-/// **slowest** lane's modelled busy time, each lane's being its
-/// `serviced ÷ sustained_fps`. `None` unless every lane has a capacity.
-pub(crate) fn slowest_lane_fps<'a>(
-    lanes: impl IntoIterator<Item = &'a ServeReport>,
-    serviced: usize,
-) -> Option<f64> {
-    let mut max_busy_s = 0.0f64;
-    for lane in lanes {
-        let fps = lane.sustained_fps.filter(|&f| f > 0.0)?;
-        max_busy_s = max_busy_s.max(lane.serviced as f64 / fps);
-    }
-    (max_busy_s > 0.0).then(|| serviced as f64 / max_busy_s)
-}
-
-/// The lanes' telemetry merged in lane order, or `None` unless every
-/// lane captured some.
-pub(crate) fn merge_lane_telemetry<'a>(
-    lanes: impl IntoIterator<Item = &'a ServeReport>,
-) -> Option<TelemetryReport> {
-    let parts = lanes
-        .into_iter()
-        .map(|lane| lane.telemetry.clone())
-        .collect::<Option<Vec<_>>>()?;
-    Some(TelemetryReport::merge(parts))
-}
-
-/// Folds per-shard replay outcomes into one [`ServeReport`], strictly in
-/// shard order so the result is independent of how the shards were
-/// scheduled onto worker threads.
-fn merge_sharded(shard_outcomes: Vec<(ServeReport, Vec<Verdict>)>) -> ServeReport {
-    // lint:allow(panic-in-lib): replay_sharded always passes >= 2 shards
-    let first = &shard_outcomes.first().expect("at least one shard").0;
-    let mut merged = ServeReport {
-        scenario: first.scenario.clone(),
-        backend: first.backend.clone(),
-        sched: first.sched.clone(),
-        admission: first.admission.clone(),
-        bitrate_bps: first.bitrate_bps,
-        offered: 0,
-        serviced: 0,
-        dropped: 0,
-        first_arrival: SimTime::ZERO,
-        last_arrival: SimTime::ZERO,
-        offered_fps: 0.0,
-        sustained_fps: None,
-        latency: LatencyStats::default(),
-        flagged: 0,
-        fully_covered: 0,
-        cm: ConfusionMatrix::new(),
-        energy: None,
-        boards: Vec::new(),
-        per_model: first
-            .per_model
-            .iter()
-            .map(|m| ModelServeReport {
-                model: m.model,
-                name: m.name.clone(),
-                home: m.home,
-                consulted: 0,
-                flagged: 0,
-                confirmed_positives: 0,
-                cm: ConfusionMatrix::new(),
-            })
-            .collect(),
-        events: Vec::new(),
-        gateways: Vec::new(),
-        verdicts: Vec::new(),
-        telemetry: None,
-    };
-    let mut lat: Vec<SimTime> = Vec::new();
-    let mut first_arrival: Option<SimTime> = None;
-    let mut energy_sum = EnergyStats::default();
-    let mut any_energy = false;
-    for (s, (report, verdicts)) in shard_outcomes.iter().enumerate() {
-        merged.offered += report.offered;
-        merged.serviced += report.serviced;
-        merged.dropped += report.dropped;
-        merged.flagged += report.flagged;
-        merged.fully_covered += report.fully_covered;
-        merged.cm.merge(&report.cm);
-        if report.offered > 0 {
-            let fa = first_arrival.get_or_insert(report.first_arrival);
-            *fa = (*fa).min(report.first_arrival);
-            merged.last_arrival = merged.last_arrival.max(report.last_arrival);
-        }
-        if let Some(e) = report.energy {
-            energy_sum.mean_power_w += e.mean_power_w;
-            energy_sum.energy_per_message_j += e.energy_per_message_j;
-            any_energy = true;
-        }
-        for (m, acc) in merged.per_model.iter_mut().zip(&report.per_model) {
-            m.consulted += acc.consulted;
-            m.flagged += acc.flagged;
-            m.confirmed_positives += acc.confirmed_positives;
-            m.cm.merge(&acc.cm);
-        }
-        for board in &report.boards {
-            merged.boards.push(BoardServeReport {
-                board: format!("shard{s}/{}", board.board),
-                ..board.clone()
-            });
-        }
-        merged.events.extend(report.events.iter().cloned());
-        merged.gateways.extend(report.gateways.iter().cloned());
-        merged.verdicts.extend(report.verdicts.iter().copied());
-        lat.extend(
-            verdicts
-                .iter()
-                .map(|v| v.completed_at.saturating_sub(v.arrival)),
-        );
-    }
-    // Admission events arrive grouped by shard; a stable time sort keeps
-    // the merged stream chronological while ties preserve shard order,
-    // independent of the worker count.
-    merged.events.sort_by_key(|e| e.time);
-    let lanes = || shard_outcomes.iter().map(|(report, _)| report);
-    merged.telemetry = merge_lane_telemetry(lanes());
-    merged.first_arrival = first_arrival.unwrap_or(SimTime::ZERO);
-    merged.offered_fps = offered_rate(merged.offered, merged.first_arrival, merged.last_arrival);
-    merged.sustained_fps = slowest_lane_fps(lanes(), merged.serviced);
-    merged.energy = any_energy.then_some(energy_sum);
-    lat.sort_unstable();
-    merged.latency = LatencyStats::from_sorted(&lat);
-    merged
-}
-
 #[allow(clippy::too_many_arguments)]
 fn finalize(
     backend: String,
     config: &ReplayConfig,
     topology: &ServeTopology,
-    mut agg: Aggregator,
+    agg: &mut Aggregator,
     ctl: AdmissionController,
     totals: &[ShardTotals],
     gateways: Vec<GatewayLoad>,
@@ -2856,16 +2651,6 @@ mod tests {
     }
 
     #[test]
-    fn topology_slot_model_covers_homes_and_standbys() {
-        let mut topo = ServeTopology::single_shard(&["a".into(), "b".into()], 64);
-        topo.standbys[1] = Some(Slot { shard: 0, local: 2 });
-        assert_eq!(topo.slot_model(Slot { shard: 0, local: 0 }), Some(0));
-        assert_eq!(topo.slot_model(Slot { shard: 0, local: 1 }), Some(1));
-        assert_eq!(topo.slot_model(Slot { shard: 0, local: 2 }), Some(1));
-        assert_eq!(topo.slot_model(Slot { shard: 0, local: 3 }), None);
-    }
-
-    #[test]
     fn value_score_window_expires_old_hits() {
         let mut score = ValueScore::new(10, 2);
         score.record(0, 0);
@@ -2995,13 +2780,12 @@ mod tests {
     }
 
     /// Every deterministic field of a report, with float fields rendered
-    /// via their exact bit patterns. `include_timing` adds the
-    /// latency/sustained figures, which every backend books on the sim
-    /// clock.
-    fn fingerprint(r: &ServeReport, include_timing: bool) -> String {
+    /// via their exact bit patterns — the latency and sustained figures
+    /// included, since every backend books them on the sim clock.
+    fn fingerprint(r: &ServeReport) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
-            "{} {} {} {} {} {:?} fps:{:x} {:?} {:?} {} {}",
+            "{} {} {} {} {} {:?} fps:{:x} {:?} {:?} {} {} lat:{:?} sustained:{:?}",
             r.offered,
             r.serviced,
             r.dropped,
@@ -3013,15 +2797,9 @@ mod tests {
             r.last_arrival,
             r.events.len(),
             r.boards.len(),
+            r.latency,
+            r.sustained_fps.map(f64::to_bits),
         );
-        if include_timing {
-            let _ = write!(
-                s,
-                " lat:{:?} sustained:{:?}",
-                r.latency,
-                r.sustained_fps.map(f64::to_bits)
-            );
-        }
         for (t, f) in &r.verdicts {
             let _ = write!(s, "|{t:?}{f}");
         }
@@ -3033,99 +2811,6 @@ mod tests {
             );
         }
         s
-    }
-
-    #[test]
-    fn sharded_report_is_independent_of_worker_count() {
-        // The worker pool is an execution knob: on the fully
-        // deterministic simulated backend, every worker count must
-        // produce a bit-identical merged report — including latency
-        // percentiles and the exact f64 bits of the rate figures.
-        let bundles = vec![
-            DetectorBundle::new(AttackKind::Dos, untrained_model(1)),
-            DetectorBundle::new(AttackKind::Fuzzy, untrained_model(2)),
-        ];
-        let capture = quick_capture(true, 13);
-        let mut prints = Vec::new();
-        for workers in [
-            ShardWorkers::Fixed(1),
-            ShardWorkers::Fixed(2),
-            ShardWorkers::Auto,
-        ] {
-            let config = ReplayConfig::default()
-                .with_shards(4)
-                .with_workers(workers)
-                .with_bitrate(Bitrate::HIGH_SPEED_1M);
-            let report = ServeHarness::replay_sharded(
-                || {
-                    Ok(EcuBackend::owning(deploy_multi_ids(
-                        &bundles,
-                        CompileConfig::default(),
-                    )?))
-                },
-                &capture,
-                &config,
-            )
-            .unwrap();
-            assert_eq!(report.offered, capture.len());
-            assert_eq!(report.serviced + report.dropped as usize, report.offered);
-            prints.push(fingerprint(&report, true));
-        }
-        assert_eq!(prints[0], prints[1], "1 vs 2 workers");
-        assert_eq!(prints[0], prints[2], "1 vs auto workers");
-    }
-
-    #[test]
-    fn sharded_software_classification_is_independent_of_worker_count() {
-        // Software shard timing is modelled on the sim clock, so the
-        // whole report — latency and sustained capacity included — is
-        // pinned across pool sizes at the default 64-deep FIFO.
-        let model = untrained_model(7);
-        let capture = quick_capture(true, 14);
-        let mut prints = Vec::new();
-        for workers in [
-            ShardWorkers::Fixed(1),
-            ShardWorkers::Fixed(2),
-            ShardWorkers::Auto,
-        ] {
-            let config = ReplayConfig::default().with_shards(3).with_workers(workers);
-            let report = ServeHarness::replay_sharded(
-                || Ok(SoftwareBackend::single(model.clone())),
-                &capture,
-                &config,
-            )
-            .unwrap();
-            assert_eq!(report.dropped, 0);
-            assert!(report.sustained_fps.is_some(), "software reports capacity");
-            prints.push(fingerprint(&report, true));
-        }
-        assert_eq!(prints[0], prints[1], "1 vs 2 workers");
-        assert_eq!(prints[0], prints[2], "1 vs auto workers");
-    }
-
-    #[test]
-    fn sharded_single_shard_is_plain_replay() {
-        // `shards == 1` must be *the same code path* as `replay`, so the
-        // two reports agree bit for bit on the simulated backend.
-        let bundles = vec![DetectorBundle::new(AttackKind::Dos, untrained_model(3))];
-        let deployment = deploy_multi_ids(&bundles, CompileConfig::default()).unwrap();
-        let capture = quick_capture(true, 15);
-        let config = ReplayConfig::default().with_bitrate(Bitrate::HIGH_SPEED_1M);
-        let plain = ServeHarness::new(EcuBackend::new(&deployment))
-            .replay(&capture, &config)
-            .unwrap();
-        let sharded = ServeHarness::replay_sharded(
-            || {
-                Ok(EcuBackend::owning(deploy_multi_ids(
-                    &bundles,
-                    CompileConfig::default(),
-                )?))
-            },
-            &capture,
-            &config.clone().with_workers(ShardWorkers::Fixed(1)),
-        )
-        .unwrap();
-        assert_eq!(fingerprint(&plain, true), fingerprint(&sharded, true));
     }
 
     #[test]
@@ -3149,7 +2834,7 @@ mod tests {
             .replay(&capture, &traced)
             .unwrap();
         assert!(off.telemetry.is_none() && on.telemetry.is_some());
-        assert_eq!(fingerprint(&off, true), fingerprint(&on, true), "ecu");
+        assert_eq!(fingerprint(&off), fingerprint(&on), "ecu");
 
         let model = untrained_model(3);
         let sw_config = ReplayConfig::default();
@@ -3160,11 +2845,7 @@ mod tests {
         let sw_on = ServeHarness::new(SoftwareBackend::single(model))
             .replay(&capture, &sw_traced)
             .unwrap();
-        assert_eq!(
-            fingerprint(&sw_off, true),
-            fingerprint(&sw_on, true),
-            "software"
-        );
+        assert_eq!(fingerprint(&sw_off), fingerprint(&sw_on), "software");
     }
 
     #[test]
@@ -3239,135 +2920,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_telemetry_is_independent_of_worker_count() {
-        // The metrics registry and span stream merge in strict shard
-        // order, so the sharded telemetry fingerprint is bit-identical
-        // for any worker-pool size on the simulated backend.
-        let bundles = vec![
-            DetectorBundle::new(AttackKind::Dos, untrained_model(1)),
-            DetectorBundle::new(AttackKind::Fuzzy, untrained_model(2)),
-        ];
-        let capture = quick_capture(true, 23);
-        let mut prints = Vec::new();
-        for workers in [
-            ShardWorkers::Fixed(1),
-            ShardWorkers::Fixed(2),
-            ShardWorkers::Auto,
-        ] {
-            let config = ReplayConfig::default()
-                .with_shards(4)
-                .with_workers(workers)
-                .with_policy(SchedPolicy::DmaBatch { batch: 16 })
-                .with_telemetry(TelemetryConfig::default());
-            let report = ServeHarness::replay_sharded(
-                || {
-                    Ok(EcuBackend::owning(deploy_multi_ids(
-                        &bundles,
-                        CompileConfig::default(),
-                    )?))
-                },
-                &capture,
-                &config,
-            )
-            .unwrap();
-            let t = report.telemetry.as_ref().unwrap();
-            assert!(t.spans.iter().any(|s| s.shard > 0), "spans re-tag shards");
-            prints.push(t.fingerprint());
-        }
-        assert_eq!(prints[0], prints[1], "1 vs 2 workers");
-        assert_eq!(prints[0], prints[2], "1 vs auto workers");
-    }
-
-    fn report_with_events(times_us: &[u64]) -> ServeReport {
-        ServeReport {
-            scenario: "t".into(),
-            backend: "t".into(),
-            sched: "t".into(),
-            admission: "t".into(),
-            bitrate_bps: 1_000_000,
-            offered: 0,
-            serviced: 0,
-            dropped: 0,
-            first_arrival: SimTime::ZERO,
-            last_arrival: SimTime::ZERO,
-            offered_fps: 0.0,
-            sustained_fps: None,
-            latency: LatencyStats::default(),
-            flagged: 0,
-            fully_covered: 0,
-            cm: ConfusionMatrix::new(),
-            energy: None,
-            boards: Vec::new(),
-            per_model: Vec::new(),
-            events: times_us
-                .iter()
-                .map(|&us| FleetEvent {
-                    time: SimTime::from_micros(us),
-                    board: 0,
-                    model: 0,
-                    action: FleetAction::Shed,
-                })
-                .collect(),
-            gateways: Vec::new(),
-            verdicts: Vec::new(),
-            telemetry: None,
-        }
-    }
-
-    #[test]
-    fn merged_admission_events_are_time_sorted_with_stable_ties() {
-        // Per-shard event streams are each chronological but interleave
-        // when merged; the merge must emit one chronological stream with
-        // ties resolved in shard order, independent of worker timing.
-        let shard0 = report_with_events(&[5, 10]);
-        let mut shard1 = report_with_events(&[3, 10]);
-        shard1.events[0].board = 1;
-        shard1.events[1].board = 1;
-        let merged = merge_sharded(vec![(shard0, Vec::new()), (shard1, Vec::new())]);
-        let order: Vec<(SimTime, usize)> =
-            merged.events.iter().map(|e| (e.time, e.board)).collect();
-        let expected: Vec<(SimTime, usize)> = [(3u64, 1usize), (5, 0), (10, 0), (10, 1)]
-            .iter()
-            .map(|&(us, b)| (SimTime::from_micros(us), b))
-            .collect();
-        assert_eq!(order, expected, "chronological, shard order on ties");
-    }
-
-    #[test]
-    fn sharded_merge_covers_every_frame_once() {
-        // Shard boundaries partition the capture: offered/serviced
-        // totals and the per-shard board sections must account for every
-        // record exactly once, whatever the shard count.
-        let model = untrained_model(9);
-        let capture = quick_capture(true, 16);
-        for shards in [2usize, 3, 5, 8] {
-            let config = ReplayConfig {
-                ecu: EcuConfig {
-                    queue_depth: capture.len() + 1,
-                    ..EcuConfig::default()
-                },
-                ..ReplayConfig::default().with_shards(shards)
-            };
-            let report = ServeHarness::replay_sharded(
-                || Ok(SoftwareBackend::single(model.clone())),
-                &capture,
-                &config,
-            )
-            .unwrap();
-            assert_eq!(report.offered, capture.len(), "shards {shards}");
-            assert_eq!(report.dropped, 0, "shards {shards}");
-            assert_eq!(report.serviced, capture.len(), "shards {shards}");
-            assert_eq!(report.cm.total() as usize, capture.len(), "shards {shards}");
-            assert_eq!(report.boards.len(), shards);
-            assert_eq!(
-                report.boards.iter().map(|b| b.serviced).sum::<usize>(),
-                capture.len()
-            );
-            assert!(report.boards[0].board.starts_with("shard0/"));
-        }
-    }
-
-    #[test]
     fn ecu_backend_overload_drops_and_skips_verdicts() {
         // Simulated SoC path: saturated pacing over a deep-sequential
         // 2-model ECU with a tiny FIFO must drop deterministically, and
@@ -3428,39 +2980,6 @@ mod tests {
                 actual: 1
             }
         ));
-    }
-
-    #[test]
-    fn sweep_returns_reports_in_scenario_order() {
-        // A scenario sweep is a loop of replays: one harness serves every
-        // scenario, each replay through a fresh session.
-        let mut harness = ServeHarness::new(SoftwareBackend::single(untrained_model(7)));
-        let dos = AttackProfile::dos().with_schedule(BurstSchedule::Continuous);
-        let fd_class = ReplayConfig {
-            pacing: Pacing::FdClass,
-            ..ReplayConfig::default()
-        };
-        let scenarios = [
-            (None, 0x11E, ReplayConfig::default()),
-            (Some(dos), 0x5FD, fd_class),
-        ];
-        let mut reports = Vec::new();
-        for (attack, seed, config) in scenarios {
-            let capture = DatasetBuilder::new(TrafficConfig {
-                duration: SimTime::from_millis(120),
-                attack,
-                seed,
-                ..TrafficConfig::default()
-            })
-            .build();
-            reports.push(harness.replay(&capture, &config).unwrap());
-        }
-        assert_eq!(reports[0].bitrate_bps, 1_000_000);
-        assert_eq!(reports[1].bitrate_bps, 5_000_000);
-        for r in &reports {
-            assert!(r.offered > 0);
-            assert_eq!(r.serviced + r.dropped as usize, r.offered);
-        }
     }
 
     /// A bookkeeping-only backend, its own session: one model per shard,

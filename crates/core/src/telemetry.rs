@@ -3,10 +3,10 @@
 //! Everything in this module is clocked on [`SimTime`] — the virtual bus
 //! clock — never the host's wall clock, so a replay instrumented with
 //! telemetry produces the **bit-identical** trace and metrics snapshot on
-//! every run and for any worker count (per-shard registries merge in
-//! strict shard order, exactly like `merge_sharded` reports). Every
-//! backend serves on that clock: the simulated ECU and fleet book their
-//! cycle and transport models, and the software backend books the
+//! every run and for any worker count (a population's per-tenant
+//! registries merge in strict tenant order, exactly like its reports).
+//! Every backend serves on that clock: the simulated ECU and fleet book
+//! their cycle and transport models, and the software backend books the
 //! declared [`crate::serve::SOFTWARE_FRAME_COST`]. Host speed is not
 //! measured here.
 //!
@@ -229,7 +229,7 @@ pub struct Span {
     /// Sim-time at which the stage completed (`>= start`).
     pub end: SimTime,
     /// Serving lane / board index that produced the span. Re-tagged with
-    /// the owning shard replica by [`TelemetryReport::merge`].
+    /// the owning lane (a population tenant) by [`TelemetryReport::merge`].
     pub shard: u32,
 }
 
@@ -368,9 +368,9 @@ pub struct StageStats {
 }
 
 /// Typed integer counters plus one fixed-bucket [`Histogram`] per
-/// [`Stage`], keyed by the static interned name tables. Per-shard
-/// registries are merged in strict shard order by
-/// [`TelemetryReport::merge`], so a sharded replay's snapshot is
+/// [`Stage`], keyed by the static interned name tables. Per-lane
+/// registries are merged in strict lane order by
+/// [`TelemetryReport::merge`], so a population's snapshot is
 /// bit-identical for any worker count.
 ///
 /// ```
@@ -415,8 +415,8 @@ impl MetricsRegistry {
     }
 
     /// Fold another registry into this one. Counters and histograms are
-    /// element-wise sums, so folding shard registries in strict shard
-    /// order reproduces the single-shard registry bit-for-bit.
+    /// element-wise sums, so folding lane registries in strict lane
+    /// order gives the same registry for any worker count.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (c, o) in self.counters.iter_mut().zip(other.counters.iter()) {
             *c += o;
@@ -651,17 +651,17 @@ impl Probe {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetryReport {
-    /// Retained spans in recording order (merge keeps strict shard
-    /// order: all of shard 0's spans, then shard 1's, …).
+    /// Retained spans in recording order (merge keeps strict lane
+    /// order: all of lane 0's spans, then lane 1's, …).
     pub spans: Vec<Span>,
     /// The integer metrics snapshot.
     pub metrics: MetricsRegistry,
 }
 
 impl TelemetryReport {
-    /// Fold per-shard reports in **strict shard order**; spans are
-    /// re-tagged with their shard replica index so a merged Chrome trace
-    /// shows one track per serving lane.
+    /// Fold per-lane reports in **strict lane order**; spans are
+    /// re-tagged with their lane index so a merged Chrome trace shows
+    /// one track per serving lane (a population's tenants).
     pub fn merge(parts: Vec<TelemetryReport>) -> TelemetryReport {
         let mut merged = TelemetryReport::default();
         for (s, part) in parts.into_iter().enumerate() {

@@ -68,6 +68,19 @@ fn workspace_is_clean_at_head() {
         wallclock_allows.is_empty(),
         "HEAD carries wallclock-in-sim allows at {wallclock_allows:?}"
     );
+    // The lane pool claims items off one atomic counter and re-raises a
+    // worker's panic on the caller, so it needs no panic site, and no
+    // allow of any rule.
+    let par_allows: Vec<String> = report
+        .allows
+        .iter()
+        .filter(|a| a.file == "crates/core/src/par.rs")
+        .map(|a| format!("{} at line {}", a.rule.id(), a.line))
+        .collect();
+    assert!(
+        par_allows.is_empty(),
+        "crates/core/src/par.rs carries allows: {par_allows:?}"
+    );
 }
 
 fn run_lint(root: &Path, extra: &[&str]) -> std::process::Output {

@@ -8,9 +8,6 @@
 //! cargo run --release -p canids-core --example streaming_line_rate
 //! ```
 //!
-//! Pass `--workers N` to pin the scale-out sweep's worker pool (default
-//! auto = one worker per host core, capped at the shard count).
-//!
 //! Pass `--trace-out trace.json` to additionally replay the saturated
 //! 1 Mb/s DoS capture with telemetry enabled and dump the per-stage
 //! span stream as Chrome-trace JSON (open in `chrome://tracing` or
@@ -75,43 +72,14 @@ fn main() -> Result<(), CoreError> {
         classic.offered_fps,
     );
 
-    // Scale-out sweep: the same saturated DoS capture split into
-    // contiguous shards — parallel serving lanes, each re-paced from the
-    // bus epoch — replayed through fresh per-lane backends on a bounded
-    // worker pool with batched dispatch. The pool size is execution-only
-    // (any worker count merges to the bit-identical report); `--workers`
-    // pins it, default auto.
-    let workers = parse_workers(std::env::args());
-    let dos_capture = DatasetBuilder::new(traffic(attack, 0x11E)).build();
-    println!("\nscale-out sweep ({workers:?} workers, batch 32):");
-    println!("  shards  workers  modelled_fps  dropped");
-    for shards in [1usize, 2, 4, 8] {
-        let config = ReplayConfig::default()
-            .with_batch(32)
-            .with_shards(shards)
-            .with_workers(workers);
-        let r = ServeHarness::replay_sharded(
-            || Ok(SoftwareBackend::single(model.clone())),
-            &dos_capture,
-            &config,
-        )?;
-        println!(
-            "  {:>6}  {:>7}  {:>12.0}  {:>7}",
-            shards,
-            workers.count(shards),
-            r.sustained_fps.unwrap_or(0.0),
-            r.dropped,
-        );
-    }
-
     // Optional observability dump: one more saturated 1 Mb/s replay with
     // a telemetry probe attached, exported as Chrome-trace JSON.
     if let Some(path) = parse_trace_out(std::env::args()) {
+        let dos_capture = DatasetBuilder::new(traffic(attack, 0x11E)).build();
         let traced = ReplayConfig::default()
             .with_batch(32)
             .with_telemetry(TelemetryConfig::default());
-        let r = ServeHarness::new(SoftwareBackend::single(model.clone()))
-            .replay(&dos_capture, &traced)?;
+        let r = ServeHarness::new(SoftwareBackend::single(model)).replay(&dos_capture, &traced)?;
         let telemetry = r.telemetry.expect("telemetry was enabled");
         std::fs::write(&path, telemetry.to_chrome_trace()).expect("write Chrome trace");
         println!(
@@ -136,21 +104,4 @@ fn parse_trace_out(mut args: std::env::Args) -> Option<String> {
         }
     }
     None
-}
-
-/// Parses an optional `--workers N` argument (`--workers=N` also works);
-/// anything absent or malformed falls back to [`ShardWorkers::Auto`].
-fn parse_workers(mut args: std::env::Args) -> ShardWorkers {
-    while let Some(arg) = args.next() {
-        if arg == "--workers" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return ShardWorkers::Fixed(n);
-            }
-        } else if let Some(v) = arg.strip_prefix("--workers=") {
-            if let Ok(n) = v.parse() {
-                return ShardWorkers::Fixed(n);
-            }
-        }
-    }
-    ShardWorkers::Auto
 }

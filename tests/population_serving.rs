@@ -1,4 +1,5 @@
-//! Population serving acceptance (ISSUE 10).
+//! Population serving acceptance: `Population::serve` is the crate's
+//! one multi-lane path, so these tests pin the lane runner's invariants.
 //!
 //! 1. A single-tenant population run is **bit-identical** to a plain
 //!    `ServeHarness::replay` of the same capture under the same
@@ -10,12 +11,15 @@
 //!    tenant, with no silent starvation under `AdmitAll`.
 //! 3. `PopulationReport::fingerprint()` is invariant across worker
 //!    counts 1 / 2 / Auto, with cross-tenant shedding and telemetry
-//!    engaged — the same schedule-independence guarantee the sharded
-//!    replay pins for shards.
+//!    engaged: the lane pool's schedule is execution-only.
+//! 4. Edge cases: a tenant with an empty capture leaves the population's
+//!    modelled capacity alone, and a failing backend factory fails the
+//!    whole population with its typed error.
 
 use canids_core::population::{Population, PopulationConfig, TenantAdmission, TenantStream};
 use canids_core::prelude::*;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Untrained paper-topology model (weights seeded).
 fn seeded_model(seed: u64) -> canids_qnn::IntegerMlp {
@@ -67,8 +71,7 @@ fn single_tenant_population_is_bit_identical_to_plain_replay() {
     let mut pop = Population::new();
     pop.push(TenantStream::new("vehicle-0", cap.clone()));
     // The ECU deployment is compiled inside the factory so nothing
-    // non-`Sync` crosses the worker threads (the `owning` idiom the
-    // sharded replay uses).
+    // non-`Sync` crosses the worker threads (the `owning` idiom).
     let factory = || {
         Ok(EcuBackend::owning(deploy_multi_ids(
             &bundles,
@@ -78,15 +81,13 @@ fn single_tenant_population_is_bit_identical_to_plain_replay() {
     let report = pop.serve(factory, &PopulationConfig::default()).unwrap();
 
     // The plain replay under exactly the tenant's effective
-    // configuration: tenant bitrate (500 kb/s default), single shard.
+    // configuration: tenant bitrate (500 kb/s default).
     let plain = ServeHarness::new(EcuBackend::owning(
         deploy_multi_ids(&bundles, CompileConfig::default()).unwrap(),
     ))
     .replay(
         &cap,
-        &ReplayConfig::default()
-            .with_bitrate(Bitrate::HIGH_SPEED_500K)
-            .with_shards(1),
+        &ReplayConfig::default().with_bitrate(Bitrate::HIGH_SPEED_500K),
     )
     .unwrap();
 
@@ -199,6 +200,76 @@ where
             "fingerprint differs between {:?} and {:?}",
             pair[0].0, pair[1].0
         );
+    }
+}
+
+#[test]
+fn an_empty_tenant_leaves_the_modelled_capacity_alone() {
+    // A tenant whose capture is empty services no frame, so its lane
+    // books no busy time. It must not erase the capacity the other
+    // lanes model, and its own ledger must still balance at zero.
+    let model = seeded_model(920);
+    let mut pop = Population::new();
+    for k in 0..3u64 {
+        pop.push(TenantStream::new(
+            format!("vehicle-{k}"),
+            capture(k % 2 == 0, 0xE0 + k, 60),
+        ));
+    }
+    let factory = || Ok(SoftwareBackend::single(model.clone()));
+    let config = PopulationConfig::default();
+    let before = pop.serve(factory, &config).unwrap();
+    assert!(
+        before.sustained_fps.is_some(),
+        "software lanes model capacity"
+    );
+
+    let empty = pop.push(TenantStream::new(
+        "parked",
+        Dataset::from_records(Vec::new()),
+    ));
+    let after = pop.serve(factory, &config).unwrap();
+    assert_eq!(
+        after.sustained_fps.map(f64::to_bits),
+        before.sustained_fps.map(f64::to_bits)
+    );
+    assert_eq!(after.offered_fps.to_bits(), before.offered_fps.to_bits());
+    assert_eq!(after.latency, before.latency);
+    let t = &after.tenants[empty];
+    assert_eq!(t.offered, 0);
+    assert_eq!(t.windows, 0);
+    assert!(t.conserved());
+}
+
+#[test]
+fn a_failing_factory_fails_the_population() {
+    // The factory fails on its second call, whichever tenant's lane
+    // makes it, with the error a deploying factory returns for an empty
+    // bundle set: the population returns that typed error, never a
+    // partial report, at every worker count.
+    let model = seeded_model(921);
+    let mut pop = Population::new();
+    for k in 0..4u64 {
+        pop.push(TenantStream::new(
+            format!("vehicle-{k}"),
+            capture(k % 2 == 0, 0xF0 + k, 40),
+        ));
+    }
+    for workers in [
+        ShardWorkers::Fixed(1),
+        ShardWorkers::Fixed(2),
+        ShardWorkers::Auto,
+    ] {
+        let calls = AtomicUsize::new(0);
+        let factory = || {
+            if calls.fetch_add(1, Ordering::SeqCst) == 1 {
+                return Err(CoreError::EmptyDeployment);
+            }
+            Ok(SoftwareBackend::single(model.clone()))
+        };
+        let config = PopulationConfig::default().with_workers(workers);
+        let err = pop.serve(factory, &config).unwrap_err();
+        assert_eq!(err, CoreError::EmptyDeployment, "workers {workers:?}");
     }
 }
 
