@@ -1,6 +1,7 @@
-//! Criterion bench for the Fig. 1 / throughput substrate: frame encoding,
-//! saturated-bus simulation speed, and the streaming (frame-at-a-time)
-//! serving path the line-rate harness drives.
+//! Criterion bench for the Fig. 1 / throughput substrate: frame encoding
+//! against the allocation-free wire-length count that paces every
+//! replay, saturated-bus simulation speed, and the streaming
+//! (frame-at-a-time) serving path the line-rate harness drives.
 
 use canids_bench::untrained_model;
 use canids_can::bits::encode_frame;
@@ -8,7 +9,7 @@ use canids_can::bus::{Bus, BusConfig};
 use canids_can::frame::{CanFrame, CanId};
 use canids_can::node::CanController;
 use canids_can::time::SimTime;
-use canids_can::timing::{max_frame_rate, Bitrate};
+use canids_can::timing::{frame_bit_count, max_frame_rate, Bitrate};
 use canids_core::stream::StreamingEvaluator;
 use canids_dataset::attacks::{AttackProfile, BurstSchedule};
 use canids_dataset::generator::{DatasetBuilder, TrafficConfig};
@@ -17,10 +18,21 @@ use std::hint::black_box;
 
 fn bench_fig1(c: &mut Criterion) {
     let frame = CanFrame::new(CanId::standard(0x2C0).unwrap(), &[0xA5; 8]).unwrap();
+    // The DoS flood frame: all dominant, so the most stuff bits.
+    let dos = CanFrame::new(CanId::standard(0x000).unwrap(), &[0x00; 8]).unwrap();
 
     let mut group = c.benchmark_group("fig1_line_rate");
     group.bench_function("encode_frame", |b| {
         b.iter(|| encode_frame(black_box(&frame)))
+    });
+    group.bench_function("encode_frame_dos", |b| {
+        b.iter(|| encode_frame(black_box(&dos)))
+    });
+    group.bench_function("frame_bit_count", |b| {
+        b.iter(|| frame_bit_count(black_box(&frame)))
+    });
+    group.bench_function("frame_bit_count_dos", |b| {
+        b.iter(|| frame_bit_count(black_box(&dos)))
     });
     group.bench_function("analytic_line_rate", |b| {
         b.iter(|| max_frame_rate(black_box(Bitrate::HIGH_SPEED_1M), 8).unwrap())

@@ -7,8 +7,9 @@
 //! `decode(encode(f)) == f` for every valid frame — a property exercised by
 //! the test-suite.
 //!
-//! Bit durations derived from these sequences drive all throughput and
-//! latency numbers reported by the benchmark harness.
+//! Frame durations come from [`crate::timing::frame_bit_count`], which
+//! counts the same wire length without building the sequence; the codec
+//! here is the reference it is tested against.
 
 use crate::crc::{crc15, Crc15};
 use crate::error::CanError;
@@ -102,6 +103,69 @@ pub fn stuff(raw: &[bool]) -> Vec<bool> {
     out
 }
 
+/// [`stuff`]'s run counter as an automaton over whole bytes.
+///
+/// Row `s` is the counter's state: run value `s >= 5`, run length `s % 5`
+/// (0 before the first bit). Column `b` is the next input byte, most
+/// significant bit first. Each entry packs the state after the byte (low
+/// four bits) with the number of stuff bits the byte adds (high bits).
+/// A stuff bit starts the next run, exactly as in [`stuff`].
+const STUFF_BYTE_TABLE: [[u8; 256]; 10] = {
+    let mut table = [[0u8; 256]; 10];
+    let mut state = 0;
+    while state < 10 {
+        let mut byte = 0;
+        while byte < 256 {
+            let (mut run_val, mut run_len) = (state >= 5, state % 5);
+            let mut stuffed = 0;
+            let mut bit = 8;
+            while bit > 0 {
+                bit -= 1;
+                let value = (byte >> bit) & 1 == 1;
+                if run_len > 0 && value == run_val {
+                    run_len += 1;
+                } else {
+                    run_val = value;
+                    run_len = 1;
+                }
+                if run_len == STUFF_RUN {
+                    run_val = !run_val;
+                    run_len = 1;
+                    stuffed += 1;
+                }
+            }
+            let next = if run_val { 5 + run_len } else { run_len };
+            table[state][byte] = (next | stuffed << 4) as u8;
+            byte += 1;
+        }
+        state += 1;
+    }
+    table
+};
+
+/// Number of stuff bits [`stuff`] inserts into the `len` low bits of
+/// `bits` (most significant first, `len < 128`), counted a byte at a time
+/// with a 10-state automaton.
+///
+/// The sequence is left-padded to whole bytes with alternating bits whose
+/// last differs from the sequence's first bit, so the padding neither
+/// stuffs nor joins the first run.
+pub(crate) fn stuff_bit_count(bits: u128, len: usize) -> usize {
+    let pad = len.next_multiple_of(8) - len;
+    let first_recessive = len > 0 && (bits >> (len - 1)) & 1 == 1;
+    let alternating: u128 = if first_recessive { 0xAA } else { 0x55 };
+    let padded = bits | (alternating & ((1 << pad) - 1)) << len;
+    let bytes = padded.to_be_bytes();
+    let mut state = 0;
+    let mut stuffed = 0;
+    for &byte in &bytes[bytes.len() - (len + pad) / 8..] {
+        let entry = STUFF_BYTE_TABLE[state][usize::from(byte)];
+        state = usize::from(entry & 0xF);
+        stuffed += usize::from(entry >> 4);
+    }
+    stuffed
+}
+
 /// Removes stuff bits from a stuffed sequence, validating the stuffing rule.
 ///
 /// # Errors
@@ -124,7 +188,7 @@ pub fn destuff(stuffed: &[bool]) -> Result<Vec<bool>, CanError> {
     let mut run_val = false;
     let mut run_len = 0usize;
     let mut iter = stuffed.iter().copied().enumerate();
-    while let Some((pos, bit)) = iter.next() {
+    while let Some((_, bit)) = iter.next() {
         out.push(bit);
         if run_len > 0 && bit == run_val {
             run_len += 1;
@@ -143,7 +207,6 @@ pub fn destuff(stuffed: &[bool]) -> Result<Vec<bool>, CanError> {
                 }
                 None => break,
             }
-            let _ = pos;
         }
     }
     Ok(out)
@@ -343,33 +406,32 @@ pub fn decode_frame(bits: &[bool]) -> Result<CanFrame, CanError> {
 
     // Fixed-form fields, read raw (no stuffing past the CRC sequence).
     let mut pos = d.wire_pos();
-    let mut raw_bit = |field: &'static str| -> Result<bool, CanError> {
+    let mut raw_bit = || -> Result<bool, CanError> {
         let bit = *bits.get(pos).ok_or(CanError::Truncated {
             needed: pos + 1,
             available: bits.len(),
         })?;
         pos += 1;
-        let _ = field;
         Ok(bit)
     };
 
-    if !raw_bit("CRC delimiter")? {
+    if !raw_bit()? {
         return Err(CanError::Form {
             field: "CRC delimiter",
         });
     }
-    let ack_slot = raw_bit("ACK slot")?;
+    let ack_slot = raw_bit()?;
     if ack_slot {
         // Recessive ACK slot: nobody acknowledged.
         return Err(CanError::Ack);
     }
-    if !raw_bit("ACK delimiter")? {
+    if !raw_bit()? {
         return Err(CanError::Form {
             field: "ACK delimiter",
         });
     }
     for _ in 0..7 {
-        if !raw_bit("EOF")? {
+        if !raw_bit()? {
             return Err(CanError::Form { field: "EOF" });
         }
     }
@@ -404,6 +466,34 @@ mod tests {
         let stuffed = stuff(&[true; 9]);
         assert_eq!(stuffed.len(), 10);
         assert!(!stuffed[5]);
+    }
+
+    #[test]
+    fn bytewise_stuff_count_matches_stuff() {
+        // Random words, sparse and dense ones (long dominant or recessive
+        // runs) and the all-dominant and all-recessive extremes, at every
+        // length the count accepts (aligned or not).
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in 0..128usize {
+            let mut words = vec![0u128, u128::MAX];
+            for _ in 0..16 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let random = u128::from(state) << 64 | u128::from(state.rotate_left(23));
+                let sparse = random & random.rotate_left(7) & random.rotate_left(19);
+                words.extend([random, sparse, !sparse]);
+            }
+            for word in words {
+                let word = word & ((1 << len) - 1);
+                let raw: Vec<bool> = (0..len).rev().map(|i| (word >> i) & 1 == 1).collect();
+                assert_eq!(
+                    stuff_bit_count(word, len),
+                    stuff(&raw).len() - raw.len(),
+                    "len {len}, word {word:#x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -41,6 +41,47 @@ pub fn crc15(bits: &[bool]) -> u16 {
     crc
 }
 
+/// The register after shifting in each byte value from a zero register:
+/// row `b` is `crc15` of `b`'s eight bits, most significant first.
+const CRC15_BYTE_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        // Loading the byte into the top of the register and shifting in
+        // eight zeros is the same as shifting the byte in (the input bit
+        // and `crc[14]` meet in one XOR).
+        let mut crc = (byte as u16) << 7;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 0x4000 != 0 {
+                ((crc << 1) & CRC15_MASK) ^ CRC15_POLY
+            } else {
+                (crc << 1) & CRC15_MASK
+            };
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
+/// CRC-15 of the `len` low bits of `bits`, most significant first — the
+/// value [`crc15`] returns for that bit sequence, computed a byte at a
+/// time from a 256-entry table.
+///
+/// A zero register ignores leading zero bits, so the sequence is read as
+/// whole bytes left-padded with zeros.
+pub(crate) fn crc15_packed(bits: u128, len: usize) -> u16 {
+    let bytes = bits.to_be_bytes();
+    let mut crc = 0u16;
+    for &byte in &bytes[bytes.len() - len.div_ceil(8)..] {
+        let row = usize::from(crc >> 7) ^ usize::from(byte);
+        crc = ((crc << 8) & CRC15_MASK) ^ CRC15_BYTE_TABLE[row];
+    }
+    crc
+}
+
 /// Incremental CRC-15 register, for streaming encoders.
 ///
 /// # Example
@@ -142,6 +183,26 @@ mod tests {
             let mut corrupted = msg.clone();
             corrupted[i] = !corrupted[i];
             assert_ne!(crc15(&corrupted), fcs, "flip at {i} undetected");
+        }
+    }
+
+    #[test]
+    fn packed_bytewise_crc_matches_the_bit_serial_register() {
+        // Every length up to a full u128, including the non-byte-aligned
+        // ones whose leading zero padding the register must ignore.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in 0..=128usize {
+            for _ in 0..8 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let random = u128::from(state) << 64 | u128::from(state.rotate_left(29));
+                let word = random
+                    .checked_shr(u32::try_from(128 - len).unwrap())
+                    .unwrap_or(0);
+                let seq: Vec<bool> = (0..len).rev().map(|i| (word >> i) & 1 == 1).collect();
+                assert_eq!(crc15_packed(word, len), crc15(&seq), "len {len}");
+            }
         }
     }
 

@@ -11,7 +11,7 @@ use crate::filter::FilterBank;
 use crate::frame::CanFrame;
 use crate::node::CanController;
 use crate::time::SimTime;
-use crate::timing::{frame_duration, frame_slot_duration, Bitrate};
+use crate::timing::{frame_wire_and_slot, Bitrate};
 
 /// Forwarding rule set between two segments.
 #[derive(Debug, Clone, Default)]
@@ -212,8 +212,9 @@ impl SegmentForwarder {
     pub fn forward(&mut self, arrival: SimTime, frame: &CanFrame) -> SimTime {
         let release = arrival + self.delay;
         let start = release.max(self.busy_until);
-        let delivered = start + frame_duration(frame, self.bitrate);
-        self.busy_until = start + frame_slot_duration(frame, self.bitrate);
+        let (wire, slot) = frame_wire_and_slot(frame, self.bitrate);
+        let delivered = start + wire;
+        self.busy_until = start + slot;
         self.forwarded += 1;
         delivered
     }
@@ -347,6 +348,40 @@ mod tests {
         // Strictly increasing delivery order.
         let third = fwd.forward(t0, &f);
         assert!(third > second);
+    }
+
+    #[test]
+    fn segment_forwarder_matches_the_encoded_wire_length_recurrence() {
+        // Back-to-back arrivals, so every frame after the first queues
+        // behind its predecessor's slot. The reference takes each wire
+        // length from `encode_frame`: `start = max(arrival + delay, busy)`,
+        // `delivered = start + len` and `busy = start + len +
+        // INTERFRAME_BITS` bit times.
+        use crate::bits::encode_frame;
+        use crate::timing::INTERFRAME_BITS;
+        let frames = [
+            CanFrame::new(CanId::standard(0).unwrap(), &[0; 8]).unwrap(),
+            CanFrame::new(CanId::standard(0x7FF).unwrap(), &[0xFF; 8]).unwrap(),
+            CanFrame::new(CanId::extended(0x1FFF_FFFF).unwrap(), &[0x1F, 0xF8]).unwrap(),
+            CanFrame::remote(
+                CanId::extended(0).unwrap(),
+                crate::frame::Dlc::new(8).unwrap(),
+            ),
+            frame(0x2C0),
+        ];
+        for rate in [Bitrate::HIGH_SPEED_1M, Bitrate::LOW_SPEED_125K] {
+            let delay = SimTime::from_micros(20);
+            let mut fwd = SegmentForwarder::new(rate, delay);
+            let bit = rate.bit_time();
+            let mut busy = SimTime::ZERO;
+            for (i, f) in frames.iter().cycle().take(20).enumerate() {
+                let arrival = SimTime::from_micros(10 * i as u64);
+                let wire = encode_frame(f).len() as u64;
+                let start = (arrival + delay).max(busy);
+                assert_eq!(fwd.forward(arrival, f), start + bit.mul_u64(wire), "{f}");
+                busy = start + bit.mul_u64(wire + INTERFRAME_BITS as u64);
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! * [`time`] — the simulation time base shared by the whole workspace.
 //!
 //! The model is frame-granular but bit-accurate in time: every duration is
-//! derived from the encoded bit sequence (including stuff bits), so
-//! throughput numbers such as the paper's "8 300+ messages per second on
-//! high-speed CAN" *emerge* from the encoding rather than being asserted.
+//! derived from the frame's exact on-wire bit count (stuff bits included),
+//! so throughput numbers such as the paper's "8 300+ messages per second
+//! on high-speed CAN" *emerge* from the encoding rather than being
+//! asserted.
 //!
 //! # Example
 //!

@@ -1,15 +1,23 @@
 //! Bit timing and line-rate arithmetic.
 //!
-//! Frame durations are computed from the *actual encoded bit count*
+//! Frame durations are computed from the *exact on-wire bit count*
 //! (including stuff bits), so every throughput/latency figure that the
 //! benchmark harness reports is grounded in the wire format. The paper's
 //! headline "over 8 300 messages per second at highest payload capacity"
 //! corresponds to 8-byte frames on a 1 Mb/s high-speed CAN segment; see
 //! [`max_frame_rate`].
+//!
+//! [`frame_bit_count`] counts that length without building the bit
+//! sequence: it packs the frame's fields into one integer, runs CRC-15 and
+//! the stuffing rule over it a byte at a time from two `const` tables, and
+//! adds the unstuffed tail. Its tests hold it equal to
+//! `encode_frame(f).len()` for standard, extended and remote frames of
+//! every length, the stuffing-heaviest included.
 
 use serde::{Deserialize, Serialize};
 
-use crate::bits::encode_frame;
+use crate::bits::stuff_bit_count;
+use crate::crc::crc15_packed;
 use crate::error::FrameError;
 use crate::frame::{CanFrame, CanId};
 use crate::time::SimTime;
@@ -23,6 +31,10 @@ pub const EFF_OVERHEAD_BITS: usize = 64;
 
 /// Interframe space (intermission) between consecutive frames, in bit times.
 pub const INTERFRAME_BITS: usize = 3;
+
+/// Unstuffed bits after the CRC sequence: CRC delimiter, ACK slot, ACK
+/// delimiter and the seven EOF bits.
+const TAIL_BITS: usize = 10;
 
 /// Nominal bus bitrate.
 ///
@@ -47,7 +59,7 @@ impl Bitrate {
     /// 125 kb/s — low-speed/comfort CAN.
     pub const LOW_SPEED_125K: Bitrate = Bitrate(125_000);
 
-    /// Creates an arbitrary bitrate (bits per second). Panation-free; the
+    /// Creates an arbitrary bitrate (bits per second). Panic-free; the
     /// value is clamped to at least 1 kb/s to keep durations finite.
     pub fn new(bits_per_sec: u32) -> Self {
         Bitrate(bits_per_sec.max(1_000))
@@ -167,8 +179,51 @@ impl Default for BitTiming {
 }
 
 /// Number of on-wire bits for a frame (SOF..EOF, including stuff bits).
+///
+/// Allocation-free: the fields from SOF through the data (at most 103
+/// bits) are packed into a `u128`, most significant first. CRC-15 runs
+/// over them a byte at a time, and its 15 bits are appended. A 10-state
+/// automaton then counts the stuff bits a byte at a time, and the 10
+/// unstuffed tail bits are added. The result equals
+/// [`encode_frame(frame).len()`](crate::bits::encode_frame) for every
+/// frame, which the codec's property tests check.
+///
+/// # Example
+///
+/// ```
+/// use canids_can::bits::encode_frame;
+/// use canids_can::frame::{CanFrame, CanId};
+/// use canids_can::timing::frame_bit_count;
+///
+/// // The DoS flood frame: ID 0x000, eight zero bytes, the most stuffing.
+/// let f = CanFrame::new(CanId::standard(0)?, &[0; 8])?;
+/// assert_eq!(frame_bit_count(&f), encode_frame(&f).len());
+/// # Ok::<(), canids_can::FrameError>(())
+/// ```
 pub fn frame_bit_count(frame: &CanFrame) -> usize {
-    encode_frame(frame).len()
+    let rtr = u128::from(frame.is_remote());
+    // SOF is the implicit leading zero of each packing.
+    let (mut bits, mut len) = match frame.id() {
+        // SOF, ID, RTR, IDE = 0, r0 = 0.
+        CanId::Standard(id) => (u128::from(id & 0x7FF) << 3 | rtr << 2, 15),
+        // SOF, base ID, SRR = 1, IDE = 1, ID extension, RTR, r1 = 0, r0 = 0.
+        CanId::Extended(id) => {
+            let base = u128::from((id >> 18) & 0x7FF);
+            let extension = u128::from(id & 0x3_FFFF);
+            ((base << 2 | 0b11) << 21 | extension << 3 | rtr << 2, 35)
+        }
+    };
+    bits = bits << 4 | u128::from(frame.dlc().value());
+    len += 4;
+    if !frame.is_remote() {
+        for &byte in frame.data() {
+            bits = bits << 8 | u128::from(byte);
+            len += 8;
+        }
+    }
+    bits = bits << 15 | u128::from(crc15_packed(bits, len));
+    len += 15;
+    len + stuff_bit_count(bits, len) + TAIL_BITS
 }
 
 /// Wire duration of a frame (SOF..EOF) at `rate`, excluding interframe space.
@@ -180,6 +235,18 @@ pub fn frame_duration(frame: &CanFrame, rate: Bitrate) -> SimTime {
 pub fn frame_slot_duration(frame: &CanFrame, rate: Bitrate) -> SimTime {
     rate.bit_time()
         .mul_u64((frame_bit_count(frame) + INTERFRAME_BITS) as u64)
+}
+
+/// [`frame_duration`] and [`frame_slot_duration`] from one bit count, for
+/// pacers that need both: `(wire, slot)`, where the slot is the wire time
+/// plus [`INTERFRAME_BITS`] bit times.
+pub fn frame_wire_and_slot(frame: &CanFrame, rate: Bitrate) -> (SimTime, SimTime) {
+    let bit_time = rate.bit_time();
+    let bits = frame_bit_count(frame) as u64;
+    (
+        bit_time.mul_u64(bits),
+        bit_time.mul_u64(bits + INTERFRAME_BITS as u64),
+    )
 }
 
 /// Maximum sustainable frames/second for back-to-back standard data frames

@@ -1,5 +1,7 @@
 //! Property-based tests of the CAN bit codec: the encode/decode identity
-//! and the stuffing round-trip must hold for *every* representable frame.
+//! and the stuffing round-trip must hold for *every* representable frame,
+//! and the allocation-free `frame_bit_count` must equal the length of the
+//! encoded sequence.
 
 use canids_can::bits::{decode_frame, destuff, encode_frame, stuff};
 use canids_can::crc::crc15;
@@ -30,6 +32,66 @@ fn arb_remote_frame() -> impl Strategy<Value = CanFrame> {
             Dlc::new(dlc).expect("<= 8"),
         )
     })
+}
+
+fn arb_extended_remote_frame() -> impl Strategy<Value = CanFrame> {
+    (0u32..=0x1FFF_FFFF, 0u8..=8).prop_map(|(id, dlc)| {
+        CanFrame::remote(
+            CanId::extended(id).expect("masked"),
+            Dlc::new(dlc).expect("<= 8"),
+        )
+    })
+}
+
+/// A standard or extended identifier, uniform over each range.
+fn arb_id() -> impl Strategy<Value = CanId> {
+    prop_oneof![
+        (0u16..=0x7FF).prop_map(|id| CanId::standard(id).expect("masked")),
+        (0u32..=0x1FFF_FFFF).prop_map(|id| CanId::extended(id).expect("masked")),
+    ]
+}
+
+/// Payload bytes that make the longest equal-bit runs: all dominant, all
+/// recessive, and runs of exactly five across byte boundaries.
+const STUFF_HEAVY_BYTES: [u8; 6] = [0x00, 0xFF, 0x1F, 0xF8, 0x07, 0xE0];
+
+/// Data and remote frames with the all-dominant and all-recessive IDs
+/// and payloads drawn from [`STUFF_HEAVY_BYTES`].
+fn arb_stuff_heavy_frame() -> impl Strategy<Value = CanFrame> {
+    let id = prop_oneof![
+        Just(CanId::Standard(0x000)),
+        Just(CanId::Standard(0x7FF)),
+        Just(CanId::Extended(0x1FFF_FFFF)),
+    ];
+    let payload = proptest::collection::vec(0usize..STUFF_HEAVY_BYTES.len(), 0..=8);
+    (id, payload, any::<bool>()).prop_map(|(id, picks, remote)| {
+        let payload: Vec<u8> = picks.iter().map(|&i| STUFF_HEAVY_BYTES[i]).collect();
+        if remote {
+            CanFrame::remote(id, Dlc::from_len(payload.len()).expect("len <= 8"))
+        } else {
+            CanFrame::new(id, &payload).expect("len <= 8")
+        }
+    })
+}
+
+fn assert_bit_count_matches_encoding(frame: &CanFrame) {
+    assert_eq!(
+        frame_bit_count(frame),
+        encode_frame(frame).len(),
+        "wire length of {frame}"
+    );
+}
+
+#[test]
+fn bit_count_matches_encoding_for_every_standard_id_and_one_bit_extended_id() {
+    let payloads: [&[u8]; 4] = [&[], &[0x00; 8], &[0xFF; 8], &[0x1F; 8]];
+    let standard = (0u16..=0x7FF).map(|id| CanId::standard(id).expect("11 bits"));
+    let one_bit_extended = (0..29).map(|bit| CanId::extended(1 << bit).expect("29 bits"));
+    for id in standard.chain(one_bit_extended) {
+        for payload in payloads {
+            assert_bit_count_matches_encoding(&CanFrame::new(id, payload).expect("len <= 8"));
+        }
+    }
 }
 
 proptest! {
@@ -76,6 +138,36 @@ proptest! {
         prop_assert!(enc.len() >= stuffable + 10);
         prop_assert!(enc.len() <= max, "{} > {max}", enc.len());
         prop_assert_eq!(frame_bit_count(&frame), enc.len());
+    }
+
+    #[test]
+    fn bit_count_matches_encoding_extended(frame in arb_extended_frame()) {
+        assert_bit_count_matches_encoding(&frame);
+    }
+
+    #[test]
+    fn bit_count_matches_encoding_remote(
+        frame in prop_oneof![arb_remote_frame(), arb_extended_remote_frame()]
+    ) {
+        assert_bit_count_matches_encoding(&frame);
+    }
+
+    #[test]
+    fn bit_count_matches_encoding_at_every_dlc(
+        id in arb_id(),
+        payload in proptest::collection::vec(any::<u8>(), 8),
+    ) {
+        for len in 0..=8 {
+            let dlc = Dlc::from_len(len).expect("len <= 8");
+            let data = CanFrame::new(id, &payload[..len]).expect("len <= 8");
+            assert_bit_count_matches_encoding(&data);
+            assert_bit_count_matches_encoding(&CanFrame::remote(id, dlc));
+        }
+    }
+
+    #[test]
+    fn bit_count_matches_encoding_stuff_heavy(frame in arb_stuff_heavy_frame()) {
+        assert_bit_count_matches_encoding(&frame);
     }
 
     #[test]

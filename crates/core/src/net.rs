@@ -50,7 +50,7 @@ use std::collections::BinaryHeap;
 
 use canids_can::frame::{CanFrame, CanId};
 use canids_can::time::SimTime;
-use canids_can::timing::{frame_duration, frame_slot_duration, Bitrate};
+use canids_can::timing::{frame_wire_and_slot, Bitrate};
 
 // ---------------------------------------------------------------------
 // Node and frame identifiers
@@ -1003,8 +1003,9 @@ impl Event<Topology> for PortService {
         }
         let seg = &mut net.segments[egress];
         let start = self.release.max(seg.busy_until);
-        let delivered = start + frame_duration(&self.frame, seg.bitrate);
-        seg.busy_until = start + frame_slot_duration(&self.frame, seg.bitrate);
+        let (wire, slot) = frame_wire_and_slot(&self.frame, seg.bitrate);
+        let delivered = start + wire;
+        seg.busy_until = start + slot;
         vec![Box::new(DeliverFrame {
             delivered,
             gw: self.gw,

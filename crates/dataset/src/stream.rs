@@ -17,7 +17,7 @@
 //! consumer never needs the whole capture resident to evaluate it.
 
 use canids_can::time::SimTime;
-use canids_can::timing::{frame_duration, frame_slot_duration, Bitrate};
+use canids_can::timing::{frame_wire_and_slot, Bitrate};
 
 use crate::generator::Dataset;
 use crate::record::LabeledFrame;
@@ -71,8 +71,9 @@ impl Iterator for PacedRecords<'_> {
         let rec = self.records.next()?;
         // Arrival = end of frame on the wire, matching the capture
         // convention; the next frame starts after the interframe space.
-        let end = self.clock + frame_duration(&rec.frame, self.bitrate);
-        self.clock += frame_slot_duration(&rec.frame, self.bitrate);
+        let (wire, slot) = frame_wire_and_slot(&rec.frame, self.bitrate);
+        let end = self.clock + wire;
+        self.clock += slot;
         Some(LabeledFrame {
             timestamp: end,
             ..*rec
@@ -165,6 +166,48 @@ mod tests {
             .unwrap()
             .timestamp;
         assert!(at_fd < at_1m, "{at_fd} !< {at_1m}");
+    }
+
+    #[test]
+    fn pacing_matches_the_encoded_wire_length_recurrence() {
+        // Reference: a frame ends `encode_frame(..).len()` bit times after
+        // it starts, and the next starts INTERFRAME_BITS later. The DoS
+        // flood (ID 0x000, zero payload) is the most stuffed frame; the
+        // fuzzer sends random IDs and payloads.
+        use crate::attacks::{AttackProfile, BurstSchedule};
+        use crate::generator::{DatasetBuilder, TrafficConfig};
+        use crate::record::Label;
+        use canids_can::bits::encode_frame;
+        use canids_can::timing::INTERFRAME_BITS;
+        let ds = DatasetBuilder::new(TrafficConfig {
+            duration: SimTime::from_millis(100),
+            attack: Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous)),
+            extra_attacks: vec![AttackProfile::fuzzy().with_schedule(BurstSchedule::Continuous)],
+            seed: 23,
+            ..TrafficConfig::default()
+        })
+        .build();
+        for label in [Label::Normal, Label::Dos, Label::Fuzzy] {
+            assert!(ds.iter().any(|r| r.label == label), "no {label:?} frame");
+        }
+        for bitrate in [Bitrate::HIGH_SPEED_1M, Bitrate::LOW_SPEED_125K] {
+            let bit = bitrate.bit_time().as_nanos();
+            let mut paced = paced_records(&ds, bitrate);
+            let mut start = 0u64;
+            for rec in ds.iter() {
+                let wire = encode_frame(&rec.frame).len() as u64;
+                let got = paced.next().expect("one paced record per frame");
+                assert_eq!(
+                    got.timestamp.as_nanos(),
+                    start + bit * wire,
+                    "{}",
+                    rec.frame
+                );
+                start += bit * (wire + INTERFRAME_BITS as u64);
+            }
+            assert!(paced.next().is_none());
+            assert_eq!(paced.clock().as_nanos(), start);
+        }
     }
 
     #[test]

@@ -18,8 +18,12 @@
 //! 4. A software model whose input width does not match the frame
 //!    encoding is a typed error from every serving entry point, not a
 //!    panic on the first frame.
+//! 5. Degenerate replays succeed on the software backend and on an
+//!    event-driven fleet: an empty capture yields an empty report, and a
+//!    zero bitrate paces at the 1 kb/s floor `Bitrate::new` clamps to.
 use canids_core::prelude::*;
 use canids_core::serve::FleetAction;
+use canids_dataset::stream::paced_records;
 
 /// Untrained paper-topology model (weights seeded).
 fn seeded_model(seed: u64) -> canids_qnn::IntegerMlp {
@@ -407,4 +411,77 @@ fn a_model_narrower_than_the_frame_encoding_is_a_typed_error() {
         &PopulationConfig::default(),
     );
     assert_eq!(served.unwrap_err(), expected);
+}
+
+/// Replays `capture` under `config` on the software backend and on two
+/// ZCU104 boards, one detector each, over the event-driven transport.
+fn replay_on_software_and_fleet(capture: &Dataset, config: &ReplayConfig) -> [ServeReport; 2] {
+    let bundles = vec![
+        DetectorBundle::new(AttackKind::Dos, seeded_model(700)),
+        DetectorBundle::new(AttackKind::Fuzzy, seeded_model(701)),
+    ];
+    let boards = FleetConfig::new(vec![BoardSpec::zcu104("zcu-a"), BoardSpec::zcu104("zcu-b")])
+        .with_model_cap(1);
+    let deployment = FleetPlan::build(&bundles, &boards)
+        .unwrap()
+        .deploy(&bundles, &CompileConfig::default())
+        .unwrap();
+    let config = config
+        .clone()
+        .with_transport(FleetTransport::EventDriven(NetConfig::default()));
+    let software = ServeHarness::new(SoftwareBackend::single(seeded_model(700)))
+        .replay(capture, &config)
+        .unwrap();
+    let fleet = ServeHarness::new(deployment.serve_backend())
+        .replay(capture, &config)
+        .unwrap();
+    assert_eq!(fleet.boards.len(), 2);
+    [software, fleet]
+}
+
+#[test]
+fn an_empty_capture_replays_to_an_empty_report() {
+    let empty = Dataset::from_records(Vec::new());
+    for report in replay_on_software_and_fleet(&empty, &ReplayConfig::default()) {
+        let backend = &report.backend;
+        assert_eq!(report.offered, 0, "{backend}");
+        assert_eq!(report.serviced, 0, "{backend}");
+        assert_eq!(report.dropped, 0, "{backend}");
+        assert_eq!(report.sustained_fps, None, "{backend}");
+        assert!(report.verdicts.is_empty(), "{backend}");
+    }
+}
+
+#[test]
+fn a_zero_bitrate_paces_at_the_clamped_one_kilobit() {
+    let capture = DatasetBuilder::new(TrafficConfig {
+        duration: SimTime::from_millis(20),
+        attack: Some(AttackProfile::dos().with_schedule(BurstSchedule::Continuous)),
+        seed: 0x0B17,
+        ..TrafficConfig::default()
+    })
+    .build();
+    let config = ReplayConfig::default().with_bitrate(Bitrate::new(0));
+    let floor = Bitrate::new(1_000);
+    assert_eq!(config.wire_bitrate(), floor);
+    let paced: Vec<SimTime> = paced_records(&capture, floor)
+        .map(|r| r.timestamp)
+        .collect();
+    for report in replay_on_software_and_fleet(&capture, &config) {
+        let backend = &report.backend;
+        assert_eq!(report.bitrate_bps, 1_000, "{backend}");
+        assert_eq!(report.offered, capture.len(), "{backend}");
+        assert_eq!(report.first_arrival, paced[0], "{backend}");
+        assert_eq!(Some(&report.last_arrival), paced.last(), "{backend}");
+        assert!(!report.boards.is_empty(), "{backend}");
+        for board in &report.boards {
+            assert_eq!(board.offered, capture.len(), "{backend}/{}", board.board);
+            assert_eq!(
+                board.serviced + board.dropped as usize,
+                board.offered,
+                "{backend}/{}",
+                board.board
+            );
+        }
+    }
 }
