@@ -1,9 +1,12 @@
 //! Criterion bench for Table I's engine: per-frame inference through the
-//! integer model and the cycle-accurate accelerator simulator.
+//! integer model, the packed serving kernel at both lane widths, and the
+//! cycle-accurate accelerator simulator.
 
 use canids_bench::{untrained_ip, untrained_model};
 use canids_can::frame::{CanFrame, CanId};
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
+use canids_qnn::kernel::{PackedMlp, PackedScratch};
+use canids_qnn::mlp::{MlpConfig, QuantMlp};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -19,13 +22,37 @@ fn bench_table1(c: &mut Criterion) {
     .unwrap();
     let bits = encoder.encode(&frame);
     let x: Vec<u32> = bits.iter().map(|&b| u32::from(b >= 0.5)).collect();
+    // The paper model proves onto i16 lanes, the 8-bit one onto i32.
+    let narrow = PackedMlp::new(&model).unwrap();
+    let wide_model = QuantMlp::new(MlpConfig::gpu_8bit())
+        .unwrap()
+        .export()
+        .unwrap();
+    let wide = PackedMlp::new(&wide_model).unwrap();
+    assert_eq!((narrow.acc_bits(), wide.acc_bits()), (16, 32));
+    let packed = encoder.encode_bits(&frame);
+    // The all-zero DoS frame: no set input bit.
+    let dos = encoder.encode_bits(&CanFrame::new(CanId::standard(0).unwrap(), &[0; 8]).unwrap());
+    let mut scratch = PackedScratch::default();
 
     let mut group = c.benchmark_group("table1");
     group.bench_function("feature_encode", |b| {
         b.iter(|| encoder.encode(black_box(&frame)))
     });
+    group.bench_function("feature_encode_bits", |b| {
+        b.iter(|| encoder.encode_bits(black_box(&frame)))
+    });
     group.bench_function("integer_mlp_infer", |b| {
         b.iter(|| model.infer(black_box(&x)))
+    });
+    group.bench_function("packed_i16_infer_class", |b| {
+        b.iter(|| narrow.infer_class(black_box(packed), &mut scratch))
+    });
+    group.bench_function("packed_i16_infer_class_dos", |b| {
+        b.iter(|| narrow.infer_class(black_box(dos), &mut scratch))
+    });
+    group.bench_function("packed_i32_infer_class", |b| {
+        b.iter(|| wide.infer_class(black_box(packed), &mut scratch))
     });
     group.bench_function("cycle_accurate_sim_frame", |b| {
         b.iter(|| sim.run(black_box(std::slice::from_ref(&x))))

@@ -11,7 +11,7 @@
 use canids_can::time::SimTime;
 use canids_dataflow::ip::{AcceleratorIp, CompileConfig};
 use canids_dataset::attacks::{AttackProfile, BurstSchedule};
-use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
+use canids_dataset::features::IdBitsPayloadBits;
 use canids_dataset::generator::{Dataset, DatasetBuilder, TrafficConfig};
 use canids_dataset::split::{train_test_split, SplitConfig};
 use canids_qnn::export::IntegerMlp;
@@ -22,6 +22,7 @@ use canids_soc::board::{BoardConfig, Zcu104Board};
 use canids_soc::ecu::{EcuConfig, EcuReport, IdsEcu};
 
 use crate::error::CoreError;
+use crate::serve::PaperFeaturizer;
 
 /// Full pipeline configuration.
 #[derive(Debug, Clone)]
@@ -245,9 +246,7 @@ impl IdsPipeline {
         let idx = board.attach_accelerator(ip)?;
         let mut ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
         let frames: Vec<_> = test_set.iter().map(|r| (r.timestamp, r.frame)).collect();
-        let encoder = IdBitsPayloadBits;
-        let featurize = move |f: &canids_can::frame::CanFrame| encoder.encode(f);
-        let report = ecu.process_capture(&frames, &featurize)?;
+        let report = ecu.process_capture(&frames, &PaperFeaturizer)?;
 
         // Verdict agreement with ground truth over the replay.
         let truth: std::collections::BTreeMap<u64, bool> = test_set

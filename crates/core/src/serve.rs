@@ -41,14 +41,14 @@ use std::time::Duration;
 use canids_can::frame::CanFrame;
 use canids_can::time::SimTime;
 use canids_can::timing::Bitrate;
-use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
+use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits, FEATURE_BITS_DIM};
 use canids_dataset::generator::Dataset;
 use canids_dataset::record::LabeledFrame;
 use canids_dataset::stream::paced_records;
 use canids_qnn::export::IntegerMlp;
 use canids_qnn::metrics::ConfusionMatrix;
 use canids_qnn::QnnError;
-use canids_soc::ecu::{EcuConfig, EcuStream, IdsEcu, SchedPolicy, ServiceQueue};
+use canids_soc::ecu::{EcuConfig, EcuStream, FrameFeaturizer, IdsEcu, SchedPolicy, ServiceQueue};
 
 use crate::deploy::MultiIdsDeployment;
 use crate::error::CoreError;
@@ -1296,6 +1296,24 @@ fn note_admission_events(probe: &Probe, shard: u32, fresh: &[FleetEvent]) {
     }
 }
 
+/// The paper's frame encoding as a board featuriser: the
+/// [`IdBitsPayloadBits`] bitmask split straight into the accelerator's
+/// AXI input words, with no float vector between frame and IP.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PaperFeaturizer;
+
+impl FrameFeaturizer for PaperFeaturizer {
+    fn featurize(&self, frame: &CanFrame) -> Vec<f32> {
+        IdBitsPayloadBits.encode(frame)
+    }
+
+    fn featurize_packed(&self, frame: &CanFrame, words: &mut Vec<u32>) -> usize {
+        let bits = IdBitsPayloadBits.encode_bits(frame);
+        words.extend((0..FEATURE_BITS_DIM.div_ceil(32)).map(|k| (bits >> (32 * k)) as u32));
+        FEATURE_BITS_DIM
+    }
+}
+
 /// Forwards profiled SoC stage intervals to a telemetry probe, mapping
 /// the soc crate's static stage names onto the interned [`Stage`] table.
 fn record_stage_samples(probe: &Probe, shard: u32, samples: &[canids_soc::ecu::StageSample]) {
@@ -1337,10 +1355,9 @@ impl ServeSession for EcuSession<'_> {
         ordinal: usize,
         rec: &LabeledFrame,
     ) -> Result<ShardPush, CoreError> {
-        let encoder = IdBitsPayloadBits;
-        let featurize = |f: &CanFrame| encoder.encode(f);
         let before = self.stream.dropped();
-        self.stream.push(rec.timestamp, rec.frame, &featurize)?;
+        self.stream
+            .push(rec.timestamp, rec.frame, &PaperFeaturizer)?;
         let admitted = self.stream.dropped() == before;
         if admitted {
             self.admitted.push(ordinal);
@@ -1583,8 +1600,6 @@ impl ServeSession for FleetSession<'_> {
         ordinal: usize,
         rec: &LabeledFrame,
     ) -> Result<ShardPush, CoreError> {
-        let encoder = IdBitsPayloadBits;
-        let featurize = |f: &CanFrame| encoder.encode(f);
         let delivered = match self.net.deliver(shard, rec.timestamp, rec.frame) {
             NetOutcome::Delivered(t) => t,
             NetOutcome::Dropped(_) => {
@@ -1601,7 +1616,7 @@ impl ServeSession for FleetSession<'_> {
             probe.record(shard as u32, Stage::GatewayHop, rec.timestamp, delivered);
         }
         let before = self.sessions[shard].dropped();
-        self.sessions[shard].push(delivered, rec.frame, &featurize)?;
+        self.sessions[shard].push(delivered, rec.frame, &PaperFeaturizer)?;
         let admitted = self.sessions[shard].dropped() == before;
         if admitted {
             self.admitted[shard].push(ordinal);
@@ -3114,5 +3129,21 @@ mod tests {
             closure.verdict(&v);
         }
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn paper_featurizer_packs_the_words_of_its_float_features() {
+        use canids_can::frame::CanId;
+        for (id, payload) in [
+            (CanId::standard(0x7FF).unwrap(), &[0xFF; 8][..]),
+            (CanId::standard(0x316).unwrap(), &[5, 32, 14]),
+            (CanId::extended(0x1ABC_DEF0).unwrap(), &[0x80, 0x01]),
+        ] {
+            let frame = CanFrame::new(id, payload).unwrap();
+            let mut words = Vec::new();
+            assert_eq!(PaperFeaturizer.featurize_packed(&frame, &mut words), 75);
+            let floats = PaperFeaturizer.featurize(&frame);
+            assert_eq!(words, canids_soc::accel::pack_features(&floats));
+        }
     }
 }

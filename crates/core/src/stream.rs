@@ -4,20 +4,22 @@
 //! before classifying it. A deployed IDS cannot: frames arrive one at a
 //! time, paced by the wire, and the detector must keep up with a
 //! saturated bus. [`StreamingEvaluator`] provides that serving mode:
-//! incremental featurisation, packing into a frame bitmask, per-frame
-//! inference on the packed `i32` kernel ([`PackedMlp`]) and online
-//! [`ConfusionMatrix`] accounting, with all per-frame buffers reused (no
-//! per-frame allocation). A model the kernel cannot represent falls
+//! each frame encoded straight into a frame bitmask
+//! ([`FrameEncoder::encode_bits`]), per-frame inference on the packed
+//! lane kernel ([`PackedMlp`]) and online [`ConfusionMatrix`]
+//! accounting, with all per-frame buffers reused (no per-frame
+//! allocation). A model the kernel cannot represent falls
 //! back to the `i64` reference ([`IntegerMlp::infer_class`]). Streaming
 //! and batch evaluation produce *identical* predictions and confusion
 //! matrices on the same capture — the equivalence tests pin this.
 //! Line-rate replays run it through [`crate::serve::SoftwareBackend`]
 //! under the [`crate::serve::ServeHarness`], which owns pacing.
 
+use canids_can::frame::CanFrame;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
 use canids_dataset::record::LabeledFrame;
 use canids_qnn::export::{IntScratch, IntegerMlp};
-use canids_qnn::kernel::{pack_features, PackedMlp, PackedScratch};
+use canids_qnn::kernel::{PackedMlp, PackedScratch};
 use canids_qnn::metrics::ConfusionMatrix;
 
 /// One streaming verdict.
@@ -38,17 +40,18 @@ impl StreamVerdict {
     }
 }
 
-/// How a frame's features reach the model: packed into a bitmask for
-/// the `i32` kernel, or quantised to levels for the `i64` reference when
-/// the kernel cannot represent the model (or the encoder's width).
+/// How a frame reaches the model: encoded straight into a frame
+/// bitmask for the packed kernel, or featurised and quantised to levels
+/// for the `i64` reference when the kernel cannot represent the model
+/// (or the encoder's width).
 #[derive(Debug, Clone)]
 enum Datapath {
     Packed {
         kernel: PackedMlp,
-        bits: u128,
         scratch: PackedScratch,
     },
     Reference {
+        features: Vec<f32>,
         levels: Vec<u32>,
         scratch: IntScratch,
     },
@@ -59,38 +62,41 @@ impl Datapath {
         match PackedMlp::new(model) {
             Ok(kernel) if kernel.input_dim() == dim => Datapath::Packed {
                 kernel,
-                bits: 0,
                 scratch: PackedScratch::default(),
             },
             _ => Datapath::Reference {
+                features: vec![0.0; dim],
                 levels: vec![0; dim],
                 scratch: IntScratch::new(),
             },
         }
     }
 
-    /// Quantises `features` exactly as [`IntegerMlp::infer_bits`] does.
-    /// The kernel only holds one-level (binary) models, where that
-    /// quantisation is `f >= 0.5`.
-    fn pack(&mut self, features: &[f32], input_levels: u32) {
+    /// Classifies `frame`. Both paths quantise exactly as
+    /// [`IntegerMlp::infer_bits`] does; the kernel only holds one-level
+    /// (binary) models, where that quantisation is the `f >= 0.5` of
+    /// [`FrameEncoder::encode_bits`].
+    fn classify<E: FrameEncoder>(
+        &mut self,
+        encoder: &E,
+        frame: &CanFrame,
+        model: &IntegerMlp,
+    ) -> usize {
         match self {
-            Datapath::Packed { bits, .. } => *bits = pack_features(features),
-            Datapath::Reference { levels, .. } => {
-                for (x, &f) in levels.iter_mut().zip(features) {
-                    *x = (f.round().max(0.0) as u32).min(input_levels);
-                }
+            Datapath::Packed { kernel, scratch } => {
+                kernel.infer_class(encoder.encode_bits(frame), scratch)
             }
-        }
-    }
-
-    fn infer(&mut self, model: &IntegerMlp) -> usize {
-        match self {
-            Datapath::Packed {
-                kernel,
-                bits,
+            Datapath::Reference {
+                features,
+                levels,
                 scratch,
-            } => kernel.infer_class(*bits, scratch),
-            Datapath::Reference { levels, scratch } => model.infer_class(levels, scratch),
+            } => {
+                encoder.encode_into(frame, features);
+                for (x, &f) in levels.iter_mut().zip(features.iter()) {
+                    *x = (f.round().max(0.0) as u32).min(model.input_levels);
+                }
+                model.infer_class(levels, scratch)
+            }
         }
     }
 }
@@ -116,7 +122,6 @@ impl Datapath {
 pub struct StreamingEvaluator<E: FrameEncoder = IdBitsPayloadBits> {
     model: IntegerMlp,
     encoder: E,
-    fbuf: Vec<f32>,
     datapath: Datapath,
     cm: ConfusionMatrix,
     frames: u64,
@@ -138,7 +143,6 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
             datapath: Datapath::new(&model, dim),
             model,
             encoder,
-            fbuf: vec![0.0; dim],
             cm: ConfusionMatrix::new(),
             frames: 0,
         }
@@ -146,15 +150,16 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
 
     /// Classifies one record, updating the online confusion matrix.
     ///
-    /// The fused per-frame path: featurise, pack and infer through the
-    /// evaluator's reusable buffers with **zero intermediate
-    /// allocation**. The quantisation of float features to integer
-    /// levels matches [`IntegerMlp::infer_bits`] exactly, so streaming
-    /// and batch predictions are identical.
+    /// The fused per-frame path: the encoder writes the frame bitmask
+    /// ([`FrameEncoder::encode_bits`]) and the packed kernel classifies
+    /// it through the evaluator's reusable buffers, with **zero
+    /// intermediate allocation**. The quantisation matches
+    /// [`IntegerMlp::infer_bits`] exactly, so streaming and batch
+    /// predictions are identical.
     pub fn push(&mut self, rec: &LabeledFrame) -> StreamVerdict {
-        self.encoder.encode_into(&rec.frame, &mut self.fbuf);
-        self.datapath.pack(&self.fbuf, self.model.input_levels);
-        let class = self.datapath.infer(&self.model);
+        let class = self
+            .datapath
+            .classify(&self.encoder, &rec.frame, &self.model);
         self.record(class, rec)
     }
 

@@ -6,15 +6,19 @@
 //! and power estimates, a cycle-accurate simulator, and a built-in
 //! bit-exactness verification step (FINN's cppsim/rtlsim gate).
 //!
-//! The IP's functional model, [`AcceleratorIp::infer`], runs the packed
-//! `i32` kernel ([`PackedMlp`]) compiled once here and shared by every
-//! clone of the IP. A model the kernel cannot represent keeps the
-//! dataflow graph's `i64` functional model ([`DataflowGraph::compute`]).
+//! The IP's functional model runs the packed lane kernel
+//! ([`PackedMlp`]) compiled once here and shared by every clone of the
+//! IP: [`AcceleratorIp::infer_words`] classifies the packed AXI input
+//! words the DMA and MMIO paths carry, allocation-free, and
+//! [`AcceleratorIp::infer`] takes unpacked levels. A model the kernel
+//! cannot represent keeps the dataflow graph's `i64` functional model
+//! ([`DataflowGraph::compute`]).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use canids_qnn::export::IntegerMlp;
-use canids_qnn::kernel::{pack_levels, PackedMlp};
+use canids_qnn::kernel::{pack_levels, PackedMlp, PackedScratch};
 use serde::Serialize;
 
 use crate::error::DataflowError;
@@ -211,6 +215,7 @@ impl AcceleratorIp {
     /// Builds a fresh cycle-accurate simulator for this IP.
     pub fn simulator(&self) -> AcceleratorSim {
         AcceleratorSim::new(self.graph.clone(), &self.folding, self.sim_config)
+            // lint:allow(panic-in-lib): `compile` validated this folding against this graph, and neither changes after it
             .expect("folding validated at compile time")
     }
 
@@ -230,6 +235,43 @@ impl AcceleratorIp {
                 (p.class, p.scores)
             }
             None => self.graph.compute(x),
+        }
+    }
+
+    /// Classifies one frame given as packed AXI input words, the layout
+    /// the driver writes to `IN_W*` and a DMA batch streams: input `i` is
+    /// bit `i % 32` of word `i / 32`. Words past
+    /// [`input_words`](Self::input_words) and bits past
+    /// [`input_dim`](Self::input_dim) are ignored; missing words read as
+    /// zero.
+    ///
+    /// This is the allocation-free entry point of the DMA and MMIO
+    /// paths: the packed kernel runs through the caller's `scratch`, and
+    /// the returned scores borrow it. A model the kernel cannot
+    /// represent runs the graph's functional model on the unpacked bits
+    /// and returns its scores owned.
+    pub fn infer_words<'s>(
+        &self,
+        words: &[u32],
+        scratch: &'s mut PackedScratch,
+    ) -> (usize, Cow<'s, [i64]>) {
+        match &self.kernel {
+            Some(kernel) => {
+                let bits = words
+                    .iter()
+                    .take(4)
+                    .enumerate()
+                    .fold(0u128, |bits, (k, &w)| bits | u128::from(w) << (32 * k));
+                let class = kernel.infer_class(bits, scratch);
+                (class, Cow::Borrowed(scratch.scores()))
+            }
+            None => {
+                let x: Vec<u32> = (0..self.input_dim())
+                    .map(|i| words.get(i / 32).map_or(0, |w| (w >> (i % 32)) & 1))
+                    .collect();
+                let (class, scores) = self.graph.compute(&x);
+                (class, Cow::Owned(scores))
+            }
         }
     }
 

@@ -34,6 +34,23 @@ pub trait FrameEncoder {
         assert_eq!(out.len(), self.dim(), "output buffer has wrong length");
         out.copy_from_slice(&self.encode(frame));
     }
+
+    /// Encodes one frame straight into a frame bitmask, bit `i` =
+    /// feature `i`: the packed input of the integer serving kernel and,
+    /// split into 32-bit words, of the accelerator's AXI input
+    /// registers. A feature's bit is set exactly when its value is at
+    /// least one half (the binary quantisation of
+    /// `IntegerMlp::infer_bits`); features past the 128th are dropped.
+    ///
+    /// The provided method packs [`encode`](FrameEncoder::encode)'s
+    /// vector; a binary encoder overrides it to skip the float vector.
+    fn encode_bits(&self, frame: &CanFrame) -> u128 {
+        let mut bits = 0u128;
+        for (i, &f) in self.encode(frame).iter().take(128).enumerate() {
+            bits |= u128::from(f >= 0.5) << i;
+        }
+        bits
+    }
 }
 
 /// The paper's 75-bit binary encoding: 11 identifier bits followed by the
@@ -83,6 +100,15 @@ impl FrameEncoder for IdBitsPayloadBits {
                 out[11 + b * 8 + i] = f32::from((byte >> (7 - i)) & 1);
             }
         }
+    }
+
+    /// Feature `i < 11` is identifier bit `10 - i` and feature
+    /// `11 + 8b + i` is bit `7 - i` of payload byte `b`, so the bitmask is
+    /// the bit-reversed identifier followed by the bit-reversed bytes.
+    fn encode_bits(&self, frame: &CanFrame) -> u128 {
+        let id = u128::from(frame.id().base_id().reverse_bits() >> 5);
+        let payload = u64::from_le_bytes(frame.data_padded().map(u8::reverse_bits));
+        id | (u128::from(payload) << 11)
     }
 }
 

@@ -356,12 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn panic_in_lib_scans_the_core_and_qnn_libraries_only() {
+    fn panic_in_lib_scans_the_serving_libraries_only() {
         let src = "pub fn head(xs: &[u8]) -> u8 {\n    *xs.first().unwrap()\n}\n";
         for (path, findings) in [
             ("crates/core/src/x.rs", 1),
             ("crates/qnn/src/layers/x.rs", 1),
-            ("crates/dataflow/src/x.rs", 0),
+            ("crates/soc/src/x.rs", 1),
+            ("crates/dataflow/src/x.rs", 1),
+            ("crates/dataset/src/x.rs", 0),
             ("crates/qnn/tests/x.rs", 0),
         ] {
             let mut report = Report::default();

@@ -42,7 +42,8 @@ pub enum Rule {
     /// anywhere else must name its order.
     FloatReassociation,
     /// `unwrap`/`expect`/`panic!` in non-test library code of the
-    /// serving crates (`canids-core`, `canids-qnn`). Library panics take
+    /// serving crates (`canids-core`, `canids-qnn`, `canids-soc`,
+    /// `canids-dataflow`). Library panics take
     /// down whole serving harnesses; fallible paths must return the
     /// crate's typed error, and invariant-backed panics must document
     /// the invariant in an allow.
@@ -467,7 +468,12 @@ fn is_int_type(s: &str) -> bool {
 }
 
 /// Library source trees [`panic_in_lib`] scans.
-const PANIC_FREE_LIBS: [&str; 2] = ["crates/core/src", "crates/qnn/src"];
+const PANIC_FREE_LIBS: [&str; 4] = [
+    "crates/core/src",
+    "crates/qnn/src",
+    "crates/soc/src",
+    "crates/dataflow/src",
+];
 
 /// Rule 5: `unwrap()` / `expect(..)` / `panic!` in the non-test library
 /// code of [`PANIC_FREE_LIBS`].

@@ -4,20 +4,29 @@
 //! the same classes and scores as [`IntegerMlp::infer`], value for
 //! value, on the narrow datapath the hardware MVAUs are sized for:
 //!
-//! * the input is one frame bitmask (`u128`, bit `i` = input `i`), and
-//!   the first layer adds the weight column of each set bit;
+//! * the input is one frame bitmask (`u128`, bit `i` = input `i`), the
+//!   packed form a frame encoder writes straight from the frame. The
+//!   first layer adds the weight column of each set bit;
 //! * hidden and output layers store their weights column-major and skip
-//!   zero activations;
-//! * weight codes are `i8`; accumulators and thresholds are `i32`;
+//!   zero activations, testing each activation once per input for layers
+//!   up to 64 lanes wide (once per 64-lane block beyond);
+//! * weight codes are `i8`; accumulators, activations and thresholds run
+//!   on `i16` lanes when the width proof allows and on `i32` lanes
+//!   otherwise ([`PackedMlp::acc_bits`]). A layer's lanes are padded to
+//!   a multiple of 16 and accumulated up to 64 at a time in a local
+//!   array;
 //! * thresholds are clamped into `[lo, hi + 1]` of the layer's proven
 //!   accumulator range (FINN's `RoundAndClipThresholds`) and counted
-//!   branch-free;
+//!   level by level, branch-free across a level's lanes; the count stops
+//!   at the first level no lane reaches;
 //! * argmax ties go to the lowest class index.
 //!
 //! [`PackedMlp::new`] proves every width from [`IntBlock::acc_bounds`]
-//! and the codes, and refuses a model it cannot represent with a typed
-//! [`QnnError`]. Callers keep such a model on the `i64` reference path
-//! ([`IntegerMlp::infer_class`]).
+//! and the codes. It picks `i16` lanes exactly when every accumulator
+//! bound, every clamped threshold and every activation level fits
+//! `i16`, and refuses a model it cannot represent on `i32` lanes with a
+//! typed [`QnnError`]. Callers keep such a model on the `i64` reference
+//! path ([`IntegerMlp::infer_class`]).
 //!
 //! # Example
 //!
@@ -27,6 +36,7 @@
 //!
 //! let model = QuantMlp::new(MlpConfig::paper_4bit())?.export()?;
 //! let kernel = PackedMlp::new(&model)?;
+//! assert_eq!(kernel.acc_bits(), 16);
 //! let x: Vec<u32> = (0..75).map(|i| u32::from(i % 3 == 0)).collect();
 //! let bits = pack_levels(&x).expect("binary and at most 128 wide");
 //! let mut scratch = PackedScratch::default();
@@ -37,11 +47,20 @@
 //! # Ok::<(), canids_qnn::QnnError>(())
 //! ```
 
+use std::ops::{AddAssign, Mul};
+
 use crate::error::QnnError;
 use crate::export::{acc_bounds, IntBlock, IntPrediction, IntegerMlp, BIAS_SHIFT};
 
 /// Widest input a frame bitmask holds.
 pub const MAX_INPUT_BITS: usize = 128;
+
+/// A layer's output lanes are padded to a multiple of this many.
+const TILE: usize = 16;
+
+/// Most output lanes one pass over a layer's inputs accumulates: the
+/// size of the kernel's local accumulator array.
+const BLOCK: usize = 64;
 
 /// Packs binary input levels into a frame bitmask, bit `i` = `x[i]`.
 ///
@@ -76,115 +95,328 @@ pub fn pack_features(features: &[f32]) -> u128 {
     u128::from(words[0]) | (u128::from(words[1]) << 64)
 }
 
-/// A layer's weights as `i8` codes, column-major: column `i` holds every
-/// neuron's weight on input `i`.
-#[derive(Debug, Clone, PartialEq)]
-struct Columns {
-    out_dim: usize,
-    codes: Vec<i8>,
+/// An accumulator lane: `i16` or `i32`, picked by the width proof in
+/// [`PackedMlp::new`]. Every sum, product and count the kernel forms on
+/// it lies inside a proven range, so none overflows.
+trait Lane:
+    Copy
+    + Default
+    + PartialEq
+    + PartialOrd
+    + AddAssign
+    + Mul<Output = Self>
+    + From<i8>
+    + From<bool>
+    + Into<i64>
+    + TryFrom<i64>
+{
+    /// Smallest value a lane holds.
+    const MIN: i64;
+    /// Largest value a lane holds.
+    const MAX: i64;
+
+    /// The activation buffer of this width in `scratch`, and the class
+    /// scores.
+    fn buffers(scratch: &mut PackedScratch) -> (&mut Vec<Self>, &mut Vec<i64>);
 }
 
-impl Columns {
-    /// Transposes row-major `out_dim × in_dim` codes (`layer` names the
-    /// layer in the error).
-    fn from_rows(
-        rows: &[i32],
-        in_dim: usize,
-        out_dim: usize,
-        layer: usize,
-    ) -> Result<Columns, QnnError> {
-        let mut codes = vec![0i8; in_dim * out_dim];
-        for j in 0..out_dim {
-            for i in 0..in_dim {
-                let w = rows[j * in_dim + i];
-                codes[i * out_dim + j] = i8::try_from(w).map_err(|_| QnnError::KernelRange {
-                    quantity: "weight code",
-                    layer,
-                    value: i64::from(w),
-                    min: i64::from(i8::MIN),
-                    max: i64::from(i8::MAX),
-                })?;
+impl Lane for i16 {
+    const MIN: i64 = i16::MIN as i64;
+    const MAX: i64 = i16::MAX as i64;
+
+    fn buffers(scratch: &mut PackedScratch) -> (&mut Vec<i16>, &mut Vec<i64>) {
+        (&mut scratch.act16, &mut scratch.scores)
+    }
+}
+
+impl Lane for i32 {
+    const MIN: i64 = i32::MIN as i64;
+    const MAX: i64 = i32::MAX as i64;
+
+    fn buffers(scratch: &mut PackedScratch) -> (&mut Vec<i32>, &mut Vec<i64>) {
+        (&mut scratch.act32, &mut scratch.scores)
+    }
+}
+
+/// Accumulates one block of `W` lanes over a layer's input: the set
+/// bits of `bits` for the first layer (`act` is `None`), the previous
+/// layer's activation levels otherwise, testing each level once.
+/// `codes` holds the block's column of `W` codes per input.
+#[inline(always)]
+fn accumulate<L: Lane, const W: usize>(codes: &[i8], bits: u128, act: Option<&[L]>) -> [L; W] {
+    let (columns, _) = codes.as_chunks::<W>();
+    let mut acc = [L::default(); W];
+    match act {
+        None => {
+            let mut rest = bits;
+            while rest != 0 {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                // The set-bit column add.
+                for (a, &w) in acc.iter_mut().zip(&columns[i]) {
+                    *a += L::from(w);
+                }
             }
         }
-        Ok(Columns { out_dim, codes })
-    }
-
-    /// Column of input `i`.
-    fn column(&self, i: usize) -> &[i8] {
-        &self.codes[i * self.out_dim..(i + 1) * self.out_dim]
-    }
-
-    /// `acc = Σ column(i)` over the set bits `i` of `bits`.
-    fn add_bit_columns(&self, bits: u128, acc: &mut Vec<i32>) {
-        acc.clear();
-        acc.resize(self.out_dim, 0);
-        let mut rest = bits;
-        while rest != 0 {
-            let i = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            for (a, &w) in acc.iter_mut().zip(self.column(i)) {
-                *a += i32::from(w);
-            }
-        }
-    }
-
-    /// `acc = Σ column(i) · act[i]`, skipping zero activations.
-    fn add_level_columns(&self, act: &[i32], acc: &mut Vec<i32>) {
-        acc.clear();
-        acc.resize(self.out_dim, 0);
-        for (i, &level) in act.iter().enumerate() {
-            if level != 0 {
-                for (a, &w) in acc.iter_mut().zip(self.column(i)) {
-                    *a += i32::from(w) * level;
+        Some(act) => {
+            for (column, &level) in columns.iter().zip(act) {
+                if level != L::default() {
+                    // The level multiply-add.
+                    for (a, &w) in acc.iter_mut().zip(column) {
+                        *a += L::from(w) * level;
+                    }
                 }
             }
         }
     }
+    acc
 }
 
-/// A hidden layer: column-major codes plus level-major thresholds.
+/// `out[j] = #{k : acc[j] >= T_k[j]}`, the threshold count over the
+/// level-major rows of `thresholds`, branch-free within a row. Each
+/// lane's thresholds ascend with the level (running maximum), so once
+/// no lane reaches a level, none reaches a later one and the count
+/// stops.
+#[inline(always)]
+fn count_levels<L: Lane, const W: usize>(acc: &[L; W], thresholds: &[L], out: &mut [L]) {
+    let (rows, _) = thresholds.as_chunks::<W>();
+    let mut count = [L::default(); W];
+    for row in rows {
+        let mut reached = false;
+        for ((c, &a), &t) in count.iter_mut().zip(acc).zip(row) {
+            let passed = a >= t;
+            *c += L::from(passed);
+            reached |= passed;
+        }
+        if !reached {
+            break;
+        }
+    }
+    out.copy_from_slice(&count);
+}
+
+/// One block of `W` lanes: its accumulators into `out` for the output
+/// layer (`thresholds` is `None`), its activation levels for a hidden
+/// layer.
+#[inline(always)]
+fn block<L: Lane, const W: usize>(
+    codes: &[i8],
+    bits: u128,
+    act: Option<&[L]>,
+    thresholds: Option<&[L]>,
+    out: &mut [L],
+) {
+    let acc = accumulate::<L, W>(codes, bits, act);
+    match thresholds {
+        Some(thresholds) => count_levels(&acc, thresholds, out),
+        None => out.copy_from_slice(&acc),
+    }
+}
+
+/// One layer on `L` lanes. Its `out_dim` lanes are padded to `width`, a
+/// multiple of [`TILE`], and cut into blocks of at most [`BLOCK`] lanes.
+/// Codes and thresholds are stored block by block; inside a block,
+/// input `i`'s column of codes and level `k`'s row of thresholds are
+/// each contiguous. Padding lanes hold zero codes and the threshold
+/// `hi + 1`, which no accumulator reaches, so their activations are 0.
 #[derive(Debug, Clone, PartialEq)]
-struct PackedBlock {
-    weights: Columns,
-    /// `levels × out_dim`, level-major: row `k` holds every neuron's
-    /// `k`-th threshold, ascending in `k` per neuron.
-    thresholds: Vec<i32>,
+struct LaneLayer<L> {
+    in_dim: usize,
+    width: usize,
+    codes: Vec<i8>,
+    /// `levels` thresholds per lane (hidden layers; empty for the
+    /// output layer).
+    thresholds: Vec<L>,
     levels: usize,
 }
 
-impl PackedBlock {
-    /// `act[j] = #{k : acc[j] >= T_k[j]}`, counted branch-free.
-    fn count_levels(&self, acc: &[i32], act: &mut Vec<i32>) {
-        let n = acc.len();
-        act.clear();
-        act.resize(n, 0);
-        for k in 0..self.levels {
-            let row = &self.thresholds[k * n..(k + 1) * n];
-            for ((level, &a), &t) in act.iter_mut().zip(acc).zip(row) {
-                *level += i32::from(a >= t);
-            }
+impl<L: Lane> LaneLayer<L> {
+    fn new(plan: &LayerPlan, layer: usize) -> Result<LaneLayer<L>, QnnError> {
+        let width = plan.out_dim.next_multiple_of(TILE);
+        let narrow = |value: i64| {
+            L::try_from(value).map_err(|_| QnnError::KernelRange {
+                quantity: "threshold",
+                layer,
+                value,
+                min: L::MIN,
+                max: L::MAX,
+            })
+        };
+        let thresholds = plan
+            .thresholds
+            .iter()
+            .map(|&t| narrow(t))
+            .collect::<Result<Vec<L>, _>>()?;
+        let codes = &plan.codes;
+        Ok(LaneLayer {
+            in_dim: plan.in_dim,
+            width,
+            codes: blocked(plan.in_dim, plan.out_dim, width, 0, |i, j| {
+                codes[j * plan.in_dim + i]
+            }),
+            thresholds: blocked(
+                plan.levels,
+                plan.out_dim,
+                width,
+                narrow(plan.top)?,
+                |k, j| thresholds[j * plan.levels + k],
+            ),
+            levels: plan.levels,
+        })
+    }
+
+    /// Runs lanes `start..start + out.len()` (one block) into `out`:
+    /// activation levels for a hidden layer, accumulators for the
+    /// output layer. The block width picks the monomorphised body, so
+    /// its accumulators are a fixed-size local array.
+    fn run_block(&self, start: usize, bits: u128, act: Option<&[L]>, hidden: bool, out: &mut [L]) {
+        let bw = out.len();
+        let codes = &self.codes[self.in_dim * start..self.in_dim * (start + bw)];
+        let thresholds =
+            hidden.then(|| &self.thresholds[self.levels * start..self.levels * (start + bw)]);
+        // Block widths are the multiples of TILE up to BLOCK.
+        match bw {
+            16 => block::<L, 16>(codes, bits, act, thresholds, out),
+            32 => block::<L, 32>(codes, bits, act, thresholds, out),
+            48 => block::<L, 48>(codes, bits, act, thresholds, out),
+            _ => block::<L, BLOCK>(codes, bits, act, thresholds, out),
         }
     }
 }
 
-/// An [`IntegerMlp`] compiled onto the packed `i32` datapath.
+/// `rows` values per lane (a layer's codes, `rows = in_dim`, or its
+/// thresholds, `rows = levels`) in [`LaneLayer`]'s block-major order;
+/// `at(i, j)` is row `i` of lane `j < out_dim`, and padding lanes hold
+/// `pad`.
+fn blocked<T: Copy>(
+    rows: usize,
+    out_dim: usize,
+    width: usize,
+    pad: T,
+    at: impl Fn(usize, usize) -> T,
+) -> Vec<T> {
+    let mut out = vec![pad; rows * width];
+    for start in (0..width).step_by(BLOCK) {
+        let bw = (width - start).min(BLOCK);
+        for i in 0..rows {
+            for j in start..(start + bw).min(out_dim) {
+                out[rows * start + i * bw + (j - start)] = at(i, j);
+            }
+        }
+    }
+    out
+}
+
+/// A layer proven representable on `i32` lanes, before the lane width
+/// is chosen.
+struct LayerPlan {
+    in_dim: usize,
+    out_dim: usize,
+    /// `out_dim × in_dim` codes, row-major.
+    codes: Vec<i8>,
+    /// `out_dim × levels` clamped thresholds, row-major (empty for the
+    /// output layer).
+    thresholds: Vec<i64>,
+    levels: usize,
+    /// The accumulator bound `lo`.
+    lo: i64,
+    /// The largest accumulator or threshold: `hi + 1` for a hidden
+    /// layer, whose thresholds clamp to it, `hi` for the output layer.
+    top: i64,
+}
+
+impl LayerPlan {
+    /// Whether every accumulator, threshold and activation level of the
+    /// layer fits an `L` lane.
+    fn fits<L: Lane>(&self) -> bool {
+        L::MIN <= self.lo && self.top <= L::MAX && self.levels as i64 <= L::MAX
+    }
+}
+
+/// The whole network on `L` lanes.
+#[derive(Debug, Clone, PartialEq)]
+struct LaneMlp<L> {
+    hidden: Vec<LaneLayer<L>>,
+    output: LaneLayer<L>,
+    /// Lanes of every hidden layer together: the activation buffer.
+    act_len: usize,
+}
+
+impl<L: Lane> LaneMlp<L> {
+    fn new(hidden: &[LayerPlan], output: &LayerPlan) -> Result<LaneMlp<L>, QnnError> {
+        let hidden = hidden
+            .iter()
+            .enumerate()
+            .map(|(layer, plan)| LaneLayer::new(plan, layer))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(LaneMlp {
+            act_len: hidden.iter().map(|l| l.width).sum(),
+            output: LaneLayer::new(output, hidden.len())?,
+            hidden,
+        })
+    }
+
+    fn infer_class(&self, bits: u128, bias_q: &[i64], scratch: &mut PackedScratch) -> usize {
+        let (acts, scores) = L::buffers(scratch);
+        acts.resize(self.act_len, L::default());
+        let mut rest = acts.as_mut_slice();
+        let mut input: Option<&[L]> = None;
+        for layer in &self.hidden {
+            let (act, tail) = std::mem::take(&mut rest).split_at_mut(layer.width);
+            for start in (0..layer.width).step_by(BLOCK) {
+                let bw = (layer.width - start).min(BLOCK);
+                layer.run_block(start, bits, input, true, &mut act[start..start + bw]);
+            }
+            input = Some(act);
+            rest = tail;
+        }
+        scores.clear();
+        let output = &self.output;
+        for start in (0..output.width).step_by(BLOCK) {
+            let bw = (output.width - start).min(BLOCK);
+            let mut acc = [L::default(); BLOCK];
+            output.run_block(start, bits, input, false, &mut acc[..bw]);
+            scores.extend(
+                acc[..bw]
+                    .iter()
+                    .zip(&bias_q[start..])
+                    .map(|(&a, &bias)| (a.into() << BIAS_SHIFT) + bias),
+            );
+        }
+        let mut class = 0usize;
+        for (j, &s) in scores.iter().enumerate() {
+            if s > scores[class] {
+                class = j;
+            }
+        }
+        class
+    }
+}
+
+/// The compiled network at the width its proof picked.
+#[derive(Debug, Clone, PartialEq)]
+enum Lanes {
+    I16(LaneMlp<i16>),
+    I32(LaneMlp<i32>),
+}
+
+/// An [`IntegerMlp`] compiled onto the packed lane datapath.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedMlp {
     input_dim: usize,
     /// The low `input_dim` bits: inputs the first layer has columns for.
     input_mask: u128,
-    blocks: Vec<PackedBlock>,
-    output: Columns,
+    lanes: Lanes,
     bias_q: Vec<i64>,
 }
 
 /// Reusable buffers for [`PackedMlp::infer_class`]: they grow to the
-/// model's widest layer on first use and are reused on every later
+/// model's hidden lanes on first use and are reused on every later
 /// frame.
 #[derive(Debug, Clone, Default)]
 pub struct PackedScratch {
-    acc: Vec<i32>,
-    act: Vec<i32>,
+    act16: Vec<i16>,
+    act32: Vec<i32>,
     scores: Vec<i64>,
 }
 
@@ -197,7 +429,9 @@ impl PackedScratch {
 
 impl PackedMlp {
     /// Compiles `model`, proving that every quantity fits the kernel's
-    /// storage.
+    /// storage, and picks `i16` lanes when every accumulator bound,
+    /// clamped threshold and activation level fits them (`i32` lanes
+    /// otherwise).
     ///
     /// # Errors
     ///
@@ -214,7 +448,7 @@ impl PackedMlp {
         in_range("input width", 0, input_dim as i64, 0, MAX_INPUT_BITS as i64)?;
         let mut in_dim = input_dim;
         let mut in_levels = model.input_levels;
-        let mut blocks = Vec::with_capacity(model.blocks.len());
+        let mut hidden = Vec::with_capacity(model.blocks.len());
         for (layer, block) in model.blocks.iter().enumerate() {
             same_len("hidden layer input", in_dim, block.in_dim)?;
             let (rows, out_dim) = (block.in_dim * block.out_dim, block.out_dim);
@@ -227,10 +461,14 @@ impl PackedMlp {
             )?;
             let (lo, hi) = block.acc_bounds(in_levels);
             i32_range(layer, lo, hi + 1)?;
-            blocks.push(PackedBlock {
-                weights: Columns::from_rows(&block.weights, block.in_dim, out_dim, layer)?,
+            hidden.push(LayerPlan {
+                in_dim: block.in_dim,
+                out_dim,
+                codes: i8_codes(&block.weights, layer)?,
                 thresholds: clamped_thresholds(block, lo, hi),
                 levels,
+                lo,
+                top: hi + 1,
             });
             in_dim = out_dim;
             in_levels = block.levels;
@@ -251,13 +489,26 @@ impl PackedMlp {
             let (min, max) = (i64::MIN - (lo << BIAS_SHIFT), i64::MAX - (hi << BIAS_SHIFT));
             in_range("class bias", layer, bias, min, max)?;
         }
+        let output = LayerPlan {
+            in_dim,
+            out_dim: out.out_dim,
+            codes: i8_codes(&out.weights, layer)?,
+            thresholds: Vec::new(),
+            levels: 0,
+            lo,
+            top: hi,
+        };
+        let narrow = hidden.iter().chain([&output]).all(LayerPlan::fits::<i16>);
         Ok(PackedMlp {
             input_dim,
             input_mask: u128::MAX
                 .checked_shr((MAX_INPUT_BITS - input_dim) as u32)
                 .unwrap_or(0),
-            blocks,
-            output: Columns::from_rows(&out.weights, in_dim, out.out_dim, layer)?,
+            lanes: if narrow {
+                Lanes::I16(LaneMlp::new(&hidden, &output)?)
+            } else {
+                Lanes::I32(LaneMlp::new(&hidden, &output)?)
+            },
             bias_q: out.bias_q.clone(),
         })
     }
@@ -267,35 +518,23 @@ impl PackedMlp {
         self.input_dim
     }
 
+    /// Lane width in bits the proof picked: 16 or 32.
+    pub fn acc_bits(&self) -> u32 {
+        match self.lanes {
+            Lanes::I16(_) => 16,
+            Lanes::I32(_) => 32,
+        }
+    }
+
     /// Classifies one frame bitmask through caller-owned buffers; the
     /// class scores stay readable via [`PackedScratch::scores`]. Bits at
     /// or above [`input_dim`](Self::input_dim) are ignored.
     pub fn infer_class(&self, bits: u128, scratch: &mut PackedScratch) -> usize {
-        let PackedScratch { acc, act, scores } = scratch;
-        let first = self.blocks.first().map_or(&self.output, |b| &b.weights);
-        first.add_bit_columns(bits & self.input_mask, acc);
-        for (k, block) in self.blocks.iter().enumerate() {
-            if k > 0 {
-                block.weights.add_level_columns(act, acc);
-            }
-            block.count_levels(acc, act);
+        let bits = bits & self.input_mask;
+        match &self.lanes {
+            Lanes::I16(mlp) => mlp.infer_class(bits, &self.bias_q, scratch),
+            Lanes::I32(mlp) => mlp.infer_class(bits, &self.bias_q, scratch),
         }
-        if !self.blocks.is_empty() {
-            self.output.add_level_columns(act, acc);
-        }
-        scores.clear();
-        scores.extend(
-            acc.iter()
-                .zip(&self.bias_q)
-                .map(|(&a, &bias)| (i64::from(a) << BIAS_SHIFT) + bias),
-        );
-        let mut class = 0usize;
-        for (j, &s) in scores.iter().enumerate() {
-            if s > scores[class] {
-                class = j;
-            }
-        }
-        class
     }
 
     /// Classifies one frame bitmask, returning the class and its scores.
@@ -307,6 +546,23 @@ impl PackedMlp {
             scores: scratch.scores,
         }
     }
+}
+
+/// Row-major `i32` weight codes as `i8` (`layer` names the layer in the
+/// error).
+fn i8_codes(weights: &[i32], layer: usize) -> Result<Vec<i8>, QnnError> {
+    weights
+        .iter()
+        .map(|&w| {
+            i8::try_from(w).map_err(|_| QnnError::KernelRange {
+                quantity: "weight code",
+                layer,
+                value: i64::from(w),
+                min: i64::from(i8::MIN),
+                max: i64::from(i8::MAX),
+            })
+        })
+        .collect()
 }
 
 /// `Err(KernelRange)` unless `min <= value <= max`.
@@ -350,21 +606,20 @@ fn same_len(context: &'static str, expected: usize, actual: usize) -> Result<(),
     }
 }
 
-/// `block`'s thresholds, level-major, clamped into `[lo, hi + 1]`.
+/// `block`'s thresholds, row-major per neuron, clamped into
+/// `[lo, hi + 1]`.
 ///
 /// Each neuron's thresholds first take their running maximum: counting
 /// `acc >= T_k` over all `k` then equals the reference's early-exit
 /// count (the number of leading thresholds passed), ascending or not.
 /// Clamping changes no comparison for an accumulator in `[lo, hi]`.
-fn clamped_thresholds(block: &IntBlock, lo: i64, hi: i64) -> Vec<i32> {
-    let levels = block.levels as usize;
-    let mut out = vec![0i32; levels * block.out_dim];
+fn clamped_thresholds(block: &IntBlock, lo: i64, hi: i64) -> Vec<i64> {
+    let mut out = Vec::with_capacity(block.thresholds.len());
     for j in 0..block.out_dim {
         let mut running = i64::MIN;
-        for (k, &t) in block.threshold_row(j).iter().enumerate() {
+        for &t in block.threshold_row(j) {
             running = running.max(t);
-            // `new` proved `lo` and `hi + 1` fit i32.
-            out[k * block.out_dim + j] = running.clamp(lo, hi + 1) as i32;
+            out.push(running.clamp(lo, hi + 1));
         }
     }
     out

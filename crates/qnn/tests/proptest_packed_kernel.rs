@@ -2,7 +2,8 @@
 //! value: random binary-input models at every bit-width from 1 to 8,
 //! input and layer widths up to 128, codes pinned at ±max, constant
 //! neurons with the `i64::MIN`/`i64::MAX` sentinel thresholds, and tied
-//! class scores.
+//! class scores; and the lane-width proof, on random models and on
+//! hand-built models at the edge of `i16`.
 
 use canids_qnn::export::{IntBlock, IntOutput, IntegerMlp};
 use canids_qnn::kernel::{pack_levels, PackedMlp, PackedScratch, MAX_INPUT_BITS};
@@ -144,8 +145,30 @@ fn inputs(seed: u64, dim: usize, random: usize) -> Vec<Vec<u32>> {
     xs
 }
 
+/// The lane width the model's bounds call for: 16 when every hidden
+/// `lo` and `hi + 1`, every output `lo` and `hi` and every activation
+/// level fit `i16`, 32 otherwise.
+fn predicted_acc_bits(model: &IntegerMlp) -> u32 {
+    let fits = |lo: i64, top: i64| lo >= i64::from(i16::MIN) && top <= i64::from(i16::MAX);
+    let mut in_levels = model.input_levels;
+    let mut narrow = true;
+    for block in &model.blocks {
+        let (lo, hi) = block.acc_bounds(in_levels);
+        narrow &= fits(lo, hi + 1) && fits(0, i64::from(block.levels));
+        in_levels = block.levels;
+    }
+    let out = &model.output;
+    let (lo, hi) = bounds(&out.weights, out.in_dim, in_levels);
+    if fits(lo, hi) && narrow {
+        16
+    } else {
+        32
+    }
+}
+
 fn assert_kernel_matches(model: &IntegerMlp, xs: &[Vec<u32>]) {
     let kernel = PackedMlp::new(model).expect("binary, i8 codes, i32 accumulators");
+    assert_eq!(kernel.acc_bits(), predicted_acc_bits(model));
     let mut scratch = PackedScratch::default();
     for x in xs {
         let want = model.infer(x);
@@ -175,5 +198,104 @@ proptest! {
             let bits = pack_levels(x).expect("binary");
             prop_assert_eq!(kernel.infer(bits).class, 0);
         }
+    }
+}
+
+/// A two-input model whose layer under test sees every input at
+/// `levels`: a driver layer of `rows[0].len()` neurons copies input bit 0
+/// into activation level `levels` (bit 1 feeds nothing), and `rows` are
+/// the tested layer's code rows. A hidden tested layer gets thresholds
+/// at its neurons' `lo`, `hi` and `hi + 1` and a ±1 output layer after
+/// it.
+fn edge_model(levels: u32, rows: &[&[i32]], hidden: bool) -> IntegerMlp {
+    let fan = rows[0].len();
+    let driver = IntBlock {
+        in_dim: 2,
+        out_dim: fan,
+        weights: [1, 0].repeat(fan),
+        thresholds: vec![1; fan * levels as usize],
+        levels,
+    };
+    let weights: Vec<i32> = rows.concat();
+    let width = rows.len();
+    let (blocks, output) = if hidden {
+        let thresholds = rows
+            .iter()
+            .flat_map(|row| {
+                let (lo, hi) = bounds(row, fan, levels);
+                [lo, hi, hi + 1]
+            })
+            .collect();
+        let tested = IntBlock {
+            in_dim: fan,
+            out_dim: width,
+            weights,
+            thresholds,
+            levels: 3,
+        };
+        let output = IntOutput {
+            in_dim: width,
+            out_dim: 2,
+            weights: [vec![1; width], vec![-1; width]].concat(),
+            bias_q: vec![0, 1],
+        };
+        (vec![driver, tested], output)
+    } else {
+        let output = IntOutput {
+            in_dim: fan,
+            out_dim: width,
+            weights,
+            bias_q: vec![0; width],
+        };
+        (vec![driver], output)
+    };
+    IntegerMlp {
+        blocks,
+        output,
+        input_levels: 1,
+        weight_bits: 8,
+        act_bits: 8,
+    }
+}
+
+/// Builds [`edge_model`], checks the lane width the kernel picks and
+/// the one the bounds predict, and runs every input against the
+/// reference: all-zero, bit 1 alone, bit 0 alone (every tested
+/// accumulator at its bound) and all-one.
+fn assert_edge(name: &str, levels: u32, rows: &[&[i32]], hidden: bool, bits: u32) {
+    let model = edge_model(levels, rows, hidden);
+    let kernel = PackedMlp::new(&model).expect(name);
+    assert_eq!(kernel.acc_bits(), bits, "{name}");
+    assert_eq!(predicted_acc_bits(&model), bits, "{name}");
+    for x in [[0, 0], [0, 1], [1, 0], [1, 1]] {
+        let packed = pack_levels(&x).expect("binary");
+        assert_eq!(kernel.infer(packed), model.infer(&x), "{name}: x={x:?}");
+    }
+}
+
+#[test]
+fn lane_width_is_i16_exactly_at_the_i16_edge() {
+    // 2^15 - 2 = 258 * 127, 2^15 - 1 = 151 * (127 + 90),
+    // 2^15 = 256 * 128 and 2^15 + 1 = 331 * 99.
+    assert_edge("hidden hi + 1 = 2^15 - 1", 258, &[&[127]], true, 16);
+    assert_edge("output hi = 2^15 - 1", 151, &[&[127, 90]], false, 16);
+    assert_edge("output lo = -2^15", 256, &[&[-128]], false, 16);
+    assert_edge("hidden lo = -2^15", 256, &[&[-128]], true, 16);
+    assert_edge("hidden hi + 1 = 2^15", 151, &[&[127, 90]], true, 32);
+    assert_edge("output hi = 2^15", 256, &[&[127, 1]], false, 32);
+    assert_edge("output lo = -2^15 - 1", 331, &[&[-99]], false, 32);
+    assert_edge("hidden lo = -2^15 - 1", 331, &[&[-99]], true, 32);
+    assert_edge("2^15 activation levels", 1 << 15, &[&[-1]], false, 32);
+}
+
+#[test]
+fn paper_models_take_their_predicted_lane_width() {
+    for (config, bits) in [(MlpConfig::paper_4bit(), 16), (MlpConfig::gpu_8bit(), 32)] {
+        let model = QuantMlp::new(config)
+            .and_then(|m| m.export())
+            .expect("preset exports");
+        let kernel = PackedMlp::new(&model).expect("representable");
+        assert_eq!(kernel.acc_bits(), bits);
+        assert_kernel_matches(&model, &inputs(u64::from(bits), model.input_dim(), 64));
     }
 }

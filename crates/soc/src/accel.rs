@@ -8,6 +8,7 @@
 
 use canids_can::time::SimTime;
 use canids_dataflow::ip::{AcceleratorIp, RegisterMap};
+use canids_qnn::kernel::PackedScratch;
 
 use crate::axi::MmioDevice;
 use crate::error::SocError;
@@ -26,7 +27,9 @@ pub struct AccelPeripheral {
     input_words: Vec<u32>,
     busy_until: Option<SimTime>,
     result_class: u32,
+    /// Scores of the last inference, one buffer reused by every start.
     result_scores: Vec<i64>,
+    scratch: PackedScratch,
     done_sticky: bool,
     inferences: u64,
     busy_time: SimTime,
@@ -42,6 +45,7 @@ impl AccelPeripheral {
             busy_until: None,
             result_class: 0,
             result_scores: Vec::new(),
+            scratch: PackedScratch::default(),
             done_sticky: false,
             inferences: 0,
             busy_time: SimTime::ZERO,
@@ -69,28 +73,18 @@ impl AccelPeripheral {
         matches!(self.busy_until, Some(t) if now < t)
     }
 
-    fn unpack_input(&self) -> Vec<u32> {
-        let dim = self.ip.input_dim();
-        let mut bits = Vec::with_capacity(dim);
-        for i in 0..dim {
-            let word = self.input_words[i / 32];
-            bits.push((word >> (i % 32)) & 1);
-        }
-        bits
-    }
-
     fn start(&mut self, now: SimTime) -> Result<(), SocError> {
         if self.is_busy(now) {
             return Err(SocError::DeviceBusy);
         }
-        let x = self.unpack_input();
-        let (class, scores) = self.ip.infer(&x);
+        let (class, scores) = self.ip.infer_words(&self.input_words, &mut self.scratch);
+        self.result_scores.clear();
+        self.result_scores.extend_from_slice(&scores);
         let latency =
             SimTime::from_nanos(self.ip.latency_cycles() * 1_000_000_000 / self.ip.clock_hz());
         self.busy_until = Some(now + latency);
         self.busy_time += latency;
         self.result_class = class as u32;
-        self.result_scores = scores;
         self.done_sticky = false;
         self.inferences += 1;
         Ok(())
@@ -178,7 +172,9 @@ impl MmioDevice for AccelPeripheral {
     }
 }
 
-/// Packs binary features into the 32-bit words the peripheral expects.
+/// Packs binary features into the 32-bit words the peripheral expects:
+/// feature `i` is bit `i % 32` of word `i / 32`, set when the feature is
+/// at least one half.
 ///
 /// # Example
 ///
@@ -192,13 +188,20 @@ impl MmioDevice for AccelPeripheral {
 /// assert_eq!(words[1], 1);
 /// ```
 pub fn pack_features(bits: &[f32]) -> Vec<u32> {
-    let mut words = vec![0u32; bits.len().div_ceil(32)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b >= 0.5 {
-            words[i / 32] |= 1 << (i % 32);
-        }
-    }
+    let mut words = Vec::with_capacity(bits.len().div_ceil(32));
+    pack_features_into(bits, &mut words);
     words
+}
+
+/// Appends [`pack_features`]' words for `bits` to `words`: the one
+/// float-to-word packer every AXI input path shares.
+pub(crate) fn pack_features_into(bits: &[f32], words: &mut Vec<u32>) {
+    words.extend(bits.chunks(32).map(|chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0u32, |word, (i, &b)| word | (u32::from(b >= 0.5) << i))
+    }));
 }
 
 #[cfg(test)]
@@ -314,5 +317,53 @@ mod tests {
         assert_eq!(words[0], (1 << 0) | (1 << 31));
         assert_eq!(words[1], 1);
         assert_eq!(words[2], 1 << 10);
+    }
+
+    #[test]
+    fn score_registers_hold_the_reference_scores() {
+        let model = QuantMlp::new(MlpConfig::paper_4bit())
+            .unwrap()
+            .export()
+            .unwrap();
+        let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
+        let mut p = AccelPeripheral::new(ip);
+        let mut now = SimTime::ZERO;
+        assert!(matches!(
+            p.read(RegisterMap::OUT_SCORE_BASE, now),
+            Err(SocError::AccessViolation { .. })
+        ));
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for k in 0..64u32 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // All-zero and all-one first, then random frames.
+            let x: Vec<u32> = (0..75)
+                .map(|i| match k {
+                    0 => 0,
+                    1 => 1,
+                    _ => ((state >> (i % 64)) ^ (state >> (63 - i % 64) >> 1)) as u32 & 1,
+                })
+                .collect();
+            let bits: Vec<f32> = x.iter().map(|&b| b as f32).collect();
+            write_input(&mut p, &bits, now);
+            p.write(RegisterMap::CTRL, CTRL_START, now).unwrap();
+            now += SimTime::from_micros(50);
+            let want = model.infer(&x);
+            assert_eq!(want.scores.len(), 2);
+            for (c, &score) in want.scores.iter().enumerate() {
+                let reg = RegisterMap::OUT_SCORE_BASE + 4 * c as u32;
+                assert_eq!(
+                    p.read(reg, now).unwrap(),
+                    score as u32,
+                    "input {k}, class {c}"
+                );
+            }
+            assert_eq!(
+                p.read(RegisterMap::OUT_CLASS, now).unwrap(),
+                want.class as u32
+            );
+            now += SimTime::from_micros(50);
+        }
     }
 }

@@ -10,7 +10,9 @@
 
 use canids_can::time::SimTime;
 use canids_dataflow::ip::AcceleratorIp;
+use canids_qnn::kernel::PackedScratch;
 
+use crate::accel::pack_features_into;
 use crate::cpu::CpuModel;
 use crate::error::SocError;
 
@@ -47,22 +49,30 @@ pub struct BatchReport {
     pub per_frame: SimTime,
 }
 
-/// A batch of frames quantised and packed for DMA streaming **once**,
-/// then consumable by any number of accelerator IPs — the shared
-/// feature-packing substrate of the multi-detector deployment (N models
-/// read one packed buffer instead of re-packing per model).
+/// A window of frames packed **once** into AXI input words for DMA
+/// streaming, then consumable by any number of accelerator IPs: the
+/// shared feature-packing substrate of the multi-detector deployment (N
+/// models read one packed buffer instead of re-packing per model).
+///
+/// The frames live in one flat buffer of 32-bit words, `stride =
+/// dim.div_ceil(32)` per frame (an IP's `input_words`): feature `i` of
+/// frame `k` is bit `i % 32` of word `k * stride + i / 32`, the layout
+/// [`pack_features`](crate::accel::pack_features) writes. Clearing keeps
+/// the buffer, so a reused batch allocates nothing per frame.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FeatureBatch {
-    xs: Vec<Vec<u32>>,
+    words: Vec<u32>,
     dim: usize,
+    len: usize,
 }
 
 impl FeatureBatch {
     /// An empty batch of `dim`-wide frames.
     pub fn new(dim: usize) -> Self {
         FeatureBatch {
-            xs: Vec::new(),
+            words: Vec::new(),
             dim,
+            len: 0,
         }
     }
 
@@ -72,15 +82,42 @@ impl FeatureBatch {
     ///
     /// [`SocError::InputDimension`] when the vector has the wrong width.
     pub fn push(&mut self, bits: &[f32]) -> Result<(), SocError> {
-        if bits.len() != self.dim {
+        self.check_dim(bits.len())?;
+        pack_features_into(bits, &mut self.words);
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Appends one frame already packed into `stride` words, as
+    /// [`FrameFeaturizer::featurize_packed`](crate::ecu::FrameFeaturizer::featurize_packed)
+    /// writes it; `dim` is the frame's feature count.
+    ///
+    /// # Errors
+    ///
+    /// [`SocError::InputDimension`] when `dim` differs from the batch
+    /// width or `words` is not one frame's worth of words.
+    pub fn push_packed(&mut self, dim: usize, words: &[u32]) -> Result<(), SocError> {
+        self.check_dim(dim)?;
+        if words.len() != self.stride() {
             return Err(SocError::InputDimension {
-                expected: self.dim,
-                actual: bits.len(),
+                expected: self.stride(),
+                actual: words.len(),
             });
         }
-        self.xs
-            .push(bits.iter().map(|&v| u32::from(v >= 0.5)).collect());
+        self.words.extend_from_slice(words);
+        self.len += 1;
         Ok(())
+    }
+
+    fn check_dim(&self, dim: usize) -> Result<(), SocError> {
+        if dim == self.dim {
+            Ok(())
+        } else {
+            Err(SocError::InputDimension {
+                expected: self.dim,
+                actual: dim,
+            })
+        }
     }
 
     /// Packs a slice of feature vectors in one pass.
@@ -98,12 +135,12 @@ impl FeatureBatch {
 
     /// Frames in the batch.
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.len
     }
 
     /// `true` when no frame has been pushed.
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.len == 0
     }
 
     /// Feature width per frame.
@@ -111,16 +148,39 @@ impl FeatureBatch {
         self.dim
     }
 
-    /// The quantised frames.
-    pub fn frames(&self) -> &[Vec<u32>] {
-        &self.xs
+    /// 32-bit words per frame.
+    pub fn stride(&self) -> usize {
+        self.dim.div_ceil(32)
+    }
+
+    /// The packed frames: [`len`](Self::len) × [`stride`](Self::stride)
+    /// words, frame after frame.
+    pub fn frames(&self) -> &[u32] {
+        &self.words
+    }
+
+    /// Each frame's words, in push order.
+    fn packed(&self) -> impl Iterator<Item = &[u32]> {
+        let stride = self.stride();
+        (0..self.len).map(move |k| &self.words[k * stride..(k + 1) * stride])
     }
 
     /// Empties the batch, keeping its capacity (hot-path reuse between
     /// DMA windows).
     pub fn clear(&mut self) {
-        self.xs.clear();
+        self.words.clear();
+        self.len = 0;
     }
+}
+
+/// Classes of every frame of `batch` on `ip`, through one scratch reused
+/// across the window.
+fn classify(ip: &AcceleratorIp, batch: &FeatureBatch) -> Vec<usize> {
+    let mut scratch = PackedScratch::default();
+    batch
+        .packed()
+        .map(|words| ip.infer_words(words, &mut scratch).0)
+        .collect()
 }
 
 /// The timing of one DMA transfer of `n` frames into `ip`: one dispatch
@@ -154,7 +214,7 @@ pub fn run_batch_shared(
         });
     }
     // Functional results from the (bit-exact) IP model.
-    let classes: Vec<usize> = batch.frames().iter().map(|x| ip.infer(x).0).collect();
+    let classes = classify(ip, batch);
     let n = batch.len() as u64;
     let total = transfer_time(ip, cpu, dma, n);
     let per_frame = SimTime::from_nanos(total.as_nanos() / n.max(1));
@@ -215,9 +275,12 @@ pub fn run_batch_multi(
     dma: DmaConfig,
     batch: &FeatureBatch,
 ) -> Result<MultiBatchReport, SocError> {
-    if ips.is_empty() {
-        return Err(SocError::NoSuchAccelerator(0));
-    }
+    let n = batch.len() as u64;
+    let total = ips
+        .iter()
+        .map(|ip| transfer_time(ip, cpu, dma, n))
+        .max()
+        .ok_or(SocError::NoSuchAccelerator(0))?;
     for ip in ips {
         if batch.dim() != ip.input_dim() {
             return Err(SocError::InputDimension {
@@ -226,19 +289,10 @@ pub fn run_batch_multi(
             });
         }
     }
-    let classes: Vec<Vec<usize>> = ips
-        .iter()
-        .map(|ip| batch.frames().iter().map(|x| ip.infer(x).0).collect())
-        .collect();
+    let classes: Vec<Vec<usize>> = ips.iter().map(|ip| classify(ip, batch)).collect();
     let flagged: Vec<bool> = (0..batch.len())
         .map(|f| classes.iter().any(|per_model| per_model[f] != 0))
         .collect();
-    let n = batch.len() as u64;
-    let total = ips
-        .iter()
-        .map(|ip| transfer_time(ip, cpu, dma, n))
-        .max()
-        .expect("ips checked non-empty");
     let per_frame = SimTime::from_nanos(total.as_nanos() / n.max(1));
     Ok(MultiBatchReport {
         classes,
@@ -378,7 +432,7 @@ mod tests {
     fn feature_batch_clear_reuses_buffer() {
         let mut fb = FeatureBatch::new(3);
         fb.push(&[1.0, 0.0, 1.0]).unwrap();
-        assert_eq!(fb.frames(), &[vec![1, 0, 1]]);
+        assert_eq!(fb.frames(), &[0b101]);
         fb.clear();
         assert!(fb.is_empty());
         assert_eq!(fb.dim(), 3);

@@ -11,7 +11,7 @@
 use canids_can::frame::CanFrame;
 use canids_can::time::SimTime;
 
-use crate::accel::pack_features;
+use crate::accel::pack_features_into;
 use crate::board::Zcu104Board;
 use crate::dma::{run_batch_multi, DmaConfig, FeatureBatch};
 use crate::error::SocError;
@@ -23,6 +23,22 @@ use crate::error::SocError;
 pub trait FrameFeaturizer {
     /// Encodes one frame as binary features.
     fn featurize(&self, frame: &CanFrame) -> Vec<f32>;
+
+    /// Appends one frame's features to `words` as packed AXI input words
+    /// and returns the feature count: feature `i` is bit `i % 32` of the
+    /// `i / 32`-th appended word, set when the feature is at least one
+    /// half. This is the form [`EcuStream::push`] consumes under every
+    /// policy.
+    ///
+    /// The provided method packs [`featurize`](Self::featurize)'s vector
+    /// exactly as [`pack_features`](crate::accel::pack_features) does; a
+    /// featuriser that has the bits already overrides it to skip the
+    /// float vector.
+    fn featurize_packed(&self, frame: &CanFrame, words: &mut Vec<u32>) -> usize {
+        let features = self.featurize(frame);
+        pack_features_into(&features, words);
+        features.len()
+    }
 }
 
 impl<F> FrameFeaturizer for F
@@ -304,6 +320,7 @@ impl IdsEcu {
             dropped: 0,
             busy: SimTime::ZERO,
             first_arrival: None,
+            words: Vec::new(),
             batch_buf: FeatureBatch::default(),
             batch_meta: Vec::new(),
             profiling: false,
@@ -378,6 +395,8 @@ pub struct EcuStream<'a> {
     dropped: u64,
     busy: SimTime,
     first_arrival: Option<SimTime>,
+    /// The current frame's packed input words, reused frame to frame.
+    words: Vec<u32>,
     /// Frames packed once and awaiting the next DMA transfer
     /// ([`SchedPolicy::DmaBatch`] only).
     batch_buf: FeatureBatch,
@@ -504,15 +523,16 @@ impl EcuStream<'_> {
             return Ok(None);
         }
 
-        // One featurisation + one packing pass per frame, shared by all
+        // One featurisation into packed words per frame, shared by all
         // models and policies.
-        let features = featurizer.featurize(&frame);
+        self.words.clear();
+        let dim = featurizer.featurize_packed(&frame, &mut self.words);
 
         if let SchedPolicy::DmaBatch { batch } = self.ecu.config.policy {
-            if self.batch_buf.is_empty() && self.batch_buf.dim() != features.len() {
-                self.batch_buf = FeatureBatch::new(features.len());
+            if self.batch_buf.is_empty() && self.batch_buf.dim() != dim {
+                self.batch_buf = FeatureBatch::new(dim);
             }
-            self.batch_buf.push(&features)?;
+            self.batch_buf.push_packed(dim, &self.words)?;
             self.batch_meta.push((arrival, frame));
             self.busy += self.rx_cost;
             // The window cannot exceed the FIFO: unflushed batch frames
@@ -526,7 +546,7 @@ impl EcuStream<'_> {
             return Ok(None);
         }
 
-        let words = pack_features(&features);
+        let words = &self.words;
         let ready = arrival + self.rx_cost;
         let start = self.queue.start_time(ready);
         let multi_factor = self.multi_factor();
@@ -546,7 +566,7 @@ impl EcuStream<'_> {
                     .enumerate()
                     .filter(|&(_, (_, &a))| a)
                 {
-                    let rec = self.ecu.board.infer_packed(idx, &words)?;
+                    let rec = self.ecu.board.infer_packed(idx, words)?;
                     if rec.class != 0 {
                         flagged = true;
                         if k < 64 {
@@ -576,9 +596,9 @@ impl EcuStream<'_> {
                 for (i, (k, idx)) in active.enumerate() {
                     self.ecu.board.set_now(start);
                     let rec = if irq {
-                        self.ecu.board.infer_packed_irq(idx, &words)?
+                        self.ecu.board.infer_packed_irq(idx, words)?
                     } else {
-                        self.ecu.board.infer_packed(idx, &words)?
+                        self.ecu.board.infer_packed(idx, words)?
                     };
                     if rec.class != 0 {
                         flagged = true;
@@ -804,7 +824,9 @@ impl EcuStream<'_> {
     /// [`EcuStream::try_finish`] to handle that error); per-message
     /// policies never flush and cannot panic here.
     pub fn finish(mut self) -> EcuReport {
-        self.flush_batch().expect("trailing DMA batch flush");
+        self.flush_batch()
+            // lint:allow(panic-in-lib): documented `# Panics` contract; `try_finish` is the fallible form, and per-message policies never flush
+            .expect("trailing DMA batch flush");
         let EcuStream {
             ecu,
             detections,
@@ -1399,5 +1421,31 @@ mod tests {
         let l0 = report.detections[0].latency();
         let l1 = report.detections[1].latency();
         assert!(l1 > l0, "second frame queues behind the first");
+    }
+
+    #[test]
+    fn default_packed_featurisation_and_feature_batch_match_pack_features() {
+        // Values on both sides of the one-half cut, NaN and signed zero
+        // included, spread over all three input words.
+        let levels = [0.0, 1.0, 0.49, 0.5, -0.0, 2.0, f32::NAN, -1.0, 0.51];
+        let featurize = |f: &CanFrame| -> Vec<f32> {
+            let seed = usize::from(f.data_padded()[0]);
+            (0..75)
+                .map(|i| levels[(i * 7 + seed) % levels.len()])
+                .collect()
+        };
+        let mut batch = FeatureBatch::new(75);
+        let mut expected = Vec::new();
+        for (_, frame) in frames(20, 100) {
+            let want = crate::accel::pack_features(&featurize(&frame));
+            let mut words = vec![0xDEAD_BEEF];
+            assert_eq!(featurize.featurize_packed(&frame, &mut words), 75);
+            assert_eq!(words[0], 0xDEAD_BEEF, "appends, keeping earlier words");
+            assert_eq!(&words[1..], want.as_slice());
+            batch.push(&featurize(&frame)).unwrap();
+            expected.extend(want);
+        }
+        assert_eq!(batch.len(), 20);
+        assert_eq!(batch.frames(), expected.as_slice());
     }
 }

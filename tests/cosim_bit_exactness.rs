@@ -2,11 +2,14 @@
 //!
 //! float fake-quant network → integer export → dataflow graph →
 //! cycle-accurate simulator → memory-mapped peripheral, and the packed
-//! `i32` serving kernel beside them
+//! serving kernel beside them
 //!
 //! must all produce identical classes (and scores where exposed) for
-//! every input.
+//! every input. The packed input format is pinned too: a frame encoded
+//! straight into bits, and the AXI words the IP classifies, equal the
+//! float features packed after the fact.
 
+use canids_can::frame::{CanFrame, CanId, Dlc};
 use canids_can::time::SimTime;
 use canids_core::stream::StreamingEvaluator;
 use canids_dataflow::folding::{auto_fold, FoldingGoal};
@@ -16,7 +19,7 @@ use canids_dataflow::simulator::{AcceleratorSim, SimConfig};
 use canids_dataflow::verify::verify_bit_exact;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
 use canids_dataset::generator::{DatasetBuilder, TrafficConfig};
-use canids_qnn::kernel::{pack_levels, PackedMlp};
+use canids_qnn::kernel::{pack_levels, PackedMlp, PackedScratch};
 use canids_qnn::prelude::*;
 use canids_soc::accel::{pack_features, AccelPeripheral, CTRL_START};
 use canids_soc::axi::MmioDevice;
@@ -200,4 +203,93 @@ fn sixteen_bit_codes_serve_bit_exactly_on_the_reference_path() {
         assert_eq!(eval.push(rec).class, want.class);
     }
     assert_eq!(eval.frames(), capture.len() as u64);
+}
+
+/// A standard or extended identifier.
+fn arb_id() -> impl Strategy<Value = CanId> {
+    prop_oneof![
+        (0u16..=0x7FF).prop_map(|id| CanId::standard(id).expect("masked")),
+        (0u32..=0x1FFF_FFFF).prop_map(|id| CanId::extended(id).expect("masked")),
+    ]
+}
+
+/// Data frames of every payload length and remote frames of every DLC,
+/// on standard and extended identifiers.
+fn arb_frame() -> impl Strategy<Value = CanFrame> {
+    prop_oneof![
+        (arb_id(), proptest::collection::vec(any::<u8>(), 0..=8))
+            .prop_map(|(id, payload)| CanFrame::new(id, &payload).expect("len <= 8")),
+        (arb_id(), 0u8..=8)
+            .prop_map(|(id, dlc)| CanFrame::remote(id, Dlc::new(dlc).expect("<= 8"))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn paper_encoding_writes_the_bitmask_of_its_float_features(frame in arb_frame()) {
+        let enc = IdBitsPayloadBits;
+        prop_assert_eq!(
+            enc.encode_bits(&frame),
+            canids_qnn::kernel::pack_features(&enc.encode(&frame))
+        );
+    }
+}
+
+#[test]
+fn paper_encoding_bitmask_covers_every_dlc() {
+    let enc = IdBitsPayloadBits;
+    let ids = [
+        CanId::standard(0x000).unwrap(),
+        CanId::standard(0x5A5).unwrap(),
+        CanId::standard(0x7FF).unwrap(),
+        CanId::extended(0x1FFF_FFFF).unwrap(),
+        CanId::extended(0x0AB5_4321).unwrap(),
+    ];
+    let payload = [0x80, 0x01, 0xFF, 0x00, 0x5A, 0xA5, 0x7E, 0xC3];
+    for id in ids {
+        for dlc in 0..=8u8 {
+            let data = CanFrame::new(id, &payload[..usize::from(dlc)]).unwrap();
+            let remote = CanFrame::remote(id, Dlc::new(dlc).unwrap());
+            for frame in [data, remote] {
+                assert_eq!(
+                    enc.encode_bits(&frame),
+                    canids_qnn::kernel::pack_features(&enc.encode(&frame)),
+                    "{frame:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn ip_word_entry_point_matches_the_reference_on_kernel_and_fallback_models() {
+    // The paper model runs the packed kernel; 16-bit codes take the
+    // graph's functional model. Both read the same AXI words.
+    let paper = QuantMlp::new(MlpConfig::paper_4bit())
+        .unwrap()
+        .export()
+        .unwrap();
+    let wide = QuantMlp::new(MlpConfig {
+        weight_bits: BitWidth::new(16).unwrap(),
+        ..MlpConfig::paper_4bit()
+    })
+    .unwrap()
+    .export()
+    .unwrap();
+    for model in [paper, wide] {
+        let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
+        let mut scratch = PackedScratch::default();
+        let mut inputs = vec![vec![0; 75], vec![1; 75]];
+        inputs.extend(random_inputs(75, 128, 0x3D));
+        for x in inputs {
+            let bits: Vec<f32> = x.iter().map(|&b| b as f32).collect();
+            let words = pack_features(&bits);
+            let want = model.infer(&x);
+            let (class, scores) = ip.infer_words(&words, &mut scratch);
+            assert_eq!(class, want.class);
+            assert_eq!(scores.as_ref(), want.scores.as_slice());
+        }
+    }
 }
