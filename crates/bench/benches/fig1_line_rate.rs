@@ -1,7 +1,8 @@
 //! Criterion bench for the Fig. 1 / throughput substrate: frame encoding
 //! against the allocation-free wire-length count that paces every
-//! replay, saturated-bus simulation speed, and the streaming
-//! (frame-at-a-time) serving path the line-rate harness drives.
+//! replay, saturated-bus simulation speed, the streaming
+//! (frame-at-a-time) serving path the line-rate harness drives, and a
+//! whole software replay through that harness.
 
 use canids_bench::untrained_model;
 use canids_can::bits::encode_frame;
@@ -10,6 +11,7 @@ use canids_can::frame::{CanFrame, CanId};
 use canids_can::node::CanController;
 use canids_can::time::SimTime;
 use canids_can::timing::{frame_bit_count, max_frame_rate, Bitrate};
+use canids_core::serve::{ReplayConfig, ServeHarness, SoftwareBackend};
 use canids_core::stream::StreamingEvaluator;
 use canids_dataset::attacks::{AttackProfile, BurstSchedule};
 use canids_dataset::generator::{DatasetBuilder, TrafficConfig};
@@ -70,6 +72,18 @@ fn bench_fig1(c: &mut Criterion) {
             let v = eval.push(black_box(&records[i]));
             i = (i + 1) % records.len();
             black_box(v.class)
+        })
+    });
+    // The same capture replayed end to end through the serving harness:
+    // pacing, the evaluator above, and the harness's own bookkeeping
+    // (admission governor, verdict fusion ring, in-order emission).
+    // Divide by the capture's frame count for a per-frame cost.
+    let mut harness = ServeHarness::new(SoftwareBackend::single(untrained_model()));
+    let config = ReplayConfig::default();
+    group.bench_function("harness_replay_dos_200ms", |b| {
+        b.iter(|| {
+            let report = harness.replay(black_box(&capture), &config).unwrap();
+            black_box(report.serviced)
         })
     });
     group.finish();

@@ -680,6 +680,12 @@ fn slowest_lane_fps<'a>(
     (max_busy_s > 0.0).then(|| serviced as f64 / max_busy_s)
 }
 
+/// The ledger's verdict-index entry for a frame its lane's backend
+/// dropped: a position past the end of every lane's verdicts, so a
+/// lookup by it finds none. (A lane would need over 4 × 10⁹ verdicts,
+/// more than fit in memory, to reach it.)
+const NO_VERDICT: u32 = u32::MAX;
+
 /// One offered frame on the population clock.
 #[derive(Debug, Clone, Copy)]
 struct FrameAt {
@@ -739,17 +745,18 @@ impl Ledger {
         }
         frames.sort_by_key(|f| (f.time, f.tenant, f.ordinal));
 
-        // Per-tenant verdict table, indexed by local frame ordinal
-        // (frames the backend dropped have no verdict).
-        let mut verdict_of: Vec<Vec<Option<Verdict>>> = Vec::with_capacity(n);
+        // Per-tenant index from local frame ordinal to the position of
+        // its verdict in the lane's own `verdicts` (`NO_VERDICT` for a
+        // frame the backend dropped).
+        let mut verdict_at: Vec<Vec<u32>> = Vec::with_capacity(n);
         for (k, lane) in outcomes.iter().enumerate() {
-            let mut table = vec![None; tenants[k].capture.len()];
-            for v in &lane.verdicts {
-                if v.ordinal < table.len() {
-                    table[v.ordinal] = Some(*v);
+            let mut table = vec![NO_VERDICT; tenants[k].capture.len()];
+            for (pos, v) in lane.verdicts.iter().enumerate() {
+                if let (Some(slot), Ok(pos)) = (table.get_mut(v.ordinal), u32::try_from(pos)) {
+                    *slot = pos;
                 }
             }
-            verdict_of.push(table);
+            verdict_at.push(table);
         }
 
         let total: Vec<usize> = tenants.iter().map(|t| t.capture.len()).collect();
@@ -823,7 +830,7 @@ impl Ledger {
                 while value[k].front().is_some_and(|&o| o + window <= f.ordinal) {
                     value[k].pop_front();
                 }
-                match verdict_of[k][f.ordinal] {
+                match outcomes[k].verdicts.get(verdict_at[k][f.ordinal] as usize) {
                     Some(v) => {
                         ledger.serviced[k] += 1;
                         ledger.latencies[k].push(v.completed_at.saturating_sub(v.arrival));

@@ -30,12 +30,18 @@
 //! lives in the harness, not in any one backend, so every substrate that
 //! exposes model activation gets graceful degradation for free.
 //!
+//! The harness fuses each frame's shard verdicts in a ring of the frames
+//! still awaiting a verdict, indexed by ordinal offset: each shard
+//! verdict or drop costs O(1), the ring holds only the frames some shard
+//! still has in flight (queued, batched or in transit) rather than the
+//! whole capture, and resolved frames leave its front in ordinal order.
+//!
 //! Every backend serves on one clock, the simulated [`SimTime`]: the
 //! ECU and fleet book their cycle and transport models, the software
 //! backend books [`SOFTWARE_FRAME_COST`]. A report is therefore a pure
 //! function of capture, models and configuration, whatever the host.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use canids_can::frame::CanFrame;
@@ -772,7 +778,10 @@ pub trait ServeSession {
     fn attach_probe(&mut self, _probe: Probe) {}
 
     /// Flushes trailing state (e.g. a partial DMA window), appends the
-    /// remaining verdicts and returns per-shard totals.
+    /// remaining verdicts and returns per-shard totals. By then every
+    /// frame a shard admitted has had exactly one verdict, from a drain
+    /// or from here: the harness holds a frame awaiting a verdict until
+    /// each shard has answered or dropped it.
     ///
     /// # Errors
     ///
@@ -2169,10 +2178,17 @@ impl AdmissionController {
 // Aggregation
 // --------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, Default)]
+/// One in-flight frame of the fusion ring: its ground truth, the shards
+/// yet to resolve it, and the fold of the shard verdicts absorbed so far.
+#[derive(Debug, Clone, Copy)]
 struct FusedEntry {
+    /// Shards that have not yet resolved (serviced or dropped) the frame;
+    /// it is emitted when this reaches zero.
+    pending: usize,
+    truth: bool,
     flagged: bool,
     done: SimTime,
+    /// Shards that serviced the frame; zero when every shard dropped it.
     count: usize,
     model_flags: u64,
     consulted: u64,
@@ -2186,16 +2202,24 @@ struct ModelAccum {
     cm: ConfusionMatrix,
 }
 
-/// Replay-wide accounting: arrivals/truths, per-shard latency vectors,
-/// per-model contribution, and the fused per-ordinal verdict map.
+/// Replay-wide accounting: arrivals, per-shard latency vectors, per-model
+/// contribution, and the fusion ring of frames awaiting a verdict.
+///
+/// The ring holds one [`FusedEntry`] per in-flight ordinal,
+/// `next_emit..arrivals.len()` front to back. A shard verdict or drop
+/// reaches its entry at `ordinal - next_emit` in O(1), and emission pops
+/// resolved entries off the front, so verdicts leave in ordinal order.
+/// The ring's length is bounded by the frames some shard still holds
+/// (queued, batched or in transit), not by the capture.
 struct Aggregator {
     arrivals: Vec<SimTime>,
-    truths: Vec<bool>,
-    /// Shards that have not yet resolved (serviced or dropped) each
-    /// ordinal; a fused verdict is emitted when this reaches zero.
-    remaining: Vec<usize>,
-    fused: BTreeMap<usize, FusedEntry>,
+    ring: VecDeque<FusedEntry>,
     next_emit: usize,
+    /// Latency of every emitted fused verdict, in ordinal order.
+    fused_lat: Vec<SimTime>,
+    /// `(arrival, flagged)` of every emitted fused verdict, in ordinal
+    /// order.
+    verdicts: Vec<(SimTime, bool)>,
     shard_lat: Vec<Vec<SimTime>>,
     shard_serviced: Vec<usize>,
     per_model: Vec<ModelAccum>,
@@ -2208,7 +2232,9 @@ struct Aggregator {
 }
 
 impl Aggregator {
-    fn new(topology: &ServeTopology) -> Self {
+    /// An aggregator over `topology`, its per-frame vectors reserved for
+    /// a capture of `frames` frames.
+    fn new(topology: &ServeTopology, frames: usize) -> Self {
         let shards = topology.shards();
         // Invert home/standby slots into a per-shard local map.
         let mut slot_model: Vec<Vec<Option<usize>>> = (0..shards).map(|_| Vec::new()).collect();
@@ -2228,11 +2254,11 @@ impl Aggregator {
             }
         }
         Aggregator {
-            arrivals: Vec::new(),
-            truths: Vec::new(),
-            remaining: Vec::new(),
-            fused: BTreeMap::new(),
+            arrivals: Vec::with_capacity(frames),
+            ring: VecDeque::new(),
             next_emit: 0,
+            fused_lat: Vec::with_capacity(frames),
+            verdicts: Vec::with_capacity(frames),
             shard_lat: vec![Vec::new(); shards],
             shard_serviced: vec![0; shards],
             per_model: vec![ModelAccum::default(); topology.models],
@@ -2247,13 +2273,25 @@ impl Aggregator {
     fn note_arrival(&mut self, rec: &LabeledFrame) -> usize {
         let ordinal = self.arrivals.len();
         self.arrivals.push(rec.timestamp);
-        self.truths.push(rec.label.is_attack());
-        self.remaining.push(self.shards);
+        self.ring.push_back(FusedEntry {
+            pending: self.shards,
+            truth: rec.label.is_attack(),
+            flagged: false,
+            done: SimTime::ZERO,
+            count: 0,
+            model_flags: 0,
+            consulted: 0,
+        });
         ordinal
     }
 
+    /// The ring entry of an in-flight ordinal.
+    fn in_flight(&mut self, ordinal: usize) -> &mut FusedEntry {
+        &mut self.ring[ordinal - self.next_emit]
+    }
+
     fn note_drop(&mut self, ordinal: usize) {
-        self.remaining[ordinal] -= 1;
+        self.in_flight(ordinal).pending -= 1;
     }
 
     /// Maps a board-local bitmask to fleet bundle order.
@@ -2277,16 +2315,16 @@ impl Aggregator {
     /// accounting and feeds confirmed-positive observations to the
     /// admission controller's value scorer.
     fn absorb(&mut self, v: &ShardVerdict, ctl: &mut AdmissionController) {
-        let truth = self.truths[v.ordinal];
         let fleet_flags = self.to_fleet_mask(v.shard, v.model_flags);
         let fleet_consulted = self.to_fleet_mask(v.shard, v.active_mask);
-        let e = self.fused.entry(v.ordinal).or_default();
+        let e = self.in_flight(v.ordinal);
+        e.pending -= 1;
         e.flagged |= v.flagged;
         e.done = e.done.max(v.completed_at);
         e.count += 1;
         e.model_flags |= fleet_flags;
         e.consulted |= fleet_consulted;
-        self.remaining[v.ordinal] -= 1;
+        let truth = e.truth;
         self.shard_lat[v.shard].push(v.completed_at.saturating_sub(self.arrivals[v.ordinal]));
         self.shard_serviced[v.shard] += 1;
 
@@ -2308,29 +2346,36 @@ impl Aggregator {
         }
     }
 
-    /// Emits fused verdicts whose every shard has resolved, in ordinal
-    /// order.
+    /// Pops every resolved frame off the front of the ring and emits its
+    /// fused verdict, in ordinal order; a frame every shard dropped gets
+    /// none.
     fn emit_ready(&mut self, sink: &mut dyn VerdictSink) {
-        while self.next_emit < self.remaining.len() && self.remaining[self.next_emit] == 0 {
+        while let Some(&e) = self.ring.front() {
+            if e.pending != 0 {
+                break;
+            }
+            self.ring.pop_front();
             let ordinal = self.next_emit;
             self.next_emit += 1;
-            let Some(&e) = self.fused.get(&ordinal) else {
-                continue; // dropped by every shard: no verdict
-            };
-            let truth = self.truths[ordinal];
-            self.cm.record(e.flagged, truth);
+            if e.count == 0 {
+                continue;
+            }
+            let arrival = self.arrivals[ordinal];
+            self.cm.record(e.flagged, e.truth);
             if e.flagged {
                 self.flagged += 1;
             }
             if e.count == self.shards {
                 self.fully_covered += 1;
             }
+            self.fused_lat.push(e.done.saturating_sub(arrival));
+            self.verdicts.push((arrival, e.flagged));
             sink.verdict(&Verdict {
                 ordinal,
-                arrival: self.arrivals[ordinal],
+                arrival,
                 completed_at: e.done,
                 flagged: e.flagged,
-                truth_attack: truth,
+                truth_attack: e.truth,
                 model_flags: e.model_flags,
                 consulted: e.consulted,
                 boards: e.count,
@@ -2436,7 +2481,7 @@ impl<B: ServeBackend> ServeHarness<B> {
         let topology = session.topology().clone();
         let shards = topology.shards();
         let mut ctl = AdmissionController::new(config, &topology);
-        let mut agg = Aggregator::new(&topology);
+        let mut agg = Aggregator::new(&topology, capture.len());
         let mut fresh: Vec<ShardVerdict> = Vec::new();
 
         let records: Box<dyn Iterator<Item = LabeledFrame> + '_> = match config.pacing {
@@ -2474,6 +2519,7 @@ impl<B: ServeBackend> ServeHarness<B> {
             agg.absorb(v, &mut ctl);
         }
         agg.emit_ready(sink);
+        debug_assert!(agg.ring.is_empty(), "every shard resolves every frame");
 
         let telemetry = probe.map(|p| {
             p.add(Counter::FramesOffered, agg.arrivals.len() as u64);
@@ -2481,7 +2527,7 @@ impl<B: ServeBackend> ServeHarness<B> {
                 Counter::FramesDropped,
                 totals.iter().map(|t| t.dropped).sum(),
             );
-            p.add(Counter::FramesServiced, agg.fused.len() as u64);
+            p.add(Counter::FramesServiced, agg.verdicts.len() as u64);
             p.take_report()
         });
         let mut report = finalize(
@@ -2554,17 +2600,7 @@ fn finalize(
         });
     }
 
-    let mut fleet_lat: Vec<SimTime> = agg
-        .fused
-        .iter()
-        .map(|(&ord, e)| e.done.saturating_sub(agg.arrivals[ord]))
-        .collect();
-    fleet_lat.sort_unstable();
-    let verdicts: Vec<(SimTime, bool)> = agg
-        .fused
-        .iter()
-        .map(|(&ord, e)| (agg.arrivals[ord], e.flagged))
-        .collect();
+    let verdicts = std::mem::take(&mut agg.verdicts);
     let serviced = verdicts.len();
     let total_serviced: usize = agg.shard_serviced.iter().sum();
     let sustained_fps = if any_busy && busy > Duration::ZERO {
@@ -2601,7 +2637,7 @@ fn finalize(
         last_arrival,
         offered_fps,
         sustained_fps,
-        latency: LatencyStats::from_sorted(&fleet_lat),
+        latency: LatencyStats::from_unsorted(std::mem::take(&mut agg.fused_lat)),
         flagged: agg.flagged,
         fully_covered: agg.fully_covered,
         cm: agg.cm,
@@ -3103,6 +3139,127 @@ mod tests {
         assert!(verdicts.iter().all(|v| v.boards == shards));
         assert_eq!(report.serviced, 20);
         assert_eq!(report.fully_covered, 20);
+    }
+
+    #[test]
+    fn fusion_ring_matches_a_per_ordinal_fold() {
+        use canids_can::frame::CanId;
+        use canids_dataset::record::Label;
+
+        // Shard 0 homes models 0 and 1, shards 1 and 2 one model each.
+        let topology = ServeTopology {
+            models: 4,
+            homes: vec![
+                Slot { shard: 0, local: 0 },
+                Slot { shard: 0, local: 1 },
+                Slot { shard: 1, local: 0 },
+                Slot { shard: 2, local: 0 },
+            ],
+            standbys: vec![None; 4],
+            model_names: (0..4).map(|m| format!("model-{m}")).collect(),
+            shard_names: (0..3).map(|b| format!("board-{b}")).collect(),
+            shard_models: vec![2, 1, 1],
+            queue_depths: vec![64; 3],
+        };
+        // Board-local masks in fleet bundle order, written out by hand.
+        let fleet_mask = |shard: usize, local: u64| match shard {
+            0 => local & 0b11,
+            1 => (local & 1) << 2,
+            _ => (local & 1) << 3,
+        };
+        let frame = CanFrame::new(CanId::standard(0x100).unwrap(), &[]).unwrap();
+        let arrival = |o: usize| SimTime::from_micros(10 * (o as u64 + 1));
+        let verdict = |shard: usize, o: usize| {
+            let active_mask = if shard == 0 && o == 4 {
+                0b01
+            } else {
+                0b11 >> shard.min(1)
+            };
+            let model_flags = ((o + shard) % 3) as u64 & active_mask;
+            ShardVerdict {
+                shard,
+                ordinal: o,
+                completed_at: arrival(o) + SimTime::from_micros(((shard * 7 + o * 3) % 11) as u64),
+                flagged: model_flags != 0,
+                model_flags,
+                active_mask,
+            }
+        };
+
+        let frames = 8;
+        let mut agg = Aggregator::new(&topology, frames);
+        let mut ctl = AdmissionController::new(&ReplayConfig::default(), &topology);
+        let mut fed: Vec<ShardVerdict> = Vec::new();
+        let mut emitted: Vec<Verdict> = Vec::new();
+        let (mut window1, mut window2) = (Vec::new(), Vec::new());
+        for o in 0..=frames {
+            let mut landing = Vec::new();
+            if o == frames {
+                // Finish: both shards land what they still hold.
+                landing.extend(window1.drain(..).chain(window2.drain(..)));
+            } else {
+                let label = [Label::Dos, Label::Normal][o % 2];
+                let rec = LabeledFrame::new(arrival(o), frame, label);
+                assert_eq!(agg.note_arrival(&rec), o);
+            }
+            if o == 5 {
+                // Dropped by every shard.
+                (0..3).for_each(|_| agg.note_drop(o));
+            } else if o < frames {
+                if o == 3 {
+                    agg.note_drop(o);
+                } else {
+                    landing.push(verdict(0, o));
+                }
+                // Shard 1 lands windows of two, newest first.
+                window1.push(verdict(1, o));
+                if window1.len() == 2 {
+                    landing.extend(window1.drain(..).rev());
+                }
+                // Shard 2's first window lands late, after frame 6.
+                window2.push(verdict(2, o));
+                if o == 6 {
+                    landing.extend(window2.drain(..).rev());
+                }
+            }
+            for v in &landing {
+                agg.absorb(v, &mut ctl);
+            }
+            fed.extend(landing);
+            agg.emit_ready(&mut emitted);
+            if o < 6 {
+                assert!(emitted.is_empty(), "shard 2 still holds frame 0");
+                assert_eq!(agg.ring.len(), o + 1);
+            }
+        }
+        assert!(agg.ring.is_empty(), "nothing is left in flight");
+
+        assert!(emitted.windows(2).all(|w| w[0].ordinal < w[1].ordinal));
+        let expected: Vec<usize> = (0..frames).filter(|&o| o != 5).collect();
+        assert_eq!(
+            emitted.iter().map(|v| v.ordinal).collect::<Vec<_>>(),
+            expected
+        );
+        for v in &emitted {
+            let mine: Vec<&ShardVerdict> = fed.iter().filter(|s| s.ordinal == v.ordinal).collect();
+            assert_eq!(v.boards, mine.len());
+            assert_eq!(v.boards, if v.ordinal == 3 { 2 } else { 3 });
+            assert_eq!(v.flagged, mine.iter().any(|s| s.flagged));
+            let flags = mine
+                .iter()
+                .fold(0, |m, s| m | fleet_mask(s.shard, s.model_flags));
+            let consulted = mine
+                .iter()
+                .fold(0, |m, s| m | fleet_mask(s.shard, s.active_mask));
+            assert_eq!(v.model_flags, flags);
+            assert_eq!(v.consulted, consulted);
+            let done = mine.iter().map(|s| s.completed_at).max().unwrap();
+            assert_eq!(v.completed_at, done);
+            assert_eq!(v.arrival, arrival(v.ordinal));
+            assert_eq!(v.truth_attack, v.ordinal % 2 == 0);
+        }
+        assert_eq!(agg.verdicts.len(), emitted.len());
+        assert_eq!(agg.fully_covered, emitted.len() - 1);
     }
 
     #[test]

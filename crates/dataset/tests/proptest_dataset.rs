@@ -1,9 +1,10 @@
 //! Property-based tests of capture generation, splitting and the CSV
-//! codec.
+//! codec, including the CSV parsers' refusal to panic on malformed
+//! input.
 
 use canids_can::frame::{CanFrame, CanId};
 use canids_can::time::SimTime;
-use canids_dataset::csv::{from_csv, to_csv};
+use canids_dataset::csv::{from_csv, from_hcrl_csv, to_csv, CsvError};
 use canids_dataset::prelude::*;
 use proptest::prelude::*;
 
@@ -53,6 +54,80 @@ fn arb_attack_label() -> impl Strategy<Value = Label> {
         Just(Label::RpmSpoof),
         Just(Label::Replay),
     ]
+}
+
+/// One input byte: uniform over all 256 values half the time, otherwise
+/// drawn from the CSV alphabet (separators, digits, hex, flags, signs),
+/// so random input also reaches the parsers' deeper fields.
+fn arb_csv_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![
+        any::<u8>(),
+        any::<u8>(),
+        any::<u8>(),
+        Just(b','),
+        Just(b','),
+        Just(b'\n'),
+        b'0'..=b'9',
+        b'A'..=b'F',
+        prop_oneof![Just(b'R'), Just(b'T'), Just(b'.'), Just(b'-')],
+        prop_oneof![Just(b'x'), Just(b' '), Just(b'\r'), Just(b'8')],
+    ]
+}
+
+/// Builds a capture from [`arb_record`] draws.
+fn capture_of(raw_records: &[(u64, CanId, Vec<u8>, bool)], attack_label: Label) -> Dataset {
+    Dataset::from_records(
+        raw_records
+            .iter()
+            .map(|(us, id, payload, is_attack)| {
+                LabeledFrame::new(
+                    SimTime::from_micros(*us),
+                    CanFrame::new(*id, payload).unwrap(),
+                    if *is_attack {
+                        attack_label
+                    } else {
+                        Label::Normal
+                    },
+                )
+            })
+            .collect(),
+    )
+}
+
+/// A capture in the HCRL release layout: a header row, `0x`-prefixed
+/// identifiers and a fixed eight DATA columns, empty past the DLC.
+fn to_hcrl_text(ds: &Dataset) -> String {
+    let mut out =
+        String::from("Timestamp,ID,DLC,DATA0,DATA1,DATA2,DATA3,DATA4,DATA5,DATA6,DATA7,Flag\n");
+    for r in ds.iter() {
+        let id = r.frame.id();
+        let id = if id.is_extended() {
+            format!("0x{:08X}", id.raw())
+        } else {
+            format!("0x{:04X}", id.raw())
+        };
+        let mut cells: Vec<String> = r.frame.data().iter().map(|b| format!("{b:02X}")).collect();
+        cells.resize(8, String::new());
+        let flag = if r.label.is_attack() { "T" } else { "R" };
+        out.push_str(&format!(
+            "{:.6},{id},{},{},{flag}\n",
+            r.timestamp.as_secs_f64(),
+            r.frame.dlc().value(),
+            cells.join(",")
+        ));
+    }
+    out
+}
+
+/// The 1-based line a parse error names.
+fn error_line(e: &CsvError) -> usize {
+    match *e {
+        CsvError::MissingField { line }
+        | CsvError::BadNumber { line, .. }
+        | CsvError::IdRange { line, .. }
+        | CsvError::DlcRange { line, .. }
+        | CsvError::BadFlag { line } => line,
+    }
 }
 
 /// Non-saturating profiles safe to overlay without starving each other.
@@ -259,6 +334,96 @@ proptest! {
                     || w[0].frame.data_padded() != w[1].frame.data_padded()
                 {
                     prop_assert_ne!(enc.encode(&w[0].frame), enc.encode(&w[1].frame));
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn csv_parsers_return_a_typed_error_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(arb_csv_byte(), 0..400),
+        raw_records in proptest::collection::vec(arb_record(), 1..=6),
+        edits in proptest::collection::vec((0usize..1_000, arb_csv_byte()), 1..=4),
+        attack_label in arb_attack_label(),
+    ) {
+        // Random bytes, and valid rows with a few bytes overwritten, each
+        // decoded lossily as a file reader would: both parsers return
+        // records or an error naming a line of the input, never panic.
+        let mut edited = to_csv(&capture_of(&raw_records, attack_label)).into_bytes();
+        for (at, byte) in edits {
+            let len = edited.len();
+            edited[at % len] = byte;
+        }
+        for input in [bytes, edited] {
+            let text = String::from_utf8_lossy(&input);
+            let lines = text.lines().count();
+            for parsed in [from_csv(&text, attack_label), from_hcrl_csv(&text, attack_label)] {
+                match parsed {
+                    Ok(ds) => prop_assert!(ds.len() <= lines),
+                    Err(e) => prop_assert!((1..=lines).contains(&error_line(&e)), "{e} of {lines} lines"),
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn csv_rows_cut_at_every_byte_parse_or_name_the_cut_line(
+        raw_records in proptest::collection::vec(arb_record(), 1..=10),
+        attack_label in arb_attack_label(),
+    ) {
+        let ds = capture_of(&raw_records, attack_label);
+        let strict = to_csv(&ds);
+        let hcrl = to_hcrl_text(&ds);
+        prop_assert_eq!(from_hcrl_csv(&hcrl, attack_label).unwrap(), ds.clone());
+        for (text, header) in [(&strict, 0), (&hcrl, 1)] {
+            for cut in 0..=text.len() {
+                let prefix = &text[..cut];
+                // Newline-terminated lines before the cut, and the line
+                // it ends in: whole when the cut fell on its newline,
+                // else split.
+                let whole = prefix.matches('\n').count();
+                let tail = !prefix.rsplit('\n').next().unwrap_or("").is_empty();
+                let tail_whole = tail && text.as_bytes().get(cut) == Some(&b'\n');
+                let split = tail && !tail_whole;
+                let rows = (whole + usize::from(tail_whole)).saturating_sub(header);
+                match from_hcrl_csv(prefix, attack_label) {
+                    // A cut row may still read as a flagless one.
+                    Ok(back) => {
+                        prop_assert!(back.len() == rows || (split && back.len() == rows + 1));
+                        prop_assert_eq!(&back.records()[..rows], &ds.records()[..rows]);
+                    }
+                    Err(e) => {
+                        prop_assert!(split, "cut {cut}: whole rows failed: {e}");
+                        prop_assert_eq!(error_line(&e), whole + 1);
+                    }
+                }
+                if header == 0 {
+                    // The strict layout ends every row in its flag, so
+                    // only a cut at a line end parses.
+                    match from_csv(prefix, attack_label) {
+                        Ok(back) => {
+                            prop_assert!(!split, "cut {cut}: a split row parsed");
+                            prop_assert_eq!(back.records(), &ds.records()[..rows]);
+                        }
+                        Err(e) => {
+                            prop_assert!(split, "cut {cut}: whole rows failed: {e}");
+                            prop_assert_eq!(error_line(&e), whole + 1);
+                        }
+                    }
+                } else {
+                    // A header row is not strict CSV: only check the
+                    // error names a line of the prefix.
+                    if let Err(e) = from_csv(prefix, attack_label) {
+                        prop_assert!((1..=whole + 1).contains(&error_line(&e)));
+                    }
                 }
             }
         }

@@ -321,6 +321,7 @@ impl IdsEcu {
             busy: SimTime::ZERO,
             first_arrival: None,
             words: Vec::new(),
+            core_time: Vec::new(),
             batch_buf: FeatureBatch::default(),
             batch_meta: Vec::new(),
             profiling: false,
@@ -397,6 +398,9 @@ pub struct EcuStream<'a> {
     first_arrival: Option<SimTime>,
     /// The current frame's packed input words, reused frame to frame.
     words: Vec<u32>,
+    /// Per-core busy time of the current frame, zeroed per frame
+    /// ([`SchedPolicy::RoundRobin`] and [`SchedPolicy::InterruptPerFrame`]).
+    core_time: Vec<SimTime>,
     /// Frames packed once and awaiting the next DMA transfer
     /// ([`SchedPolicy::DmaBatch`] only).
     batch_buf: FeatureBatch,
@@ -583,7 +587,9 @@ impl EcuStream<'_> {
                 // penalty.
                 let irq = self.ecu.config.policy == SchedPolicy::InterruptPerFrame;
                 let cores = self.ecu.board.cpu().cores.max(1);
-                let mut core_time = vec![SimTime::ZERO; cores];
+                let core_time = &mut self.core_time;
+                core_time.clear();
+                core_time.resize(cores, SimTime::ZERO);
                 let mut flagged = false;
                 let active = self
                     .ecu
@@ -608,7 +614,7 @@ impl EcuStream<'_> {
                     }
                     core_time[i % cores] += rec.latency();
                 }
-                let slowest = core_time.into_iter().max().unwrap_or(SimTime::ZERO);
+                let slowest = core_time.iter().copied().max().unwrap_or(SimTime::ZERO);
                 let service = SimTime::from_secs_f64(slowest.as_secs_f64() * multi_factor);
                 (flagged, service)
             }
