@@ -42,8 +42,6 @@
 //! admission ledger (phase 2) is pure integer bookkeeping over the
 //! arrival schedule phase 1 paced.
 
-use std::cmp::Reverse;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use canids_can::time::SimTime;
@@ -53,7 +51,8 @@ use canids_dataset::generator::Dataset;
 use crate::error::CoreError;
 use crate::report::LatencyStats;
 use crate::serve::{
-    offered_rate, ReplayConfig, ServeBackend, ServeHarness, ServeReport, ShardWorkers, Verdict,
+    offered_rate, ReplayConfig, ServeBackend, ServeHarness, ServeReport, ShardWorkers, ValueScore,
+    Verdict,
 };
 use crate::telemetry::{Probe, Stage, TelemetryReport};
 
@@ -778,18 +777,12 @@ impl Ledger {
         let mut admitted_count = 0usize;
         let mut processed = vec![0usize; n];
         let mut open: Vec<Option<SimTime>> = vec![None; n];
-        // Windowed confirmed-positive score per tenant: local ordinals of
-        // recent confirmed positives, expired against the tenant's own
-        // frame counter — the tenant-level twin of the model-admission
-        // `ValueScore`. Frozen while shed: a stream is readmitted on the
-        // score it was shed with.
-        let mut value: Vec<VecDeque<usize>> = vec![VecDeque::new(); n];
-        // Shed ordering key: lowest windowed confirmed-positive count,
-        // then lowest priority, then youngest ordinal (`Reverse`) loses.
-        type ShedKey = (usize, u32, Reverse<usize>);
-        let shed_key = |t: usize, value: &[VecDeque<usize>]| -> ShedKey {
-            (value[t].len(), tenants[t].priority, Reverse(t))
-        };
+        // Windowed confirmed-positive score per tenant, over the
+        // tenant's own frame ordinals. Only an admitted tenant's window
+        // expires, so a shed stream is readmitted on the score it was
+        // shed with.
+        let mut value = ValueScore::new(window, n);
+        let rank = |t: usize, value: &ValueScore| value.rank(t, tenants[t].priority);
 
         for f in &frames {
             let k = f.tenant;
@@ -802,15 +795,10 @@ impl Ledger {
                 } else {
                     // Pool full: shed the lowest-value stream — the
                     // newcomer competes on equal terms and may lose.
-                    let mut victim = k;
-                    let mut best = shed_key(k, &value);
-                    for (t, _) in admitted.iter().enumerate().filter(|(_, &a)| a) {
-                        let key = shed_key(t, &value);
-                        if key < best {
-                            best = key;
-                            victim = t;
-                        }
-                    }
+                    let victim = std::iter::once(k)
+                        .chain((0..n).filter(|&t| admitted[t]))
+                        .min_by_key(|&t| rank(t, &value))
+                        .unwrap_or(k);
                     ledger.events.push(TenantEvent {
                         time: f.time,
                         tenant: victim,
@@ -827,16 +815,14 @@ impl Ledger {
                 }
             }
             if admitted[k] {
-                while value[k].front().is_some_and(|&o| o + window <= f.ordinal) {
-                    value[k].pop_front();
-                }
+                value.expire(k, f.ordinal);
                 match outcomes[k].verdicts.get(verdict_at[k][f.ordinal] as usize) {
                     Some(v) => {
                         ledger.serviced[k] += 1;
                         ledger.latencies[k].push(v.completed_at.saturating_sub(v.arrival));
                         if v.flagged && v.truth_attack {
                             ledger.confirmed[k] += 1;
-                            value[k].push_back(f.ordinal);
+                            value.record(k, f.ordinal);
                         }
                     }
                     None => ledger.dropped[k] += 1,
@@ -853,20 +839,10 @@ impl Ledger {
                 if let Some(o) = open[k].take() {
                     ledger.windows[k].push((o, f.time));
                 }
-                let mut pick: Option<(ShedKey, usize)> = None;
-                for t in 0..n {
-                    if started[t] && !admitted[t] && processed[t] < total[t] {
-                        let key = shed_key(t, &value);
-                        let better = match &pick {
-                            None => true,
-                            Some((best, _)) => key > *best,
-                        };
-                        if better {
-                            pick = Some((key, t));
-                        }
-                    }
-                }
-                if let Some((_, c)) = pick {
+                let pick = (0..n)
+                    .filter(|&t| started[t] && !admitted[t] && processed[t] < total[t])
+                    .max_by_key(|&t| rank(t, &value));
+                if let Some(c) = pick {
                     admitted[c] = true;
                     admitted_count += 1;
                     open[c] = Some(f.time);

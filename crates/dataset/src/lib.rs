@@ -51,7 +51,6 @@ pub mod split;
 pub mod stats;
 pub mod stream;
 pub mod vehicle;
-pub mod windows;
 
 pub use attacks::{AttackKind, AttackProfile, AttackSource, BurstSchedule};
 pub use features::{FrameEncoder, IdBitsPayloadBits, IdPayloadBytes, FEATURE_BITS_DIM};
@@ -61,7 +60,6 @@ pub use split::{train_test_split, SplitConfig};
 pub use stats::DatasetStats;
 pub use stream::{paced_records, PacedRecords};
 pub use vehicle::{MessageSpec, VehicleModel};
-pub use windows::{blocks, FrameBlock};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {

@@ -81,6 +81,18 @@ fn workspace_is_clean_at_head() {
         par_allows.is_empty(),
         "crates/core/src/par.rs carries allows: {par_allows:?}"
     );
+    // The serving core keeps its invariants in its types and control
+    // flow: no file under `serve/` carries an allow of any rule.
+    let serve_allows: Vec<String> = report
+        .allows
+        .iter()
+        .filter(|a| a.file.starts_with("crates/core/src/serve/"))
+        .map(|a| format!("{} at {}:{}", a.rule.id(), a.file, a.line))
+        .collect();
+    assert!(
+        serve_allows.is_empty(),
+        "crates/core/src/serve/ carries allows: {serve_allows:?}"
+    );
 }
 
 fn run_lint(root: &Path, extra: &[&str]) -> std::process::Output {
