@@ -16,7 +16,7 @@ use crate::error::CoreError;
 use crate::fleet::{FleetDeployment, Slot};
 use crate::net::{FleetNet, GatewayLoad, NetOutcome};
 use crate::report::EnergyStats;
-use crate::telemetry::{Probe, Stage};
+use crate::telemetry::{Counter, Probe, Stage};
 
 /// The single-board substrate: one simulated N-detector ECU served
 /// frame-at-a-time through the full SoC path (driver, DMA, interrupts,
@@ -464,6 +464,8 @@ impl ServeSession for BoardSession<'_> {
             if let Some(probe) = &probe {
                 // Samples from the trailing DMA flush land in the report.
                 record_stage_samples(probe, b as u32, &report.stage_samples);
+                probe.add(Counter::KernelRuns, report.kernel.runs);
+                probe.add(Counter::KernelMemoHits, report.kernel.hits);
             }
             drain_detections(b, &report.detections, &admitted[b], &mut cursors[b], out);
             debug_assert_eq!(report.detections.len(), admitted[b].len());

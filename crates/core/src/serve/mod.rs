@@ -669,6 +669,97 @@ mod tests {
         }
     }
 
+    /// Kernel runs and memo hits from a traced report's metrics.
+    fn kernel_counts(metrics: &crate::telemetry::MetricsRegistry) -> (u64, u64) {
+        (
+            metrics.counter(Counter::KernelRuns),
+            metrics.counter(Counter::KernelMemoHits),
+        )
+    }
+
+    /// Frames served times models consulted: one per `(frame, model)`
+    /// pair the report's per-model sections count.
+    fn consulted(r: &ServeReport) -> u64 {
+        r.per_model.iter().map(|m| m.consulted as u64).sum()
+    }
+
+    #[test]
+    fn kernel_counters_cover_every_consulted_frame() {
+        // Every (frame, consulted model) pair is one kernel run or one
+        // memo hit, on the software path and under every board policy,
+        // and both counts repeat exactly run to run.
+        let models: Vec<IntegerMlp> = (0..2).map(|i| untrained_model(70 + i)).collect();
+        let bundles = vec![
+            DetectorBundle::new(AttackKind::Dos, models[0].clone()),
+            DetectorBundle::new(AttackKind::Fuzzy, models[1].clone()),
+        ];
+        let deployment = deploy_multi_ids(&bundles, CompileConfig::default()).unwrap();
+        let capture = quick_capture(true, 23);
+        let traced = ReplayConfig::default().with_telemetry(TelemetryConfig::default());
+        let configs = [
+            traced.clone(),
+            traced.clone().with_batch(32),
+            traced.clone().with_policy(SchedPolicy::Sequential),
+            traced.clone().with_policy(SchedPolicy::InterruptPerFrame),
+            traced
+                .clone()
+                .with_policy(SchedPolicy::DmaBatch { batch: 32 }),
+        ];
+        for (i, config) in configs.iter().enumerate() {
+            let replay = || {
+                if i < 2 {
+                    ServeHarness::new(SoftwareBackend::new(models.clone())).replay(&capture, config)
+                } else {
+                    ServeHarness::new(deployment.serve_backend()).replay(&capture, config)
+                }
+                .unwrap()
+            };
+            let (first, again) = (replay(), replay());
+            let counts = kernel_counts(&first.telemetry.as_ref().unwrap().metrics);
+            let (runs, hits) = counts;
+            assert_eq!(runs + hits, consulted(&first), "config {i}");
+            assert_eq!(first.per_model.len(), 2, "config {i}");
+            assert!(hits > runs, "config {i}: a DoS flood repeats its frame");
+            assert_eq!(
+                kernel_counts(&again.telemetry.as_ref().unwrap().metrics),
+                counts,
+                "config {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_counters_are_invariant_across_population_worker_counts() {
+        use crate::population::{Population, PopulationConfig, TenantStream};
+
+        let model = untrained_model(72);
+        let population = Population::with_tenants(
+            (0..4u64)
+                .map(|t| TenantStream::new(format!("car-{t}"), quick_capture(t % 2 == 0, 30 + t)))
+                .collect(),
+        );
+        let counts = |workers| {
+            let report = population
+                .serve(
+                    || Ok(SoftwareBackend::single(model.clone())),
+                    &PopulationConfig::default()
+                        .with_replay(
+                            ReplayConfig::default().with_telemetry(TelemetryConfig::default()),
+                        )
+                        .with_workers(workers),
+                )
+                .unwrap();
+            let served: u64 = report.tenants.iter().map(|t| consulted(&t.serve)).sum();
+            let counts = kernel_counts(&report.telemetry.as_ref().unwrap().metrics);
+            assert_eq!(counts.0 + counts.1, served, "{workers:?}");
+            counts
+        };
+        let one = counts(ShardWorkers::Fixed(1));
+        assert!(one.1 > 0, "DoS tenants repeat their flood frame");
+        assert_eq!(counts(ShardWorkers::Fixed(2)), one);
+        assert_eq!(counts(ShardWorkers::Auto), one);
+    }
+
     #[test]
     fn priorities_must_cover_every_model() {
         let bundles = vec![

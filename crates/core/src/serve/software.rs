@@ -16,19 +16,20 @@ use super::{
 use crate::error::CoreError;
 use crate::fleet::Slot;
 use crate::stream::{StreamVerdict, StreamingEvaluator};
-use crate::telemetry::{Probe, Stage};
+use crate::telemetry::{Counter, Probe, Stage};
 
 /// Modelled software service time per frame per active model.
 ///
 /// The software backend books this cost on the sim clock, as the ECU
 /// books its cycle model: a dispatch of `n` frames with `k` active
 /// models serves each frame for `k × SOFTWARE_FRAME_COST` (at least
-/// 1 ns), from the dispatch's service start. The value is the
-/// benchmark's traced `stream.push_ns_per_frame` on `line_1m` (one
-/// detector): about 0.9 µs on a 2-core x86-64 host, with traced runs
-/// reading 0.8–1.3 µs as co-tenant load varies. There is no
-/// per-dispatch term: the traced `stream.push` and `stream.push_batch`
-/// rows agree within noise.
+/// 1 ns), from the dispatch's service start. The value is a fixed model
+/// of the software path, not a host measurement: it was calibrated once,
+/// when the software backend moved onto the sim clock, to the
+/// benchmark's traced `stream.push_ns_per_frame` on `line_1m` (about
+/// 0.9 µs per frame on a 2-core x86-64 host then), and it stays fixed as
+/// the host code gets faster, because every software report's latency,
+/// drops and capacity rest on it. There is no per-dispatch term.
 ///
 /// ```
 /// use canids_core::serve::SOFTWARE_FRAME_COST;
@@ -162,7 +163,9 @@ pub struct SoftwareSession {
     pending: Vec<ShardVerdict>,
     topology: ServeTopology,
     /// Telemetry probe; when attached, each dispatch records one
-    /// [`Stage::Infer`] span.
+    /// [`Stage::Infer`] span, and `finish` adds the evaluators' kernel
+    /// runs and memo hits to [`Counter::KernelRuns`] and
+    /// [`Counter::KernelMemoHits`].
     probe: Option<Probe>,
 }
 
@@ -233,6 +236,13 @@ impl ServeSession for SoftwareSession {
             self.flush_window(ready);
         }
         out.append(&mut self.pending);
+        if let Some(probe) = &self.probe {
+            for eval in &self.evals {
+                let counts = eval.memo_counts();
+                probe.add(Counter::KernelRuns, counts.runs);
+                probe.add(Counter::KernelMemoHits, counts.hits);
+            }
+        }
         Ok(vec![ShardTotals {
             dropped: self.dropped,
             serviced: self.serviced,

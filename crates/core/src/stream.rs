@@ -8,8 +8,16 @@
 //! ([`FrameEncoder::encode_bits`]), per-frame inference on the packed
 //! lane kernel ([`PackedMlp`]) and online [`ConfusionMatrix`]
 //! accounting, with all per-frame buffers reused (no per-frame
-//! allocation). A model the kernel cannot represent falls
-//! back to the `i64` reference ([`IntegerMlp::infer_class`]). Streaming
+//! allocation).
+//!
+//! A [`ClassMemo`] sits in front of the kernel: up to
+//! [`MEMO_SLOTS`](canids_qnn::kernel::MEMO_SLOTS) recent bitmasks,
+//! direct-mapped by a hash of the bitmask, with their classes and
+//! scores (about 2.5 KB per evaluator). A flood repeats one frame, so a
+//! DoS capture is mostly memo hits; a miss runs the kernel. Either way
+//! the class and scores are the kernel's, so the memo changes no
+//! verdict. A model the kernel cannot represent falls back to the `i64`
+//! reference ([`IntegerMlp::infer_class`]), past the memo. Streaming
 //! and batch evaluation produce *identical* predictions and confusion
 //! matrices on the same capture — the equivalence tests pin this.
 //! Line-rate replays run it through [`crate::serve::SoftwareBackend`]
@@ -19,7 +27,7 @@ use canids_can::frame::CanFrame;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
 use canids_dataset::record::LabeledFrame;
 use canids_qnn::export::{IntScratch, IntegerMlp};
-use canids_qnn::kernel::{PackedMlp, PackedScratch};
+use canids_qnn::kernel::{ClassMemo, MemoCounts, PackedMlp, PackedScratch};
 use canids_qnn::metrics::ConfusionMatrix;
 
 /// One streaming verdict.
@@ -41,14 +49,16 @@ impl StreamVerdict {
 }
 
 /// How a frame reaches the model: encoded straight into a frame
-/// bitmask for the packed kernel, or featurised and quantised to levels
-/// for the `i64` reference when the kernel cannot represent the model
-/// (or the encoder's width).
+/// bitmask for the packed kernel behind its class memo, or featurised
+/// and quantised to levels for the `i64` reference when the kernel
+/// cannot represent the model (or the encoder's width).
 #[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // one per evaluator, built once: boxing the kernel would add a pointer chase per frame
 enum Datapath {
     Packed {
         kernel: PackedMlp,
         scratch: PackedScratch,
+        memo: ClassMemo,
     },
     Reference {
         features: Vec<f32>,
@@ -63,6 +73,7 @@ impl Datapath {
             Ok(kernel) if kernel.input_dim() == dim => Datapath::Packed {
                 kernel,
                 scratch: PackedScratch::default(),
+                memo: ClassMemo::default(),
             },
             _ => Datapath::Reference {
                 features: vec![0.0; dim],
@@ -83,9 +94,11 @@ impl Datapath {
         model: &IntegerMlp,
     ) -> usize {
         match self {
-            Datapath::Packed { kernel, scratch } => {
-                kernel.infer_class(encoder.encode_bits(frame), scratch)
-            }
+            Datapath::Packed {
+                kernel,
+                scratch,
+                memo,
+            } => memo.classify(kernel, encoder.encode_bits(frame), scratch),
             Datapath::Reference {
                 features,
                 levels,
@@ -152,8 +165,8 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
     ///
     /// The fused per-frame path: the encoder writes the frame bitmask
     /// ([`FrameEncoder::encode_bits`]) and the packed kernel classifies
-    /// it through the evaluator's reusable buffers, with **zero
-    /// intermediate allocation**. The quantisation matches
+    /// it through the evaluator's reusable buffers and class memo, with
+    /// **zero intermediate allocation**. The quantisation matches
     /// [`IntegerMlp::infer_bits`] exactly, so streaming and batch
     /// predictions are identical.
     pub fn push(&mut self, rec: &LabeledFrame) -> StreamVerdict {
@@ -196,6 +209,16 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
     /// Frames classified so far.
     pub fn frames(&self) -> u64 {
         self.frames
+    }
+
+    /// Kernel runs and class-memo hits since the evaluator was made
+    /// ([`reset`](Self::reset) keeps them); both zero on the `i64`
+    /// reference path.
+    pub fn memo_counts(&self) -> MemoCounts {
+        match &self.datapath {
+            Datapath::Packed { memo, .. } => memo.counts(),
+            Datapath::Reference { .. } => MemoCounts::default(),
+        }
     }
 
     /// The wrapped model.

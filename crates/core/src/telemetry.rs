@@ -141,7 +141,7 @@ impl Stage {
 /// ```
 /// use canids_core::telemetry::Counter;
 /// assert_eq!(Counter::FramesDropped.name(), "frames_dropped");
-/// assert_eq!(Counter::ALL.len(), 7);
+/// assert_eq!(Counter::ALL.len(), 9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
@@ -160,11 +160,19 @@ pub enum Counter {
     /// Spans discarded because the [`TelemetryConfig::span_cap`] was hit
     /// (histograms still observe every interval).
     SpansDropped,
+    /// Packed-kernel runs: (frame, model) classifications the model's
+    /// class memo did not hold. Added by the software and board
+    /// sessions when they finish.
+    KernelRuns,
+    /// (frame, model) classifications answered from the model's class
+    /// memo. With [`Counter::KernelRuns`], one per consulted model per
+    /// served frame on the packed kernel.
+    KernelMemoHits,
 }
 
 impl Counter {
     /// Every counter, in the canonical (merge and export) order.
-    pub const ALL: [Counter; 7] = [
+    pub const ALL: [Counter; 9] = [
         Counter::FramesOffered,
         Counter::FramesServiced,
         Counter::FramesDropped,
@@ -172,6 +180,8 @@ impl Counter {
         Counter::AdmissionReadmit,
         Counter::AdmissionMigrate,
         Counter::SpansDropped,
+        Counter::KernelRuns,
+        Counter::KernelMemoHits,
     ];
 
     /// The static interned name for this counter.
@@ -184,6 +194,8 @@ impl Counter {
             Counter::AdmissionReadmit => "admission_readmit",
             Counter::AdmissionMigrate => "admission_migrate",
             Counter::SpansDropped => "spans_dropped",
+            Counter::KernelRuns => "kernel_runs",
+            Counter::KernelMemoHits => "kernel_memo_hits",
         }
     }
 
@@ -197,6 +209,8 @@ impl Counter {
             Counter::AdmissionReadmit => 4,
             Counter::AdmissionMigrate => 5,
             Counter::SpansDropped => 6,
+            Counter::KernelRuns => 7,
+            Counter::KernelMemoHits => 8,
         }
     }
 }

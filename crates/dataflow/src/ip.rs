@@ -9,16 +9,16 @@
 //! The IP's functional model runs the packed lane kernel
 //! ([`PackedMlp`]) compiled once here and shared by every clone of the
 //! IP: [`AcceleratorIp::infer_words`] classifies the packed AXI input
-//! words the DMA and MMIO paths carry, allocation-free, and
-//! [`AcceleratorIp::infer`] takes unpacked levels. A model the kernel
-//! cannot represent keeps the dataflow graph's `i64` functional model
-//! ([`DataflowGraph::compute`]).
+//! words the DMA and MMIO paths carry, allocation-free and through the
+//! caller's [`ClassMemo`], and [`AcceleratorIp::infer`] takes unpacked
+//! levels. A model the kernel cannot represent keeps the dataflow
+//! graph's `i64` functional model ([`DataflowGraph::compute`]).
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use canids_qnn::export::IntegerMlp;
-use canids_qnn::kernel::{pack_levels, PackedMlp, PackedScratch};
+use canids_qnn::kernel::{pack_levels, ClassMemo, PackedMlp, PackedScratch};
 use serde::Serialize;
 
 use crate::error::DataflowError;
@@ -246,14 +246,16 @@ impl AcceleratorIp {
     /// zero.
     ///
     /// This is the allocation-free entry point of the DMA and MMIO
-    /// paths: the packed kernel runs through the caller's `scratch`, and
-    /// the returned scores borrow it. A model the kernel cannot
-    /// represent runs the graph's functional model on the unpacked bits
-    /// and returns its scores owned.
+    /// paths: the packed kernel runs through the caller's `scratch` and
+    /// `memo` ([`ClassMemo::classify`]), and the returned scores borrow
+    /// `scratch`. Keep one memo per IP. A model the kernel cannot
+    /// represent runs the graph's functional model on the unpacked bits,
+    /// past the memo, and returns its scores owned.
     pub fn infer_words<'s>(
         &self,
         words: &[u32],
         scratch: &'s mut PackedScratch,
+        memo: &mut ClassMemo,
     ) -> (usize, Cow<'s, [i64]>) {
         match &self.kernel {
             Some(kernel) => {
@@ -262,7 +264,7 @@ impl AcceleratorIp {
                     .take(4)
                     .enumerate()
                     .fold(0u128, |bits, (k, &w)| bits | u128::from(w) << (32 * k));
-                let class = kernel.infer_class(bits, scratch);
+                let class = memo.classify(kernel, bits, scratch);
                 (class, Cow::Borrowed(scratch.scores()))
             }
             None => {

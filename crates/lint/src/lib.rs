@@ -20,7 +20,7 @@
 //! | `unordered-iteration` | `HashMap`/`HashSet` (randomised iteration order) |
 //! | `truncating-cast` | narrowing `as` casts on frame-ID/DLC values |
 //! | `float-reassociation` | float accumulation outside `qnn::tensor`'s pinned-order helpers |
-//! | `panic-in-lib` | `unwrap`/`expect`/`panic!` in `canids-core`, `canids-qnn`, `canids-soc` and `canids-dataflow` library code |
+//! | `panic-in-lib` | `unwrap`/`expect`/`panic!` in `canids-core`, `canids-qnn`, `canids-soc`, `canids-dataflow`, `canids-baselines` and `canids-lint` library code |
 //!
 //! ## Suppression
 //!

@@ -84,6 +84,27 @@ fn panic_in_lib_pair() {
     check_pair(Rule::PanicInLib, "panic_bad", "panic_allowed");
 }
 
+/// `panic-in-lib` scans the baselines and the lint's own library
+/// code too: an `.unwrap()` or `.expect(..)` there is a finding.
+#[test]
+fn panic_in_lib_covers_baselines_and_lint() {
+    let report = audit_workspace(&fixture("panic_baselines")).unwrap();
+    let mut files: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::PanicInLib)
+        .map(|f| f.file.as_str())
+        .collect();
+    files.sort_unstable();
+    assert_eq!(
+        files,
+        ["crates/baselines/src/lib.rs", "crates/lint/src/lib.rs"],
+        "{:?}",
+        report.findings
+    );
+    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
+}
+
 #[test]
 fn tensor_reassociation_pair() {
     check_pair(

@@ -28,6 +28,11 @@
 //! typed [`QnnError`]. Callers keep such a model on the `i64` reference
 //! path ([`IntegerMlp::infer_class`]).
 //!
+//! [`ClassMemo`] sits in front of the kernel: a fixed table of
+//! [`MEMO_SLOTS`] recent frames with their classes and scores, so a
+//! repeated frame (a DoS flood is one frame, repeated) is classified
+//! once. Each owner of a [`PackedScratch`] keeps one memo beside it.
+//!
 //! # Example
 //!
 //! ```
@@ -546,6 +551,126 @@ impl PackedMlp {
             scores: scratch.scores,
         }
     }
+}
+
+/// Entries one [`ClassMemo`] holds.
+pub const MEMO_SLOTS: usize = 64;
+
+/// Kernel runs and memo hits counted by one or more [`ClassMemo`]s.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoCounts {
+    /// Lookups that missed and ran the kernel.
+    pub runs: u64,
+    /// Lookups answered from the memo.
+    pub hits: u64,
+}
+
+impl std::ops::AddAssign for MemoCounts {
+    fn add_assign(&mut self, other: MemoCounts) {
+        self.runs += other.runs;
+        self.hits += other.hits;
+    }
+}
+
+impl std::ops::Sub for MemoCounts {
+    type Output = MemoCounts;
+
+    fn sub(self, earlier: MemoCounts) -> MemoCounts {
+        MemoCounts {
+            runs: self.runs - earlier.runs,
+            hits: self.hits - earlier.hits,
+        }
+    }
+}
+
+/// A bounded memo of one kernel's classifications: [`MEMO_SLOTS`]
+/// direct-mapped entries from a frame bitmask, masked to the kernel's
+/// [`input_dim`](PackedMlp::input_dim), to that frame's class and
+/// scores, with a validity mask.
+///
+/// A flood repeats one frame, so under a DoS most frames hit. A hit
+/// copies the entry's scores into the caller's [`PackedScratch`] and
+/// returns its class; a miss runs the kernel and overwrites the slot.
+/// So [`classify`](Self::classify) keeps [`PackedMlp::infer_class`]'s
+/// contract exactly. A memo holds one kernel's results: give each kernel
+/// its own, beside its scratch.
+///
+/// # Example
+///
+/// ```
+/// use canids_qnn::kernel::{ClassMemo, PackedMlp, PackedScratch};
+/// use canids_qnn::prelude::*;
+///
+/// let model = QuantMlp::new(MlpConfig::paper_4bit())?.export()?;
+/// let kernel = PackedMlp::new(&model)?;
+/// let (mut memo, mut scratch) = (ClassMemo::default(), PackedScratch::default());
+/// for _ in 0..3 {
+///     let class = memo.classify(&kernel, 0, &mut scratch);
+///     assert_eq!(class, model.infer(&[0; 75]).class);
+///     assert_eq!(scratch.scores(), model.infer(&[0; 75]).scores.as_slice());
+/// }
+/// assert_eq!((memo.counts().runs, memo.counts().hits), (1, 2));
+/// # Ok::<(), canids_qnn::QnnError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ClassMemo {
+    /// Bit `s` set when slot `s` holds an entry.
+    valid: u64,
+    /// Slot `s`'s bitmask, then its class; both sized on the first miss.
+    keys: Vec<u128>,
+    classes: Vec<usize>,
+    /// Slot `s`'s scores at `s * n..(s + 1) * n` for the kernel's `n`
+    /// classes, sized on the first miss.
+    scores: Vec<i64>,
+    counts: MemoCounts,
+}
+
+impl ClassMemo {
+    /// Classifies one frame bitmask as [`PackedMlp::infer_class`] does,
+    /// running `kernel` only when the memo does not hold the frame.
+    /// Either way the class scores are left in `scratch`.
+    pub fn classify(
+        &mut self,
+        kernel: &PackedMlp,
+        bits: u128,
+        scratch: &mut PackedScratch,
+    ) -> usize {
+        let key = bits & kernel.input_mask;
+        let slot = memo_slot(key);
+        let n = kernel.bias_q.len();
+        if self.valid & (1 << slot) != 0 && self.keys[slot] == key {
+            self.counts.hits += 1;
+            scratch.scores.clear();
+            scratch
+                .scores
+                .extend_from_slice(&self.scores[slot * n..(slot + 1) * n]);
+            return self.classes[slot];
+        }
+        self.counts.runs += 1;
+        let class = kernel.infer_class(key, scratch);
+        if self.keys.is_empty() {
+            self.keys.resize(MEMO_SLOTS, 0);
+            self.classes.resize(MEMO_SLOTS, 0);
+            self.scores.resize(MEMO_SLOTS * n, 0);
+        }
+        self.scores[slot * n..(slot + 1) * n].copy_from_slice(&scratch.scores);
+        self.keys[slot] = key;
+        self.classes[slot] = class;
+        self.valid |= 1 << slot;
+        class
+    }
+
+    /// Kernel runs and hits since the memo was made.
+    pub fn counts(&self) -> MemoCounts {
+        self.counts
+    }
+}
+
+/// The slot of a masked bitmask: the top bits of a multiplicative hash
+/// of its two halves folded together.
+fn memo_slot(key: u128) -> usize {
+    let folded = key as u64 ^ (key >> 64) as u64;
+    (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 /// Row-major `i32` weight codes as `i8` (`layer` names the layer in the

@@ -2,15 +2,19 @@
 //! value: random binary-input models at every bit-width from 1 to 8,
 //! input and layer widths up to 128, codes pinned at ±max, constant
 //! neurons with the `i64::MIN`/`i64::MAX` sentinel thresholds, and tied
-//! class scores; and the lane-width proof, on random models and on
-//! hand-built models at the edge of `i16`.
+//! class scores; the lane-width proof, on random models and on
+//! hand-built models at the edge of `i16`; and the class memo in front
+//! of the kernel, which must return the kernel's class and scores
+//! through repeats and slot collisions.
 
 use canids_qnn::export::{IntBlock, IntOutput, IntegerMlp};
-use canids_qnn::kernel::{pack_levels, PackedMlp, PackedScratch, MAX_INPUT_BITS};
+use canids_qnn::kernel::{
+    pack_levels, ClassMemo, MemoCounts, PackedMlp, PackedScratch, MAX_INPUT_BITS, MEMO_SLOTS,
+};
 use canids_qnn::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// How a layer's weight codes are drawn.
 #[derive(Debug, Clone, Copy)]
@@ -198,6 +202,100 @@ proptest! {
             let bits = pack_levels(x).expect("binary");
             prop_assert_eq!(kernel.infer(bits).class, 0);
         }
+    }
+}
+
+/// Bits `input_dim..128`: the inputs a model of that width ignores.
+fn above(input_dim: usize) -> u128 {
+    u128::MAX.checked_shl(input_dim as u32).unwrap_or(0)
+}
+
+/// A uniformly random frame bitmask.
+fn random_frame(rng: &mut StdRng) -> u128 {
+    (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // Frames drawn from a pool of `3 * MEMO_SLOTS / 2` bitmasks: more
+    // than the memo has slots, so frames repeat and some share a slot.
+    // Through one memo every frame returns the kernel's class and
+    // leaves the kernel's scores, hit or miss.
+    #[test]
+    fn memo_returns_the_kernels_class_and_scores(seed in any::<u64>(), bits in 1u8..=8) {
+        let model = random_model(seed, bits, false);
+        let kernel = PackedMlp::new(&model).expect("representable");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x4E30);
+        let pool: Vec<u128> = (0..3 * MEMO_SLOTS / 2).map(|_| random_frame(&mut rng)).collect();
+        let (mut memo, mut scratch) = (ClassMemo::default(), PackedScratch::default());
+        let frames = 8 * MEMO_SLOTS;
+        for _ in 0..frames {
+            let frame = pool[rng.gen_range(0..pool.len())];
+            let want = kernel.infer(frame);
+            prop_assert_eq!(memo.classify(&kernel, frame, &mut scratch), want.class);
+            prop_assert_eq!(scratch.scores(), want.scores.as_slice());
+        }
+        let counts = memo.counts();
+        prop_assert_eq!(counts.runs + counts.hits, frames as u64);
+        prop_assert!(counts.hits > 0, "a pool smaller than the stream repeats");
+    }
+
+    // Bits at or above the input width select no weight, so two frames
+    // that differ only there are one entry (a 128-wide model has no such
+    // bits, and both lookups see one frame).
+    #[test]
+    fn frames_differing_above_the_input_width_share_an_entry(seed in any::<u64>(), bits in 1u8..=8) {
+        let model = random_model(seed, bits, false);
+        let kernel = PackedMlp::new(&model).expect("representable");
+        let high = above(model.input_dim());
+        let frame = random_frame(&mut StdRng::seed_from_u64(seed));
+        let (mut memo, mut scratch) = (ClassMemo::default(), PackedScratch::default());
+        let class = memo.classify(&kernel, frame & !high, &mut scratch);
+        let scores = scratch.scores().to_vec();
+        prop_assert_eq!(memo.classify(&kernel, frame | high, &mut scratch), class);
+        prop_assert_eq!(scratch.scores(), scores.as_slice());
+        prop_assert_eq!(memo.counts(), MemoCounts { runs: 1, hits: 1 });
+    }
+}
+
+/// The DoS flood frame (ID 0x000, zero payload) encodes to the all-zero
+/// bitmask. A memo that has not seen that frame runs the kernel on it,
+/// fresh or holding other frames, rather than reading an unfilled
+/// slot's zero key and class 0.
+#[test]
+fn a_memo_runs_the_kernel_on_an_all_zero_frame_it_has_not_seen() {
+    // No hidden layer: on the zero frame the scores are the biases, so
+    // the class is 1.
+    let model = IntegerMlp {
+        blocks: Vec::new(),
+        output: IntOutput {
+            in_dim: 75,
+            out_dim: 2,
+            weights: vec![1; 150],
+            bias_q: vec![0, 5],
+        },
+        input_levels: 1,
+        weight_bits: 2,
+        act_bits: 2,
+    };
+    let want = model.infer(&[0; 75]);
+    assert_eq!(want.class, 1);
+    let kernel = PackedMlp::new(&model).expect("representable");
+    let fresh = ClassMemo::default();
+    let mut holding = ClassMemo::default();
+    let mut scratch = PackedScratch::default();
+    for i in 0..8 {
+        holding.classify(&kernel, 1 << i, &mut scratch);
+    }
+    for mut memo in [fresh, holding] {
+        let before = memo.counts();
+        assert_eq!(memo.classify(&kernel, 0, &mut scratch), 1);
+        assert_eq!(scratch.scores(), want.scores.as_slice());
+        assert_eq!(memo.counts().runs, before.runs + 1, "{memo:?}");
+        assert_eq!(memo.classify(&kernel, 0, &mut scratch), 1);
+        assert_eq!(scratch.scores(), want.scores.as_slice());
+        assert_eq!(memo.counts().hits, before.hits + 1, "{memo:?}");
     }
 }
 

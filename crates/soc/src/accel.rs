@@ -5,10 +5,13 @@
 //! `CTRL.start`, polls `STATUS.done` and reads the class register — the
 //! same handshake the FINN-generated stitched IP exposes. Completion
 //! timing comes from the IP's cycle-accurate latency at the PL clock.
+//! The functional result comes through the peripheral's own kernel
+//! scratch and class memo, so a frame repeated while the memo holds it
+//! is not classified again; the modelled timing is the same either way.
 
 use canids_can::time::SimTime;
 use canids_dataflow::ip::{AcceleratorIp, RegisterMap};
-use canids_qnn::kernel::PackedScratch;
+use canids_qnn::kernel::{ClassMemo, MemoCounts, PackedScratch};
 
 use crate::axi::MmioDevice;
 use crate::error::SocError;
@@ -30,6 +33,8 @@ pub struct AccelPeripheral {
     /// Scores of the last inference, one buffer reused by every start.
     result_scores: Vec<i64>,
     scratch: PackedScratch,
+    /// The IP's class memo, beside its scratch.
+    memo: ClassMemo,
     done_sticky: bool,
     inferences: u64,
     busy_time: SimTime,
@@ -46,6 +51,7 @@ impl AccelPeripheral {
             result_class: 0,
             result_scores: Vec::new(),
             scratch: PackedScratch::default(),
+            memo: ClassMemo::default(),
             done_sticky: false,
             inferences: 0,
             busy_time: SimTime::ZERO,
@@ -77,7 +83,9 @@ impl AccelPeripheral {
         if self.is_busy(now) {
             return Err(SocError::DeviceBusy);
         }
-        let (class, scores) = self.ip.infer_words(&self.input_words, &mut self.scratch);
+        let (class, scores) =
+            self.ip
+                .infer_words(&self.input_words, &mut self.scratch, &mut self.memo);
         self.result_scores.clear();
         self.result_scores.extend_from_slice(&scores);
         let latency =
@@ -169,6 +177,10 @@ impl MmioDevice for AccelPeripheral {
 
     fn name(&self) -> &str {
         self.ip.name()
+    }
+
+    fn memo_counts(&self) -> MemoCounts {
+        self.memo.counts()
     }
 }
 

@@ -9,6 +9,7 @@
 //! the fabric's few-cycle response.
 
 use canids_can::time::SimTime;
+use canids_qnn::kernel::MemoCounts;
 
 use crate::error::SocError;
 
@@ -22,6 +23,13 @@ pub trait MmioDevice {
 
     /// Human-readable peripheral name (diagnostics).
     fn name(&self) -> &str;
+
+    /// Kernel runs and class-memo hits of a device that classifies
+    /// frames, counted since it was made; zero for any other device.
+    /// Host-side bookkeeping of the simulation, not a register.
+    fn memo_counts(&self) -> MemoCounts {
+        MemoCounts::default()
+    }
 }
 
 struct Region {

@@ -9,6 +9,7 @@ use canids_can::node::{CanController, ControllerConfig};
 use canids_can::time::SimTime;
 use canids_dataflow::ip::AcceleratorIp;
 use canids_dataflow::power::PowerEstimate;
+use canids_qnn::kernel::MemoCounts;
 use canids_qnn::tensor::pinned_sum_f64;
 
 use crate::accel::{pack_features, AccelPeripheral};
@@ -244,6 +245,18 @@ impl Zcu104Board {
             words,
             compute,
         )
+    }
+
+    /// Kernel runs and class-memo hits of every attached accelerator's
+    /// MMIO starts since it was attached.
+    pub fn memo_counts(&mut self) -> MemoCounts {
+        let mut total = MemoCounts::default();
+        for idx in 0..self.ips.len() {
+            if let Some(device) = self.bus.device_at(ACCEL_BASE + ACCEL_STRIDE * idx as u64) {
+                total += device.memo_counts();
+            }
+        }
+        total
     }
 
     /// The board power model with every attached IP's PL contribution

@@ -10,7 +10,7 @@
 
 use canids_can::time::SimTime;
 use canids_dataflow::ip::AcceleratorIp;
-use canids_qnn::kernel::PackedScratch;
+use canids_qnn::kernel::{ClassMemo, PackedScratch};
 
 use crate::accel::pack_features_into;
 use crate::cpu::CpuModel;
@@ -173,13 +173,16 @@ impl FeatureBatch {
     }
 }
 
-/// Classes of every frame of `batch` on `ip`, through one scratch reused
-/// across the window.
-fn classify(ip: &AcceleratorIp, batch: &FeatureBatch) -> Vec<usize> {
-    let mut scratch = PackedScratch::default();
+/// Classes of every frame of `batch` on `ip`, through the IP's scratch
+/// and class memo.
+fn classify(
+    ip: &AcceleratorIp,
+    batch: &FeatureBatch,
+    (scratch, memo): &mut (PackedScratch, ClassMemo),
+) -> Vec<usize> {
     batch
         .packed()
-        .map(|words| ip.infer_words(words, &mut scratch).0)
+        .map(|words| ip.infer_words(words, scratch, memo).0)
         .collect()
 }
 
@@ -214,7 +217,7 @@ pub fn run_batch_shared(
         });
     }
     // Functional results from the (bit-exact) IP model.
-    let classes = classify(ip, batch);
+    let classes = classify(ip, batch, &mut Default::default());
     let n = batch.len() as u64;
     let total = transfer_time(ip, cpu, dma, n);
     let per_frame = SimTime::from_nanos(total.as_nanos() / n.max(1));
@@ -264,13 +267,16 @@ pub struct MultiBatchReport {
 /// same packed buffer), and the transfer completes when the slowest
 /// model's pipeline drains.
 ///
+/// Each IP classifies through the kernel scratch and class memo paired
+/// with it, which the caller keeps from window to window.
+///
 /// # Errors
 ///
 /// [`SocError::NoSuchAccelerator`] when `ips` is empty;
 /// [`SocError::InputDimension`] when the batch width does not match any
 /// IP input width.
 pub fn run_batch_multi(
-    ips: &[&AcceleratorIp],
+    ips: &mut [(&AcceleratorIp, &mut (PackedScratch, ClassMemo))],
     cpu: &CpuModel,
     dma: DmaConfig,
     batch: &FeatureBatch,
@@ -278,10 +284,10 @@ pub fn run_batch_multi(
     let n = batch.len() as u64;
     let total = ips
         .iter()
-        .map(|ip| transfer_time(ip, cpu, dma, n))
+        .map(|(ip, _)| transfer_time(ip, cpu, dma, n))
         .max()
         .ok_or(SocError::NoSuchAccelerator(0))?;
-    for ip in ips {
+    for (ip, _) in ips.iter() {
         if batch.dim() != ip.input_dim() {
             return Err(SocError::InputDimension {
                 expected: ip.input_dim(),
@@ -289,7 +295,10 @@ pub fn run_batch_multi(
             });
         }
     }
-    let classes: Vec<Vec<usize>> = ips.iter().map(|ip| classify(ip, batch)).collect();
+    let classes: Vec<Vec<usize>> = ips
+        .iter_mut()
+        .map(|(ip, buffers)| classify(ip, batch, buffers))
+        .collect();
     let flagged: Vec<bool> = (0..batch.len())
         .map(|f| classes.iter().any(|per_model| per_model[f] != 0))
         .collect();
@@ -397,7 +406,14 @@ mod tests {
         };
         let frames = batch(16);
         let fb = FeatureBatch::from_features(a.input_dim(), &frames).unwrap();
-        let multi = run_batch_multi(&[&a, &b], &cpu, DmaConfig::default(), &fb).unwrap();
+        let (mut buf_a, mut buf_b) = Default::default();
+        let multi = run_batch_multi(
+            &mut [(&a, &mut buf_a), (&b, &mut buf_b)],
+            &cpu,
+            DmaConfig::default(),
+            &fb,
+        )
+        .unwrap();
         assert_eq!(multi.classes.len(), 2);
         assert_eq!(multi.flagged.len(), 16);
         // Per-model classes match the single-IP shared path exactly.
@@ -417,13 +433,18 @@ mod tests {
         let cpu = CpuModel::zynqmp_a53_linux();
         let fb = FeatureBatch::from_features(75, &batch(4)).unwrap();
         assert!(matches!(
-            run_batch_multi(&[], &cpu, DmaConfig::default(), &fb),
+            run_batch_multi(&mut [], &cpu, DmaConfig::default(), &fb),
             Err(SocError::NoSuchAccelerator(0))
         ));
         let a = ip();
         let wrong = FeatureBatch::from_features(10, &[vec![0.0; 10]]).unwrap();
         assert!(matches!(
-            run_batch_multi(&[&a], &cpu, DmaConfig::default(), &wrong),
+            run_batch_multi(
+                &mut [(&a, &mut Default::default())],
+                &cpu,
+                DmaConfig::default(),
+                &wrong
+            ),
             Err(SocError::InputDimension { .. })
         ));
     }

@@ -10,6 +10,7 @@
 
 use canids_can::frame::CanFrame;
 use canids_can::time::SimTime;
+use canids_qnn::kernel::{ClassMemo, MemoCounts, PackedScratch};
 
 use crate::accel::pack_features_into;
 use crate::board::Zcu104Board;
@@ -219,6 +220,10 @@ pub struct EcuReport {
     /// [`EcuStream::take_stage_samples`] when the session closed; empty
     /// unless [`EcuStream::enable_profiling`] was called.
     pub stage_samples: Vec<StageSample>,
+    /// The session's kernel runs and class-memo hits over every
+    /// attached model, DMA windows and MMIO starts together: `runs +
+    /// hits` is the number of (frame, consulted model) pairs served.
+    pub kernel: MemoCounts,
 }
 
 /// The IDS-augmented ECU.
@@ -310,6 +315,8 @@ impl IdsEcu {
         let overhead = self.config.overhead();
         let queue = ServiceQueue::new(self.config.queue_depth);
         let active = vec![true; self.models.len()];
+        let kernels = vec![Default::default(); self.models.len()];
+        let mmio_counts = self.board.memo_counts();
         EcuStream {
             ecu: self,
             rx_cost,
@@ -324,6 +331,8 @@ impl IdsEcu {
             core_time: Vec::new(),
             batch_buf: FeatureBatch::default(),
             batch_meta: Vec::new(),
+            kernels,
+            mmio_counts,
             profiling: false,
             samples: Vec::new(),
         }
@@ -407,6 +416,11 @@ pub struct EcuStream<'a> {
     /// Arrival metadata of the batched frames, index-aligned with
     /// `batch_buf`.
     batch_meta: Vec<(SimTime, CanFrame)>,
+    /// Per attached model (index-aligned with the ECU's `models`), the
+    /// kernel scratch and class memo its DMA windows classify through.
+    kernels: Vec<(PackedScratch, ClassMemo)>,
+    /// The board's MMIO memo counts when the session opened.
+    mmio_counts: MemoCounts,
     /// Whether per-stage profiling samples are recorded.
     profiling: bool,
     /// Profiled stage intervals awaiting [`EcuStream::take_stage_samples`].
@@ -500,6 +514,14 @@ impl EcuStream<'_> {
     /// The frame is featurised and packed **once**, and the same packed
     /// words are fed to every attached model — the shared
     /// feature-packing pass of the multi-detector deployment.
+    ///
+    /// Each model classifies through a class memo of its own
+    /// ([`ClassMemo`], [`MEMO_SLOTS`](canids_qnn::kernel::MEMO_SLOTS)
+    /// entries, about 2.5 KB): the session's, one per attached model,
+    /// for DMA windows, and the accelerator peripheral's for MMIO starts.
+    /// A repeated frame, as in a flood, is classified once per model
+    /// while it stays in the memo. The memo changes no class and no
+    /// modelled time; [`EcuReport::kernel`] counts its runs and hits.
     ///
     /// Returns the verdict, or `None` when either the software FIFO was
     /// full at the arrival instant and the frame was dropped, or the
@@ -651,22 +673,23 @@ impl EcuStream<'_> {
             return Ok(());
         }
         let mut positions: Vec<usize> = Vec::with_capacity(self.ecu.models.len());
-        let mut ips: Vec<&canids_dataflow::ip::AcceleratorIp> = Vec::new();
-        for (k, (&idx, _)) in self
+        let mut ips = Vec::with_capacity(self.ecu.models.len());
+        for (k, ((&idx, _), buffers)) in self
             .ecu
             .models
             .iter()
             .zip(&self.active)
+            .zip(&mut self.kernels)
             .enumerate()
-            .filter(|&(_, (_, &a))| a)
+            .filter(|&(_, ((_, &a), _))| a)
         {
             positions.push(k);
-            ips.push(
-                self.ecu
-                    .board
-                    .accelerator(idx)
-                    .ok_or(SocError::NoSuchAccelerator(idx))?,
-            );
+            let ip = self
+                .ecu
+                .board
+                .accelerator(idx)
+                .ok_or(SocError::NoSuchAccelerator(idx))?;
+            ips.push((ip, buffers));
         }
         // With every model detached the window still drains (frames pay
         // only the RX path and are never flagged).
@@ -678,7 +701,7 @@ impl EcuStream<'_> {
             )
         } else {
             let cpu = *self.ecu.board.cpu();
-            let report = run_batch_multi(&ips, &cpu, self.ecu.config.dma, &self.batch_buf)?;
+            let report = run_batch_multi(&mut ips, &cpu, self.ecu.config.dma, &self.batch_buf)?;
             // Fold the per-model class grid into one bitmask per frame,
             // keyed on board-local model positions.
             let masks: Vec<u64> = (0..self.batch_meta.len())
@@ -840,8 +863,14 @@ impl EcuStream<'_> {
             busy,
             first_arrival,
             samples,
+            kernels,
+            mmio_counts,
             ..
         } = self;
+        let mut kernel = ecu.board.memo_counts() - mmio_counts;
+        for (_, memo) in &kernels {
+            kernel += memo.counts();
+        }
         let span = match (first_arrival, detections.last()) {
             (Some(first), Some(last)) => last.completed_at.saturating_sub(first),
             _ => SimTime::ZERO,
@@ -886,6 +915,7 @@ impl EcuStream<'_> {
             mean_power_w,
             energy_per_message_j,
             stage_samples: samples,
+            kernel,
         }
     }
 }

@@ -19,7 +19,7 @@ use canids_dataflow::simulator::{AcceleratorSim, SimConfig};
 use canids_dataflow::verify::verify_bit_exact;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
 use canids_dataset::generator::{DatasetBuilder, TrafficConfig};
-use canids_qnn::kernel::{pack_levels, PackedMlp, PackedScratch};
+use canids_qnn::kernel::{pack_levels, ClassMemo, PackedMlp, PackedScratch};
 use canids_qnn::prelude::*;
 use canids_soc::accel::{pack_features, AccelPeripheral, CTRL_START};
 use canids_soc::axi::MmioDevice;
@@ -281,13 +281,14 @@ fn ip_word_entry_point_matches_the_reference_on_kernel_and_fallback_models() {
     for model in [paper, wide] {
         let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
         let mut scratch = PackedScratch::default();
+        let mut memo = ClassMemo::default();
         let mut inputs = vec![vec![0; 75], vec![1; 75]];
         inputs.extend(random_inputs(75, 128, 0x3D));
         for x in inputs {
             let bits: Vec<f32> = x.iter().map(|&b| b as f32).collect();
             let words = pack_features(&bits);
             let want = model.infer(&x);
-            let (class, scores) = ip.infer_words(&words, &mut scratch);
+            let (class, scores) = ip.infer_words(&words, &mut scratch, &mut memo);
             assert_eq!(class, want.class);
             assert_eq!(scores.as_ref(), want.scores.as_slice());
         }
