@@ -1,10 +1,11 @@
 //! Criterion bench for the Fig. 1 / throughput substrate: frame encoding
 //! against the allocation-free wire-length count that paces every
 //! replay, saturated-bus simulation speed, the streaming
-//! (frame-at-a-time) serving path the line-rate harness drives, and
+//! (frame-at-a-time) serving path the line-rate harness drives,
 //! whole software replays through that harness: a DoS capture, whose
 //! repeated flood frame the class memo answers, and a fuzzy capture,
-//! whose random frames mostly miss it.
+//! whose random frames mostly miss it, and the fleet transport's
+//! gateway hops for the same DoS capture.
 
 use canids_bench::untrained_model;
 use canids_can::bits::encode_frame;
@@ -13,10 +14,13 @@ use canids_can::frame::{CanFrame, CanId};
 use canids_can::node::CanController;
 use canids_can::time::SimTime;
 use canids_can::timing::{frame_bit_count, max_frame_rate, Bitrate};
+use canids_core::net::{FleetNet, NetConfig};
 use canids_core::serve::{ReplayConfig, ServeHarness, SoftwareBackend};
 use canids_core::stream::StreamingEvaluator;
 use canids_dataset::attacks::{AttackProfile, BurstSchedule};
 use canids_dataset::generator::{DatasetBuilder, TrafficConfig};
+use canids_dataset::record::LabeledFrame;
+use canids_dataset::stream::paced_records;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -104,6 +108,29 @@ fn bench_fig1(c: &mut Criterion) {
         b.iter(|| {
             let report = harness.replay(black_box(&fuzzy), &config).unwrap();
             black_box(report.serviced)
+        })
+    });
+    // The fleet transport's gateway hops: the DoS capture paced at 1 Mb/s
+    // and delivered through `FleetNet::deliver` to each of six boards, as
+    // a six-board fleet replay sends every frame. Each call counts the
+    // frame's wire length and runs three events. Divide by the capture's
+    // frame count times six for a per-hop cost.
+    let paced: Vec<LabeledFrame> = paced_records(&capture, Bitrate::HIGH_SPEED_1M).collect();
+    group.bench_function("fleet_net_deliver_dos_200ms", |b| {
+        b.iter(|| {
+            let mut net = FleetNet::single_backbone(
+                6,
+                Bitrate::HIGH_SPEED_1M,
+                config.gateway_delay,
+                &NetConfig::default(),
+            );
+            for rec in black_box(&paced) {
+                for board in 0..6 {
+                    black_box(net.deliver(board, rec.timestamp, rec.frame));
+                }
+            }
+            net.finish();
+            black_box(net.sim().executed())
         })
     });
     group.finish();

@@ -241,8 +241,30 @@ pub fn frame_slot_duration(frame: &CanFrame, rate: Bitrate) -> SimTime {
 /// pacers that need both: `(wire, slot)`, where the slot is the wire time
 /// plus [`INTERFRAME_BITS`] bit times.
 pub fn frame_wire_and_slot(frame: &CanFrame, rate: Bitrate) -> (SimTime, SimTime) {
+    wire_and_slot(frame_bit_count(frame), rate)
+}
+
+/// [`frame_wire_and_slot`] of a frame whose [`frame_bit_count`] is
+/// `bits`. The count does not depend on the bitrate, so a path that
+/// carries one frame across segments of different bitrates counts it
+/// once and calls this per segment.
+///
+/// # Example
+///
+/// ```
+/// use canids_can::frame::{CanFrame, CanId};
+/// use canids_can::timing::{frame_bit_count, frame_wire_and_slot, wire_and_slot, Bitrate};
+///
+/// let f = CanFrame::new(CanId::standard(0x316)?, &[5, 32, 14])?;
+/// let bits = frame_bit_count(&f);
+/// for rate in [Bitrate::HIGH_SPEED_1M, Bitrate::MEDIUM_250K] {
+///     assert_eq!(wire_and_slot(bits, rate), frame_wire_and_slot(&f, rate));
+/// }
+/// # Ok::<(), canids_can::FrameError>(())
+/// ```
+pub fn wire_and_slot(bits: usize, rate: Bitrate) -> (SimTime, SimTime) {
     let bit_time = rate.bit_time();
-    let bits = frame_bit_count(frame) as u64;
+    let bits = bits as u64;
     (
         bit_time.mul_u64(bits),
         bit_time.mul_u64(bits + INTERFRAME_BITS as u64),

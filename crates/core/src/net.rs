@@ -10,7 +10,9 @@
 //!   times and a [`Scheduler`] over a `BinaryHeap` with deterministic
 //!   tie-breaking — (time, then sequence number) — so identical inputs
 //!   replay identically, which the bit-for-bit cross-checks against the
-//!   analytic path require;
+//!   analytic path require. An event pushes its follow-ups into a buffer
+//!   the scheduler owns and reuses, so firing one allocates nothing but
+//!   the boxes of the events it spawns;
 //! * a [`Topology`] of nodes: CAN buses as links ([`SegmentId`]),
 //!   gateways as switch nodes ([`GatewayId`]) with pluggable queue
 //!   disciplines ([`QueueDiscipline::DropTail`] shared buffers and
@@ -31,6 +33,17 @@
 //! hop matches the closed form frame for frame
 //! (`tests/net_equivalence.rs`).
 //!
+//! # One wire count per frame
+//!
+//! A frame's wire length in bits, stuff bits included
+//! ([`frame_bit_count`]), does not depend on the bitrate. So it is
+//! counted once, where the frame enters the network ([`NetSim::inject`],
+//! [`FleetNet::deliver`]), and every event on the frame's path carries
+//! the count instead of the frame. Each gateway hop multiplies it by its
+//! egress segment's bit time ([`wire_and_slot`]), the arithmetic of the
+//! closed form's `frame_wire_and_slot`. The serving session counts each
+//! capture frame once for all of a fleet's boards.
+//!
 //! # Lazy co-simulation
 //!
 //! The serve harness pushes capture frames one at a time in timestamp
@@ -44,13 +57,19 @@
 //! timestamps (never the scheduler clock), so delivery times are
 //! unaffected — only the interleaving of attacker frames between two
 //! capture pushes can shift, and only in faulted scenarios.
+//!
+//! The outcome table holds one entry per frame in flight. A bare
+//! [`NetSim`] keeps every outcome for the whole run, for
+//! [`NetSim::outcome`]; [`FleetNet`] releases each one as soon as
+//! [`FleetNet::deliver`] has returned it, so a fleet replay holds at most
+//! the frames still in flight.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use canids_can::frame::{CanFrame, CanId};
 use canids_can::time::SimTime;
-use canids_can::timing::{frame_wire_and_slot, Bitrate};
+use canids_can::timing::{frame_bit_count, wire_and_slot, Bitrate};
 
 // ---------------------------------------------------------------------
 // Node and frame identifiers
@@ -166,8 +185,12 @@ impl EventTime {
 
 /// A schedulable simulation event over state `S`.
 ///
-/// `exec` consumes the event and may spawn follow-up events (their
-/// [`EventTime::Delta`] times resolve against the firing time).
+/// `exec` consumes the event and pushes any follow-up events into
+/// `spawn` (their [`EventTime::Delta`] times resolve against the firing
+/// time). `spawn` is a buffer the [`Scheduler`] owns and reuses: it is
+/// empty when `exec` starts, and the scheduler moves what it holds onto
+/// the heap before the next event fires. So firing an event allocates
+/// nothing beyond the boxes of the events it spawns.
 ///
 /// # Example
 ///
@@ -180,9 +203,14 @@ impl EventTime {
 ///     fn time(&self) -> EventTime {
 ///         EventTime::Absolute(SimTime::from_micros(self.0 as u64))
 ///     }
-///     fn exec(self: Box<Self>, _now: SimTime, log: &mut Vec<u32>) -> Vec<Box<dyn Event<Vec<u32>>>> {
+///     fn exec(
+///         self: Box<Self>,
+///         _now: SimTime,
+///         log: &mut Vec<u32>,
+///         _spawn: &mut Vec<Box<dyn Event<Vec<u32>>>>,
+///     ) {
+///         // A tick spawns nothing; a follow-up would be `_spawn.push(..)`.
 ///         log.push(self.0);
-///         Vec::new()
 ///     }
 /// }
 ///
@@ -196,8 +224,9 @@ impl EventTime {
 pub trait Event<S> {
     /// When the event wants to fire.
     fn time(&self) -> EventTime;
-    /// Fires the event at `now`, returning any follow-up events.
-    fn exec(self: Box<Self>, now: SimTime, state: &mut S) -> Vec<Box<dyn Event<S>>>;
+    /// Fires the event at `now`, pushing any follow-up events into
+    /// `spawn`, the scheduler's reused buffer.
+    fn exec(self: Box<Self>, now: SimTime, state: &mut S, spawn: &mut Vec<Box<dyn Event<S>>>);
 }
 
 struct EventContainer<S> {
@@ -229,6 +258,11 @@ impl<S> Ord for EventContainer<S> {
 /// (time, then monotone sequence number), so same-time events execute
 /// in the order they were scheduled — stable FIFO ties.
 ///
+/// The scheduler owns one spawn buffer, which it hands to every
+/// [`Event::exec`] and drains onto the heap after it, in push order (so
+/// follow-ups of one event keep FIFO ties among themselves). The buffer
+/// keeps its capacity, so a run allocates no per-event `Vec`.
+///
 /// # Example
 ///
 /// ```
@@ -240,9 +274,13 @@ impl<S> Ord for EventContainer<S> {
 ///     fn time(&self) -> EventTime {
 ///         EventTime::Absolute(SimTime::from_nanos(self.0))
 ///     }
-///     fn exec(self: Box<Self>, _now: SimTime, log: &mut Vec<u32>) -> Vec<Box<dyn Event<Vec<u32>>>> {
+///     fn exec(
+///         self: Box<Self>,
+///         _now: SimTime,
+///         log: &mut Vec<u32>,
+///         _spawn: &mut Vec<Box<dyn Event<Vec<u32>>>>,
+///     ) {
 ///         log.push(self.1);
-///         Vec::new()
 ///     }
 /// }
 ///
@@ -260,6 +298,8 @@ pub struct Scheduler<S> {
     now: SimTime,
     seq: u64,
     executed: u64,
+    /// Follow-ups of the event being fired, drained after each `exec`.
+    spawn: Vec<Box<dyn Event<S>>>,
 }
 
 impl<S> Default for Scheduler<S> {
@@ -276,6 +316,7 @@ impl<S> Scheduler<S> {
             now: SimTime::ZERO,
             seq: 0,
             executed: 0,
+            spawn: Vec::new(),
         }
     }
 
@@ -301,10 +342,7 @@ impl<S> Scheduler<S> {
 
     /// Enqueues an event; its firing time resolves against `now`.
     pub fn schedule(&mut self, event: Box<dyn Event<S>>) {
-        let time = event.time().abs_time(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(EventContainer { time, seq, event });
+        push_event(&mut self.heap, &mut self.seq, self.now, event);
     }
 
     /// Firing time of the earliest pending event.
@@ -312,13 +350,16 @@ impl<S> Scheduler<S> {
         self.heap.peek().map(|c| c.time)
     }
 
-    /// Pops and executes the earliest event; returns its firing time.
+    /// Pops and executes the earliest event, then schedules the
+    /// follow-ups it pushed into the spawn buffer; returns its firing
+    /// time.
     pub fn step(&mut self, state: &mut S) -> Option<SimTime> {
         let c = self.heap.pop()?;
         self.now = c.time;
         self.executed += 1;
-        for follow in c.event.exec(c.time, state) {
-            self.schedule(follow);
+        c.event.exec(c.time, state, &mut self.spawn);
+        for follow in self.spawn.drain(..) {
+            push_event(&mut self.heap, &mut self.seq, self.now, follow);
         }
         Some(c.time)
     }
@@ -334,6 +375,24 @@ impl<S> Scheduler<S> {
     pub fn run(&mut self, state: &mut S) {
         while self.step(state).is_some() {}
     }
+}
+
+/// Pushes `event` onto `heap` at its firing time resolved against `now`,
+/// stamped with the next sequence number. A free function over the
+/// scheduler's fields, so `step` can drain its spawn buffer into the heap.
+fn push_event<S>(
+    heap: &mut BinaryHeap<EventContainer<S>>,
+    seq: &mut u64,
+    now: SimTime,
+    event: Box<dyn Event<S>>,
+) {
+    let time = event.time().abs_time(now);
+    heap.push(EventContainer {
+        time,
+        seq: *seq,
+        event,
+    });
+    *seq += 1;
 }
 
 // ---------------------------------------------------------------------
@@ -737,7 +796,8 @@ impl TopologyBuilder {
             gateways,
             sink_delivered: vec![0; n_sinks],
             next_hop,
-            outcomes: Vec::new(),
+            outcomes: VecDeque::new(),
+            released: 0,
             drop_log: Vec::new(),
             flood_injected: 0,
         }
@@ -746,6 +806,11 @@ impl TopologyBuilder {
 
 /// The frozen node graph plus all mutable simulation state: segment
 /// wires, gateway buffers, per-frame outcomes and the drop log.
+///
+/// The outcome table runs from the oldest frame not yet released to the
+/// newest injected one. Under a bare [`NetSim`] nothing is released, so
+/// it holds every outcome; [`FleetNet`] releases each frame's outcome
+/// once it has read it.
 ///
 /// # Example
 ///
@@ -770,7 +835,11 @@ pub struct Topology {
     sink_delivered: Vec<u64>,
     /// `next_hop[segment][sink] = (gateway, port)` toward the sink.
     next_hop: Vec<Vec<Option<(usize, usize)>>>,
-    outcomes: Vec<Option<NetOutcome>>,
+    /// Outcomes of tokens `released..`, in token order; `None` while the
+    /// frame is in flight.
+    outcomes: VecDeque<Option<NetOutcome>>,
+    /// Tokens below this were resolved, read and released.
+    released: usize,
     drop_log: Vec<DropRecord>,
     flood_injected: u64,
 }
@@ -802,19 +871,40 @@ impl Topology {
     }
 
     /// Terminal outcome of an injected frame, if resolved yet.
+    ///
+    /// A bare [`NetSim`] keeps every outcome for the whole run. Under
+    /// [`FleetNet`] an outcome is released once [`FleetNet::deliver`] has
+    /// returned it, and this reads `None` for it from then on.
     pub fn outcome(&self, token: FrameToken) -> Option<NetOutcome> {
-        self.outcomes.get(token.0).copied().flatten()
+        let index = token.0.checked_sub(self.released)?;
+        self.outcomes.get(index).copied().flatten()
     }
 
-    /// Tokens injected so far.
+    /// Tokens injected so far, released outcomes included.
     pub fn injected(&self) -> usize {
-        self.outcomes.len()
+        self.released + self.outcomes.len()
     }
 
     /// Injected frames with no terminal outcome yet (still queued or in
     /// flight).
     pub fn in_flight(&self) -> usize {
         self.outcomes.iter().filter(|o| o.is_none()).count()
+    }
+
+    /// Records the terminal outcome of a token-carrying frame.
+    fn settle(&mut self, token: Option<usize>, outcome: NetOutcome) {
+        if let Some(t) = token {
+            self.outcomes[t - self.released] = Some(outcome);
+        }
+    }
+
+    /// Drops the resolved outcomes at the front of the table: every
+    /// token up to the oldest frame still in flight.
+    fn release_resolved(&mut self) {
+        while let Some(Some(_)) = self.outcomes.front() {
+            self.outcomes.pop_front();
+            self.released += 1;
+        }
     }
 
     /// Every accounted loss, in drop order (capture and fault traffic).
@@ -846,9 +936,7 @@ impl Topology {
         gateway: Option<usize>,
         segment: Option<usize>,
     ) {
-        if let Some(t) = token {
-            self.outcomes[t] = Some(NetOutcome::Dropped(reason));
-        }
+        self.settle(token, NetOutcome::Dropped(reason));
         self.drop_log.push(DropRecord {
             time,
             token: token.map(FrameToken),
@@ -865,23 +953,18 @@ impl Topology {
         &mut self,
         at: SimTime,
         segment: usize,
-        dest: usize,
-        frame: CanFrame,
-        token: Option<usize>,
-    ) -> Vec<Box<dyn Event<Topology>>> {
+        transit: Transit,
+        spawn: &mut Vec<Box<dyn Event<Topology>>>,
+    ) {
+        let Transit { dest, token, .. } = transit;
         if self.segments[segment].sinks.contains(&dest) {
-            if let Some(t) = token {
-                self.outcomes[t] = Some(NetOutcome::Delivered(at));
-            }
+            self.settle(token, NetOutcome::Delivered(at));
             self.sink_delivered[dest] += 1;
-            return Vec::new();
+            return;
         }
         match self.next_hop[segment][dest] {
-            Some((gw, port)) => self.gateway_ingress(gw, port, at, frame, dest, token),
-            None => {
-                self.drop_frame(at, token, DropReason::Unroutable, None, Some(segment));
-                Vec::new()
-            }
+            Some((gw, port)) => self.gateway_ingress(gw, port, at, transit, spawn),
+            None => self.drop_frame(at, token, DropReason::Unroutable, None, Some(segment)),
         }
     }
 
@@ -891,22 +974,22 @@ impl Topology {
         gw: usize,
         port: usize,
         at: SimTime,
-        frame: CanFrame,
-        dest: usize,
-        token: Option<usize>,
-    ) -> Vec<Box<dyn Event<Topology>>> {
+        transit: Transit,
+        spawn: &mut Vec<Box<dyn Event<Topology>>>,
+    ) {
+        let token = transit.token;
         let node = &mut self.gateways[gw];
         if node.dark {
             node.load.dropped_outage += 1;
             self.drop_frame(at, token, DropReason::GatewayOutage, Some(gw), None);
-            return Vec::new();
+            return;
         }
         match node.discipline {
             QueueDiscipline::DropTail { capacity } => {
                 if node.queued_total >= capacity {
                     node.load.dropped_full += 1;
                     self.drop_frame(at, token, DropReason::BufferFull, Some(gw), None);
-                    return Vec::new();
+                    return;
                 }
             }
             QueueDiscipline::Pfc { quota } => {
@@ -923,14 +1006,12 @@ impl Topology {
             node.load.peak_at = at;
         }
         let release = at + node.delay;
-        vec![Box::new(PortService {
+        spawn.push(Box::new(PortService {
             gw,
             port,
             release,
-            frame,
-            dest,
-            token,
-        })]
+            transit,
+        }));
     }
 }
 
@@ -938,33 +1019,47 @@ impl Topology {
 // Internal simulation events
 // ---------------------------------------------------------------------
 
+/// What every event on a frame's path carries in place of the frame.
+#[derive(Clone, Copy)]
+struct Transit {
+    /// Destination sink.
+    dest: usize,
+    /// Wire length, counted once when the frame entered the network.
+    bits: usize,
+    /// Outcome token; `None` for fault-generated traffic.
+    token: Option<usize>,
+}
+
 /// A frame is complete on a segment at its carried `at` time. All time
 /// math below uses carried timestamps, never the scheduler clock, so
 /// lazy run-ahead cannot perturb delivery times.
 struct FrameArrival {
     at: SimTime,
     segment: usize,
-    dest: usize,
-    frame: CanFrame,
-    token: Option<usize>,
+    transit: Transit,
 }
 
 impl Event<Topology> for FrameArrival {
     fn time(&self) -> EventTime {
         EventTime::Absolute(self.at)
     }
-    fn exec(self: Box<Self>, _now: SimTime, net: &mut Topology) -> Vec<Box<dyn Event<Topology>>> {
+    fn exec(
+        self: Box<Self>,
+        _now: SimTime,
+        net: &mut Topology,
+        spawn: &mut Vec<Box<dyn Event<Topology>>>,
+    ) {
         if net.segments[self.segment].down {
             net.drop_frame(
                 self.at,
-                self.token,
+                self.transit.token,
                 DropReason::BusOff,
                 None,
                 Some(self.segment),
             );
-            return Vec::new();
+            return;
         }
-        net.segment_arrival(self.at, self.segment, self.dest, self.frame, self.token)
+        net.segment_arrival(self.at, self.segment, self.transit, spawn);
     }
 }
 
@@ -972,21 +1067,25 @@ impl Event<Topology> for FrameArrival {
 /// egress segment. This is the analytic `SegmentForwarder` recurrence,
 /// verbatim: `start = max(release, busy_until)`,
 /// `delivered = start + frame_duration`,
-/// `busy_until = start + frame_slot_duration`.
+/// `busy_until = start + frame_slot_duration`, with both durations the
+/// carried bit count times the egress segment's bit time.
 struct PortService {
     gw: usize,
     port: usize,
     release: SimTime,
-    frame: CanFrame,
-    dest: usize,
-    token: Option<usize>,
+    transit: Transit,
 }
 
 impl Event<Topology> for PortService {
     fn time(&self) -> EventTime {
         EventTime::Absolute(self.release)
     }
-    fn exec(self: Box<Self>, _now: SimTime, net: &mut Topology) -> Vec<Box<dyn Event<Topology>>> {
+    fn exec(
+        self: Box<Self>,
+        _now: SimTime,
+        net: &mut Topology,
+        spawn: &mut Vec<Box<dyn Event<Topology>>>,
+    ) {
         let egress = net.gateways[self.gw].ports[self.port].egress;
         if net.segments[egress].down {
             net.gateways[self.gw].queued_total -= 1;
@@ -994,27 +1093,24 @@ impl Event<Topology> for PortService {
             net.gateways[self.gw].load.dropped_bus_off += 1;
             net.drop_frame(
                 self.release,
-                self.token,
+                self.transit.token,
                 DropReason::BusOff,
                 Some(self.gw),
                 Some(egress),
             );
-            return Vec::new();
+            return;
         }
         let seg = &mut net.segments[egress];
         let start = self.release.max(seg.busy_until);
-        let (wire, slot) = frame_wire_and_slot(&self.frame, seg.bitrate);
-        let delivered = start + wire;
+        let (wire, slot) = wire_and_slot(self.transit.bits, seg.bitrate);
         seg.busy_until = start + slot;
-        vec![Box::new(DeliverFrame {
-            delivered,
+        spawn.push(Box::new(DeliverFrame {
+            delivered: start + wire,
             gw: self.gw,
             port: self.port,
             segment: egress,
-            frame: self.frame,
-            dest: self.dest,
-            token: self.token,
-        })]
+            transit: self.transit,
+        }));
     }
 }
 
@@ -1025,26 +1121,23 @@ struct DeliverFrame {
     gw: usize,
     port: usize,
     segment: usize,
-    frame: CanFrame,
-    dest: usize,
-    token: Option<usize>,
+    transit: Transit,
 }
 
 impl Event<Topology> for DeliverFrame {
     fn time(&self) -> EventTime {
         EventTime::Absolute(self.delivered)
     }
-    fn exec(self: Box<Self>, _now: SimTime, net: &mut Topology) -> Vec<Box<dyn Event<Topology>>> {
+    fn exec(
+        self: Box<Self>,
+        _now: SimTime,
+        net: &mut Topology,
+        spawn: &mut Vec<Box<dyn Event<Topology>>>,
+    ) {
         net.gateways[self.gw].queued_total -= 1;
         net.gateways[self.gw].ports[self.port].queue -= 1;
         net.gateways[self.gw].load.forwarded += 1;
-        net.segment_arrival(
-            self.delivered,
-            self.segment,
-            self.dest,
-            self.frame,
-            self.token,
-        )
+        net.segment_arrival(self.delivered, self.segment, self.transit, spawn);
     }
 }
 
@@ -1059,9 +1152,13 @@ impl Event<Topology> for SetGatewayDark {
     fn time(&self) -> EventTime {
         EventTime::Absolute(self.at)
     }
-    fn exec(self: Box<Self>, _now: SimTime, net: &mut Topology) -> Vec<Box<dyn Event<Topology>>> {
+    fn exec(
+        self: Box<Self>,
+        _now: SimTime,
+        net: &mut Topology,
+        _spawn: &mut Vec<Box<dyn Event<Topology>>>,
+    ) {
         net.gateways[self.gateway].dark = self.dark;
-        Vec::new()
     }
 }
 
@@ -1076,20 +1173,25 @@ impl Event<Topology> for SetSegmentDown {
     fn time(&self) -> EventTime {
         EventTime::Absolute(self.at)
     }
-    fn exec(self: Box<Self>, _now: SimTime, net: &mut Topology) -> Vec<Box<dyn Event<Topology>>> {
+    fn exec(
+        self: Box<Self>,
+        _now: SimTime,
+        net: &mut Topology,
+        _spawn: &mut Vec<Box<dyn Event<Topology>>>,
+    ) {
         net.segments[self.segment].down = self.down;
-        Vec::new()
     }
 }
 
 /// The babbling idiot: one highest-priority frame now, the next one
-/// `gap` later, until `stop`.
+/// `gap` later, until `stop`. Every flood frame carries `flood`, whose
+/// wire length was counted once when the fault was applied.
 struct Babble {
     segment: usize,
-    dest: usize,
     at: SimTime,
     stop: SimTime,
     gap: SimTime,
+    flood: Transit,
 }
 
 fn flood_frame() -> CanFrame {
@@ -1103,24 +1205,25 @@ impl Event<Topology> for Babble {
     fn time(&self) -> EventTime {
         EventTime::Absolute(self.at)
     }
-    fn exec(self: Box<Self>, _now: SimTime, net: &mut Topology) -> Vec<Box<dyn Event<Topology>>> {
+    fn exec(
+        self: Box<Self>,
+        _now: SimTime,
+        net: &mut Topology,
+        spawn: &mut Vec<Box<dyn Event<Topology>>>,
+    ) {
         if self.at >= self.stop {
-            return Vec::new();
+            return;
         }
         net.flood_injected += 1;
-        vec![
-            Box::new(FrameArrival {
-                at: self.at,
-                segment: self.segment,
-                dest: self.dest,
-                frame: flood_frame(),
-                token: None,
-            }),
-            Box::new(Babble {
-                at: self.at + self.gap,
-                ..*self
-            }),
-        ]
+        spawn.push(Box::new(FrameArrival {
+            at: self.at,
+            segment: self.segment,
+            transit: self.flood,
+        }));
+        spawn.push(Box::new(Babble {
+            at: self.at + self.gap,
+            ..*self
+        }));
     }
 }
 
@@ -1182,10 +1285,14 @@ impl NetSim {
                 gap,
             } => self.sched.schedule(Box::new(Babble {
                 segment: segment.0,
-                dest: dest.0,
                 at: start,
                 stop,
                 gap,
+                flood: Transit {
+                    dest: dest.0,
+                    bits: frame_bit_count(&flood_frame()),
+                    token: None,
+                },
             })),
             Fault::BusOff {
                 segment,
@@ -1223,7 +1330,8 @@ impl NetSim {
     }
 
     /// Injects a frame completing on `segment` at `at`, addressed to
-    /// `dest`; returns its outcome token.
+    /// `dest`; returns its outcome token. The frame's wire length is
+    /// counted here, once, and carried to every hop of its path.
     pub fn inject(
         &mut self,
         at: SimTime,
@@ -1231,14 +1339,28 @@ impl NetSim {
         dest: SinkId,
         frame: CanFrame,
     ) -> FrameToken {
-        let token = self.topology.outcomes.len();
-        self.topology.outcomes.push(None);
+        self.inject_counted(at, segment, dest, frame_bit_count(&frame))
+    }
+
+    /// [`inject`](Self::inject) of a frame whose [`frame_bit_count`] is
+    /// `bits`.
+    fn inject_counted(
+        &mut self,
+        at: SimTime,
+        segment: SegmentId,
+        dest: SinkId,
+        bits: usize,
+    ) -> FrameToken {
+        let token = self.topology.injected();
+        self.topology.outcomes.push_back(None);
         self.sched.schedule(Box::new(FrameArrival {
             at,
             segment: segment.0,
-            dest: dest.0,
-            frame,
-            token: Some(token),
+            transit: Transit {
+                dest: dest.0,
+                bits,
+                token: Some(token),
+            },
         }));
         FrameToken(token)
     }
@@ -1383,13 +1505,28 @@ impl FleetNet {
 
     /// Advances the simulation to `arrival`, injects the frame on the
     /// backbone addressed to `shard`'s board, and runs until its
-    /// terminal outcome.
+    /// terminal outcome. The frame's wire length is counted once per
+    /// call; the outcome is released from the topology once returned.
     pub fn deliver(&mut self, shard: usize, arrival: SimTime, frame: CanFrame) -> NetOutcome {
+        self.deliver_counted(shard, arrival, frame_bit_count(&frame))
+    }
+
+    /// [`deliver`](Self::deliver) of a frame whose [`frame_bit_count`]
+    /// is `bits`: a caller that sends one frame to every board counts it
+    /// once for all of them.
+    pub(crate) fn deliver_counted(
+        &mut self,
+        shard: usize,
+        arrival: SimTime,
+        bits: usize,
+    ) -> NetOutcome {
         self.sim.run_until(arrival);
         let token = self
             .sim
-            .inject(arrival, self.backbone, self.boards[shard], frame);
-        self.sim.resolve(token)
+            .inject_counted(arrival, self.backbone, self.boards[shard], bits);
+        let outcome = self.sim.resolve(token);
+        self.sim.topology.release_resolved();
+        outcome
     }
 
     /// Drains any remaining (fault) events so end-of-run counters are
@@ -1415,6 +1552,12 @@ impl FleetNet {
     }
 
     /// The underlying simulation (counters, clock, topology).
+    ///
+    /// Its outcome table holds only the frames still in flight: the
+    /// fleet releases each frame's outcome once [`deliver`](Self::deliver)
+    /// has returned it, so [`NetSim::outcome`] reads `None` for a
+    /// delivered frame, while [`Topology::injected`] still counts every
+    /// frame. A bare [`NetSim`] keeps every outcome.
     pub fn sim(&self) -> &NetSim {
         &self.sim
     }
@@ -1441,9 +1584,9 @@ mod tests {
                 self: Box<Self>,
                 _now: SimTime,
                 log: &mut Vec<u32>,
-            ) -> Vec<Box<dyn Event<Vec<u32>>>> {
+                _spawn: &mut Vec<Box<dyn Event<Vec<u32>>>>,
+            ) {
                 log.push(self.1);
-                Vec::new()
             }
         }
         let mut sched = Scheduler::new();
@@ -1468,12 +1611,11 @@ mod tests {
                 self: Box<Self>,
                 now: SimTime,
                 log: &mut Vec<SimTime>,
-            ) -> Vec<Box<dyn Event<Vec<SimTime>>>> {
+                spawn: &mut Vec<Box<dyn Event<Vec<SimTime>>>>,
+            ) {
                 log.push(now);
                 if self.0 > 0 {
-                    vec![Box::new(Chain(self.0 - 1))]
-                } else {
-                    Vec::new()
+                    spawn.push(Box::new(Chain(self.0 - 1)));
                 }
             }
         }
@@ -1736,11 +1878,22 @@ mod tests {
             })
             .collect();
         sim.run();
+        // The closed form of the chain: one forwarder per hop, each at
+        // its egress bitrate. The frames differ in stuff bits and queue
+        // behind each other on the 250 kb/s leaf, so a count taken at
+        // the wrong bitrate, or carried from another frame, moves a
+        // delivery.
+        let mut to_mid = SegmentForwarder::new(Bitrate::HIGH_SPEED_500K, SimTime::from_micros(10));
+        let mut to_leaf = SegmentForwarder::new(Bitrate::MEDIUM_250K, SimTime::from_micros(10));
         let mut last = SimTime::ZERO;
-        for t in tokens {
+        for (i, t) in tokens.into_iter().enumerate() {
+            let f = frame(i as u16);
+            let expect =
+                to_leaf.forward(to_mid.forward(SimTime::from_micros(50 * i as u64), &f), &f);
             match sim.outcome(t) {
                 Some(NetOutcome::Delivered(at)) => {
                     assert!(at > last, "two-hop deliveries must stay FIFO");
+                    assert_eq!(at, expect, "frame {i} diverged from two chained forwarders");
                     last = at;
                 }
                 other => panic!("unexpected {other:?}"),
@@ -1751,5 +1904,63 @@ mod tests {
         let loads = sim.topology().gateway_loads();
         assert_eq!(loads[0].forwarded, 20);
         assert_eq!(loads[1].forwarded, 20);
+    }
+
+    #[test]
+    fn fleet_net_releases_each_outcome_it_has_read() {
+        // Board 1's gateway is dark for a while, so released outcomes
+        // include drops as well as deliveries.
+        let config = NetConfig {
+            faults: vec![Fault::GatewayOutage {
+                gateway: GatewayId(1),
+                start: SimTime::from_micros(2_000),
+                end: SimTime::from_micros(4_000),
+            }],
+            ..NetConfig::default()
+        };
+        let (frames, boards) = (60usize, 4usize);
+        let mut net = FleetNet::single_backbone(
+            boards,
+            Bitrate::HIGH_SPEED_1M,
+            SimTime::from_micros(20),
+            &config,
+        );
+        let mut dropped = 0;
+        for i in 0..frames {
+            let at = SimTime::from_micros(100 * i as u64);
+            for board in 0..boards {
+                if let NetOutcome::Dropped(_) = net.deliver(board, at, frame(i as u16)) {
+                    dropped += 1;
+                }
+                // Nothing resolved stays behind the frame just read.
+                assert!(net.sim().topology().outcomes.is_empty());
+            }
+        }
+        net.finish();
+        let topo = net.sim().topology();
+        assert!(dropped > 0, "the outage must drop some frames");
+        assert!(
+            topo.outcomes.iter().all(Option::is_none),
+            "no resolved entry is held"
+        );
+        assert_eq!(topo.injected(), frames * boards);
+        assert_eq!(topo.in_flight(), 0);
+        assert_eq!(
+            topo.outcome(FrameToken(0)),
+            None,
+            "a read outcome is released"
+        );
+
+        // A bare simulation keeps every outcome.
+        let mut b = Topology::builder();
+        let bus = b.segment(Bitrate::HIGH_SPEED_1M);
+        let sink = b.sink(bus);
+        let mut sim = NetSim::new(b.build());
+        let tokens: Vec<FrameToken> = (0..frames)
+            .map(|i| sim.inject(SimTime::from_micros(100 * i as u64), bus, sink, frame(1)))
+            .collect();
+        sim.run();
+        assert_eq!(sim.topology().outcomes.len(), frames);
+        assert!(tokens.iter().all(|&t| sim.outcome(t).is_some()));
     }
 }

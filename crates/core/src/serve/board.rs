@@ -3,6 +3,7 @@
 //! [`BoardSession`].
 
 use canids_can::frame::CanFrame;
+use canids_can::timing::frame_bit_count;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits, FEATURE_BITS_DIM};
 use canids_dataset::record::LabeledFrame;
 use canids_soc::ecu::{Detection, EcuStream, FrameFeaturizer, IdsEcu, StageSample};
@@ -274,7 +275,9 @@ impl ServeBackend for FleetBackend<'_> {
 /// [`ServeSession`]): one [`EcuStream`] per board. A fleet session also
 /// owns the [`FleetNet`] that carries every backbone frame to each
 /// board through its gateway port; a single-ECU session has none, so its
-/// board receives each frame at its backbone arrival.
+/// board receives each frame at its backbone arrival. A fleet session
+/// counts each frame's wire length once, on its first board's push, and
+/// hands that count to every board's gateway hop.
 ///
 /// # Example
 ///
@@ -293,6 +296,9 @@ pub struct BoardSession<'a> {
     streams: Vec<EcuStream<'a>>,
     /// The fleet's gateway network (`None` on a single ECU).
     net: Option<FleetNet>,
+    /// `(ordinal, frame_bit_count)` of the frame being pushed, counted
+    /// on its first board and reused by the rest.
+    wire_bits: Option<(usize, usize)>,
     /// Frames the network transport lost per board, before its ECU.
     net_dropped: Vec<u64>,
     /// Per board, the ordinals of the frames it admitted, in order.
@@ -320,6 +326,7 @@ impl<'a> BoardSession<'a> {
         BoardSession {
             streams,
             net,
+            wire_bits: None,
             net_dropped: vec![0; boards],
             admitted: vec![Vec::new(); boards],
             cursors: vec![0; boards],
@@ -365,23 +372,33 @@ impl ServeSession for BoardSession<'_> {
     ) -> Result<ShardPush, CoreError> {
         let delivered = match &mut self.net {
             None => rec.timestamp,
-            Some(net) => match net.deliver(shard, rec.timestamp, rec.frame) {
-                NetOutcome::Delivered(t) => {
-                    if let Some(probe) = &self.probe {
-                        probe.record(shard as u32, Stage::GatewayHop, rec.timestamp, t);
+            Some(net) => {
+                let bits = match self.wire_bits {
+                    Some((counted, bits)) if counted == ordinal => bits,
+                    _ => {
+                        let bits = frame_bit_count(&rec.frame);
+                        self.wire_bits = Some((ordinal, bits));
+                        bits
                     }
-                    t
+                };
+                match net.deliver_counted(shard, rec.timestamp, bits) {
+                    NetOutcome::Delivered(t) => {
+                        if let Some(probe) = &self.probe {
+                            probe.record(shard as u32, Stage::GatewayHop, rec.timestamp, t);
+                        }
+                        t
+                    }
+                    NetOutcome::Dropped(_) => {
+                        // Lost before the board: the typed reason is in the
+                        // net drop log and the gateway counters.
+                        self.net_dropped[shard] += 1;
+                        return Ok(ShardPush {
+                            delivered: rec.timestamp,
+                            admitted: false,
+                        });
+                    }
                 }
-                NetOutcome::Dropped(_) => {
-                    // Lost before the board: the typed reason is in the
-                    // net drop log and the gateway counters.
-                    self.net_dropped[shard] += 1;
-                    return Ok(ShardPush {
-                        delivered: rec.timestamp,
-                        admitted: false,
-                    });
-                }
-            },
+            }
         };
         let stream = &mut self.streams[shard];
         let before = stream.dropped();

@@ -138,6 +138,8 @@ pub struct AcceleratorIp {
     resources: ResourceEstimate,
     /// Single-frame latency, `Σ (fold_i + 1)` cycles.
     latency_cycles: u64,
+    /// Steady-state initiation interval, `max fold_i` cycles.
+    initiation_interval: u64,
     /// The packed serving kernel (`None` when the model does not fit it).
     kernel: Option<Arc<PackedMlp>>,
 }
@@ -159,6 +161,7 @@ impl AcceleratorIp {
         let folding = auto_fold(&graph, config.goal)?;
         let resources = estimate_resources(&graph, &folding);
         let latency_cycles = folding.fold_cycles(&graph).iter().map(|f| f + 1).sum();
+        let initiation_interval = folding.initiation_interval(&graph);
         let ip = AcceleratorIp {
             name: config.name,
             graph,
@@ -169,6 +172,7 @@ impl AcceleratorIp {
             },
             resources,
             latency_cycles,
+            initiation_interval,
             kernel: PackedMlp::new(model).ok().map(Arc::new),
         };
         verify_with(
@@ -288,9 +292,10 @@ impl AcceleratorIp {
         self.latency_cycles() as f64 / self.clock_hz as f64
     }
 
-    /// Steady-state initiation interval in cycles.
+    /// Steady-state initiation interval in cycles (fixed at compile, so
+    /// a DMA window's timing reads it without walking the folding).
     pub fn initiation_interval(&self) -> u64 {
-        self.folding.initiation_interval(&self.graph)
+        self.initiation_interval
     }
 
     /// Peak streaming throughput in frames/second.

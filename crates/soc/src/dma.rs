@@ -173,17 +173,20 @@ impl FeatureBatch {
     }
 }
 
-/// Classes of every frame of `batch` on `ip`, through the IP's scratch
-/// and class memo.
+/// Writes the class of every frame of `batch` on `ip` into `classes`
+/// (cleared first), through the IP's scratch and class memo.
 fn classify(
     ip: &AcceleratorIp,
     batch: &FeatureBatch,
     (scratch, memo): &mut (PackedScratch, ClassMemo),
-) -> Vec<usize> {
-    batch
-        .packed()
-        .map(|words| ip.infer_words(words, scratch, memo).0)
-        .collect()
+    classes: &mut Vec<usize>,
+) {
+    classes.clear();
+    classes.extend(
+        batch
+            .packed()
+            .map(|words| ip.infer_words(words, scratch, memo).0),
+    );
 }
 
 /// The timing of one DMA transfer of `n` frames into `ip`: one dispatch
@@ -217,7 +220,8 @@ pub fn run_batch_shared(
         });
     }
     // Functional results from the (bit-exact) IP model.
-    let classes = classify(ip, batch, &mut Default::default());
+    let mut classes = Vec::with_capacity(batch.len());
+    classify(ip, batch, &mut Default::default(), &mut classes);
     let n = batch.len() as u64;
     let total = transfer_time(ip, cpu, dma, n);
     let per_frame = SimTime::from_nanos(total.as_nanos() / n.max(1));
@@ -249,7 +253,10 @@ pub fn run_batch(
 }
 
 /// Result of one batched transfer broadcast to several IPs.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`run_batch_multi`] overwrites a report the caller keeps, so its
+/// vectors keep their capacity from window to window.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MultiBatchReport {
     /// Classes per model, outer index = model, inner = frame.
     pub classes: Vec<Vec<usize>>,
@@ -268,47 +275,51 @@ pub struct MultiBatchReport {
 /// model's pipeline drains.
 ///
 /// Each IP classifies through the kernel scratch and class memo paired
-/// with it, which the caller keeps from window to window.
+/// with it, which the caller keeps from window to window. The result
+/// overwrites `out`, one row of `out.classes` per IP in `ips` order; a
+/// caller that keeps `out` across windows of the same IP count
+/// allocates nothing per window.
 ///
 /// # Errors
 ///
 /// [`SocError::NoSuchAccelerator`] when `ips` is empty;
-/// [`SocError::InputDimension`] when the batch width does not match any
-/// IP input width.
-pub fn run_batch_multi(
-    ips: &mut [(&AcceleratorIp, &mut (PackedScratch, ClassMemo))],
+/// [`SocError::InputDimension`] when the batch width does not match an
+/// IP's input width (the IPs before it have classified the batch by
+/// then, and `out` holds a partial result).
+pub fn run_batch_multi<'i>(
+    ips: impl IntoIterator<Item = (&'i AcceleratorIp, &'i mut (PackedScratch, ClassMemo))>,
     cpu: &CpuModel,
     dma: DmaConfig,
     batch: &FeatureBatch,
-) -> Result<MultiBatchReport, SocError> {
+    out: &mut MultiBatchReport,
+) -> Result<(), SocError> {
     let n = batch.len() as u64;
-    let total = ips
-        .iter()
-        .map(|(ip, _)| transfer_time(ip, cpu, dma, n))
-        .max()
-        .ok_or(SocError::NoSuchAccelerator(0))?;
-    for (ip, _) in ips.iter() {
+    let mut models = 0;
+    let mut total = SimTime::ZERO;
+    for (ip, buffers) in ips {
         if batch.dim() != ip.input_dim() {
             return Err(SocError::InputDimension {
                 expected: ip.input_dim(),
                 actual: batch.dim(),
             });
         }
+        total = total.max(transfer_time(ip, cpu, dma, n));
+        if models == out.classes.len() {
+            out.classes.push(Vec::with_capacity(batch.len()));
+        }
+        classify(ip, batch, buffers, &mut out.classes[models]);
+        models += 1;
     }
-    let classes: Vec<Vec<usize>> = ips
-        .iter_mut()
-        .map(|(ip, buffers)| classify(ip, batch, buffers))
-        .collect();
-    let flagged: Vec<bool> = (0..batch.len())
-        .map(|f| classes.iter().any(|per_model| per_model[f] != 0))
-        .collect();
-    let per_frame = SimTime::from_nanos(total.as_nanos() / n.max(1));
-    Ok(MultiBatchReport {
-        classes,
-        flagged,
-        total,
-        per_frame,
-    })
+    if models == 0 {
+        return Err(SocError::NoSuchAccelerator(0));
+    }
+    out.classes.truncate(models);
+    out.flagged.clear();
+    out.flagged
+        .extend((0..batch.len()).map(|f| out.classes.iter().any(|per_model| per_model[f] != 0)));
+    out.total = total;
+    out.per_frame = SimTime::from_nanos(total.as_nanos() / n.max(1));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -407,11 +418,13 @@ mod tests {
         let frames = batch(16);
         let fb = FeatureBatch::from_features(a.input_dim(), &frames).unwrap();
         let (mut buf_a, mut buf_b) = Default::default();
-        let multi = run_batch_multi(
-            &mut [(&a, &mut buf_a), (&b, &mut buf_b)],
+        let mut multi = MultiBatchReport::default();
+        run_batch_multi(
+            [(&a, &mut buf_a), (&b, &mut buf_b)],
             &cpu,
             DmaConfig::default(),
             &fb,
+            &mut multi,
         )
         .unwrap();
         assert_eq!(multi.classes.len(), 2);
@@ -433,17 +446,18 @@ mod tests {
         let cpu = CpuModel::zynqmp_a53_linux();
         let fb = FeatureBatch::from_features(75, &batch(4)).unwrap();
         assert!(matches!(
-            run_batch_multi(&mut [], &cpu, DmaConfig::default(), &fb),
+            run_batch_multi([], &cpu, DmaConfig::default(), &fb, &mut Default::default()),
             Err(SocError::NoSuchAccelerator(0))
         ));
         let a = ip();
         let wrong = FeatureBatch::from_features(10, &[vec![0.0; 10]]).unwrap();
         assert!(matches!(
             run_batch_multi(
-                &mut [(&a, &mut Default::default())],
+                [(&a, &mut Default::default())],
                 &cpu,
                 DmaConfig::default(),
-                &wrong
+                &wrong,
+                &mut Default::default()
             ),
             Err(SocError::InputDimension { .. })
         ));

@@ -14,7 +14,7 @@ use canids_qnn::kernel::{ClassMemo, MemoCounts, PackedScratch};
 
 use crate::accel::pack_features_into;
 use crate::board::Zcu104Board;
-use crate::dma::{run_batch_multi, DmaConfig, FeatureBatch};
+use crate::dma::{run_batch_multi, DmaConfig, FeatureBatch, MultiBatchReport};
 use crate::error::SocError;
 
 /// Maps a CAN frame to the accelerator's input features.
@@ -332,6 +332,7 @@ impl IdsEcu {
             batch_buf: FeatureBatch::default(),
             batch_meta: Vec::new(),
             kernels,
+            window: MultiBatchReport::default(),
             mmio_counts,
             profiling: false,
             samples: Vec::new(),
@@ -419,6 +420,9 @@ pub struct EcuStream<'a> {
     /// Per attached model (index-aligned with the ECU's `models`), the
     /// kernel scratch and class memo its DMA windows classify through.
     kernels: Vec<(PackedScratch, ClassMemo)>,
+    /// The last DMA window's classes, one row per active model, reused
+    /// from window to window.
+    window: MultiBatchReport,
     /// The board's MMIO memo counts when the session opened.
     mmio_counts: MemoCounts,
     /// Whether per-stage profiling samples are recorded.
@@ -666,56 +670,47 @@ impl EcuStream<'_> {
         Ok(Some(detection))
     }
 
-    /// Runs the pending DMA batch through every model as one broadcast
-    /// transfer and books its completions.
+    /// Runs the pending DMA batch through every active model as one
+    /// broadcast transfer and books its completions. The classes land in
+    /// the stream's own window report, so a window allocates nothing
+    /// once the report's rows have grown to the active model count.
     fn flush_batch(&mut self) -> Result<(), SocError> {
         if self.batch_meta.is_empty() {
             return Ok(());
         }
-        let mut positions: Vec<usize> = Vec::with_capacity(self.ecu.models.len());
-        let mut ips = Vec::with_capacity(self.ecu.models.len());
-        for (k, ((&idx, _), buffers)) in self
-            .ecu
-            .models
-            .iter()
-            .zip(&self.active)
-            .zip(&mut self.kernels)
-            .enumerate()
-            .filter(|&(_, ((_, &a), _))| a)
-        {
-            positions.push(k);
-            let ip = self
-                .ecu
-                .board
+        let ecu = &*self.ecu;
+        let mut any_active = false;
+        for (&idx, _) in ecu.models.iter().zip(&self.active).filter(|&(_, &a)| a) {
+            ecu.board
                 .accelerator(idx)
                 .ok_or(SocError::NoSuchAccelerator(idx))?;
-            ips.push((ip, buffers));
+            any_active = true;
         }
-        // With every model detached the window still drains (frames pay
-        // only the RX path and are never flagged).
-        let (flagged, model_flags, total) = if ips.is_empty() {
-            (
-                vec![false; self.batch_meta.len()],
-                vec![0u64; self.batch_meta.len()],
-                SimTime::ZERO,
-            )
+        let window = &mut self.window;
+        if any_active {
+            // Every active model's IP exists (checked above).
+            let ips = ecu
+                .models
+                .iter()
+                .zip(&self.active)
+                .zip(&mut self.kernels)
+                .filter(|&((_, &a), _)| a)
+                .filter_map(|((&idx, _), buffers)| Some((ecu.board.accelerator(idx)?, buffers)));
+            run_batch_multi(
+                ips,
+                ecu.board.cpu(),
+                ecu.config.dma,
+                &self.batch_buf,
+                window,
+            )?;
         } else {
-            let cpu = *self.ecu.board.cpu();
-            let report = run_batch_multi(&mut ips, &cpu, self.ecu.config.dma, &self.batch_buf)?;
-            // Fold the per-model class grid into one bitmask per frame,
-            // keyed on board-local model positions.
-            let masks: Vec<u64> = (0..self.batch_meta.len())
-                .map(|f| {
-                    report
-                        .classes
-                        .iter()
-                        .zip(&positions)
-                        .filter(|(per_model, _)| per_model[f] != 0)
-                        .fold(0u64, |m, (_, &k)| if k < 64 { m | (1 << k) } else { m })
-                })
-                .collect();
-            (report.flagged, masks, report.total)
-        };
+            // With every model detached the window still drains (frames
+            // pay only the RX path and are never flagged).
+            window.classes.clear();
+            window.flagged.clear();
+            window.flagged.resize(self.batch_meta.len(), false);
+            window.total = SimTime::ZERO;
+        }
 
         // The transfer starts once the last frame of the window has been
         // received and the server is free; every frame in the window
@@ -724,7 +719,7 @@ impl EcuStream<'_> {
         let last_arrival = self.batch_meta.last().map(|&(t, _)| t).unwrap_or_default();
         let ready = last_arrival + self.rx_cost;
         let start = self.queue.start_time(ready);
-        let service = SimTime::from_secs_f64(total.as_secs_f64() * self.multi_factor());
+        let service = SimTime::from_secs_f64(self.window.total.as_secs_f64() * self.multi_factor());
         let completed_at = self.queue.serve(start, service);
         for _ in 1..self.batch_meta.len() {
             // The remaining frames of the window occupy FIFO slots until
@@ -743,15 +738,22 @@ impl EcuStream<'_> {
         }
 
         let active_mask = active_mask_of(&self.active);
-        for ((&(arrival, frame), &flagged), &frame_flags) in
-            self.batch_meta.iter().zip(&flagged).zip(&model_flags)
+        for (f, (&(arrival, frame), &flagged)) in
+            self.batch_meta.iter().zip(&self.window.flagged).enumerate()
         {
+            // Fold the window's per-model class rows into one bitmask,
+            // keyed on the board-local positions of the active models.
+            let positions = self.active.iter().enumerate().filter(|&(_, &a)| a);
+            let model_flags = positions
+                .zip(&self.window.classes)
+                .filter(|(_, classes)| classes[f] != 0)
+                .fold(0u64, |m, ((k, _), _)| if k < 64 { m | (1 << k) } else { m });
             self.detections.push(Detection {
                 arrival,
                 frame,
                 flagged,
                 completed_at,
-                model_flags: frame_flags,
+                model_flags,
                 active_mask,
             });
         }
@@ -1483,5 +1485,135 @@ mod tests {
         }
         assert_eq!(batch.len(), 20);
         assert_eq!(batch.frames(), expected.as_slice());
+    }
+
+    #[test]
+    fn reused_window_buffers_match_a_fresh_batch_per_window() {
+        // Three models under 4-frame DMA windows; model 1 is detached for
+        // windows 1 and 2 and serves again from window 3. The stream
+        // reuses one window report (class rows and flags) throughout;
+        // every detection must equal a fresh `run_batch_multi` over the
+        // same window and the same active models.
+        let (board, idxs) = board_with(3);
+        let ips: Vec<AcceleratorIp> = idxs
+            .iter()
+            .map(|&i| board.accelerator(i).unwrap().clone())
+            .collect();
+        let cpu = *board.cpu();
+        let config = EcuConfig {
+            policy: SchedPolicy::DmaBatch { batch: 4 },
+            ..EcuConfig::default()
+        };
+        let mut ecu = IdsEcu::new(board, idxs, config);
+        // A pool of frames with payloads from a fixed LCG, each tagged
+        // with the models that flag it.
+        let mut state = 0x2545_F491_u32;
+        let pool: Vec<(CanFrame, u64)> = (0..96)
+            .map(|_| {
+                let payload: Vec<u8> = (0..8)
+                    .map(|_| {
+                        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                        state.to_be_bytes()[0]
+                    })
+                    .collect();
+                let frame = CanFrame::new(CanId::standard(0x316).unwrap(), &payload).unwrap();
+                let levels: Vec<u32> = featurize_bits(&frame)
+                    .iter()
+                    .map(|&v| u32::from(v >= 0.5))
+                    .collect();
+                let flags = ips
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, ip)| ip.infer(&levels).0 != 0)
+                    .fold(0u64, |m, (k, _)| m | 1 << k);
+                (frame, flags)
+            })
+            .collect();
+        let pick = |keep: &dyn Fn(u64) -> bool| -> Vec<CanFrame> {
+            pool.iter()
+                .filter(|&&(_, m)| keep(m))
+                .map(|&(fr, _)| fr)
+                .collect()
+        };
+        let (loud2, quiet, rest) = (
+            pick(&|m| m & 0b100 != 0),
+            pick(&|m| m == 0),
+            pick(&|_| true),
+        );
+        assert!(
+            loud2.len() >= 4 && quiet.len() >= 4,
+            "the pool must hold both kinds"
+        );
+        // Window 0: model 2 flags every frame. Windows 1 and 2 (model 1
+        // detached): every other frame is one no model flags, so a row
+        // left over from window 0 would show in `flagged`. Windows 3–5:
+        // the pool in order.
+        let order: Vec<CanFrame> = loud2[..4]
+            .iter()
+            .chain([quiet[0], rest[0], quiet[1], rest[1]].iter())
+            .chain([rest[2], quiet[2], rest[3], quiet[3]].iter())
+            .chain(rest[4..16].iter())
+            .copied()
+            .collect();
+        let f: Vec<(SimTime, CanFrame)> = order
+            .into_iter()
+            .enumerate()
+            .map(|(i, frame)| (SimTime::from_micros(1_000 * i as u64), frame))
+            .collect();
+        let active_in = |window: usize| -> &'static [usize] {
+            if (1..=2).contains(&window) {
+                &[0, 2]
+            } else {
+                &[0, 1, 2]
+            }
+        };
+
+        let mut session = ecu.stream();
+        for (i, &(t, frame)) in f.iter().enumerate() {
+            session.push(t, frame, &featurize_bits).unwrap();
+            if i + 1 == 4 {
+                session.set_model_active(1, false);
+            }
+            if i + 1 == 12 {
+                session.set_model_active(1, true);
+            }
+        }
+        let report = session.finish();
+        assert_eq!(report.detections.len(), f.len());
+
+        let mut flags_seen = [[false; 2]; 3];
+        for (w, (window, detections)) in f.chunks(4).zip(report.detections.chunks(4)).enumerate() {
+            let active = active_in(w);
+            let vectors: Vec<Vec<f32>> = window.iter().map(|(_, fr)| featurize_bits(fr)).collect();
+            let batch = FeatureBatch::from_features(75, &vectors).unwrap();
+            let mut buffers: Vec<(PackedScratch, ClassMemo)> = vec![Default::default(); 3];
+            let mut reference = MultiBatchReport::default();
+            let ips_in = active
+                .iter()
+                .zip(buffers.iter_mut())
+                .map(|(&k, b)| (&ips[k], b));
+            run_batch_multi(ips_in, &cpu, config.dma, &batch, &mut reference).unwrap();
+            let mask = active.iter().fold(0u64, |m, &k| m | 1 << k);
+            for (j, d) in detections.iter().enumerate() {
+                let flags = active
+                    .iter()
+                    .zip(&reference.classes)
+                    .filter(|(_, classes)| classes[j] != 0)
+                    .fold(0u64, |m, (&k, _)| m | 1 << k);
+                assert_eq!(d.frame, window[j].1, "window {w} frame {j}");
+                assert_eq!(d.model_flags, flags, "window {w} frame {j}");
+                assert_eq!(d.flagged, reference.flagged[j], "window {w} frame {j}");
+                assert_eq!(d.active_mask, mask, "window {w} frame {j}");
+                for &k in active {
+                    flags_seen[k][usize::from(d.model_flagged(k))] = true;
+                }
+            }
+        }
+        // Every model both flagged and passed some frame, so a stale row,
+        // flag or bit position would show.
+        assert_eq!(
+            flags_seen, [[true; 2]; 3],
+            "the frames must split every model"
+        );
     }
 }

@@ -6,12 +6,17 @@
 //! 2. Random multi-segment topologies conserve frames: every injected
 //!    frame (and every fault-generated flood frame) ends either
 //!    delivered at a sink or in the drop log with a typed reason.
+//! 3. The wire count a frame carries through the fleet network is its
+//!    own, at every board: each gateway hop equals the closed-form
+//!    `SegmentForwarder` for arbitrary frames.
 
-use canids_can::frame::{CanFrame, CanId};
+use canids_can::frame::{CanFrame, CanId, Dlc};
+use canids_can::gateway::SegmentForwarder;
 use canids_can::time::SimTime;
 use canids_can::timing::Bitrate;
 use canids_core::net::{
-    Event, EventTime, Fault, NetOutcome, NetSim, QueueDiscipline, Scheduler, SinkId, Topology,
+    Event, EventTime, Fault, FleetNet, NetConfig, NetOutcome, NetSim, QueueDiscipline, Scheduler,
+    SinkId, Topology,
 };
 use proptest::prelude::*;
 
@@ -33,9 +38,9 @@ impl Event<Vec<(SimTime, u32)>> for Probe {
         self: Box<Self>,
         now: SimTime,
         trace: &mut Vec<(SimTime, u32)>,
-    ) -> Vec<Box<dyn Event<Vec<(SimTime, u32)>>>> {
+        _spawn: &mut Vec<Box<dyn Event<Vec<(SimTime, u32)>>>>,
+    ) {
         trace.push((now, self.id));
-        Vec::new()
     }
 }
 
@@ -204,6 +209,61 @@ proptest! {
         // Nothing is left buffered in any gateway.
         for load in t.gateway_loads() {
             prop_assert_eq!(load.queued, 0, "gateway {} still buffered", load.gateway);
+        }
+    }
+}
+
+// --------------------------------------------------------------------
+// 3. The carried wire count
+// --------------------------------------------------------------------
+
+/// Standard or extended, data or remote, DLC 0–8.
+fn arb_frame() -> impl Strategy<Value = CanFrame> {
+    let id = prop_oneof![
+        (0u16..=0x7FF).prop_map(|id| CanId::standard(id).expect("masked")),
+        (0u32..=0x1FFF_FFFF).prop_map(|id| CanId::extended(id).expect("masked")),
+    ];
+    (
+        id,
+        proptest::collection::vec(any::<u8>(), 0..=8),
+        any::<bool>(),
+    )
+        .prop_map(|(id, payload, remote)| {
+            if remote {
+                CanFrame::remote(id, Dlc::from_len(payload.len()).expect("len <= 8"))
+            } else {
+                CanFrame::new(id, &payload).expect("len <= 8")
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fleet_hops_carry_each_frames_own_wire_count(
+        boards in 1usize..=6,
+        fast in any::<bool>(),
+        delay_us in 0u64..40,
+        // Gaps from back to back (the frames queue on every leaf) to
+        // well past a frame slot.
+        frames in proptest::collection::vec((arb_frame(), 0u64..400), 1..60),
+    ) {
+        let bitrate = if fast { Bitrate::HIGH_SPEED_1M } else { Bitrate::HIGH_SPEED_500K };
+        let delay = SimTime::from_micros(delay_us);
+        let mut net = FleetNet::single_backbone(boards, bitrate, delay, &NetConfig::default());
+        let mut forwarders: Vec<SegmentForwarder> =
+            (0..boards).map(|_| SegmentForwarder::new(bitrate, delay)).collect();
+        let mut arrival = SimTime::ZERO;
+        for (i, (frame, gap_us)) in frames.iter().enumerate() {
+            arrival += SimTime::from_micros(*gap_us);
+            for (board, forwarder) in forwarders.iter_mut().enumerate() {
+                prop_assert_eq!(
+                    net.deliver(board, arrival, *frame),
+                    NetOutcome::Delivered(forwarder.forward(arrival, frame)),
+                    "frame {} ({:?}) diverged on board {}", i, frame, board
+                );
+            }
         }
     }
 }
