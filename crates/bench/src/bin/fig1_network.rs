@@ -61,9 +61,7 @@ fn main() -> Result<(), CoreError> {
     let pipeline = IdsPipeline::new(PipelineConfig::dos().quick());
     let detector = pipeline.train(&pipeline.generate_capture())?;
     let ip = pipeline.compile(&detector.int_mlp)?;
-    let mut board = Zcu104Board::new(BoardConfig::default());
-    let idx = board.attach_accelerator(ip)?;
-    let mut ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
+    let mut ecu = IdsEcu::with_ips([ip], EcuConfig::default())?;
     let frames: Vec<(SimTime, CanFrame)> = hs_events.iter().map(|e| (e.time, e.frame)).collect();
     let encoder = IdBitsPayloadBits;
     let report = ecu.process_capture(&frames, &|f: &CanFrame| encoder.encode(f))?;

@@ -19,9 +19,7 @@ fn main() -> Result<(), CoreError> {
     // The paper measures power *while performing inference*: drive the
     // ECU at 1 Mb/s line rate (back-to-back 8-byte frames, ~120 µs each)
     // so the service loop saturates, then read the rails.
-    let mut board = Zcu104Board::new(BoardConfig::default());
-    let idx = board.attach_accelerator(ip.clone())?;
-    let mut ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
+    let mut ecu = IdsEcu::with_ips([ip.clone()], EcuConfig::default())?;
     let line_period = SimTime::from_micros(120);
     let frames: Vec<(SimTime, CanFrame)> = detector
         .test_set

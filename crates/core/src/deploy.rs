@@ -13,15 +13,19 @@
 //!    cannot place a model, [`CoreError::PlanOverflow`] names it.
 //! 2. **Compilation** — [`DeploymentPlan::deploy`] compiles each bundle
 //!    with its planned folding goal (scenario-parallel on scoped
-//!    threads), attaches every IP to one simulated ZCU104 and wraps the
-//!    board in an [`IdsEcu`] whose
+//!    threads). Every IP holds the packed serving kernel, so a model the
+//!    kernel cannot hold is refused here with
+//!    [`DataflowError::KernelRefused`]. The deployment is the plan and
+//!    its IPs: [`MultiIdsDeployment::fresh_ecu`] attaches them to a new
+//!    simulated ZCU104 ([`IdsEcu::with_ips`]) whose
 //!    [`SchedPolicy`](canids_soc::ecu::SchedPolicy) is first-class
 //!    configuration.
 //! 3. **Serving** — the ECU featurises and packs each frame **once** and
 //!    feeds the same packed words to all N models (see
 //!    [`canids_soc::ecu::EcuStream::push`]); wire-paced N-detector
 //!    replays live in [`crate::serve::ServeHarness`] over
-//!    [`crate::serve::EcuBackend`].
+//!    [`crate::serve::EcuBackend`], which builds a fresh ECU per
+//!    session.
 //!
 //! Headroom is computed against the device's *true* remaining resources
 //! ([`Device::headroom_after`]) — an exhausted resource class reports
@@ -34,7 +38,6 @@ use canids_dataflow::resources::{estimate_resources, Device, ResourceEstimate};
 use canids_dataflow::DataflowError;
 use canids_dataset::attacks::AttackKind;
 use canids_qnn::export::IntegerMlp;
-use canids_soc::board::{BoardConfig, Zcu104Board};
 use canids_soc::ecu::{EcuConfig, IdsEcu};
 
 use crate::error::CoreError;
@@ -299,8 +302,8 @@ impl DeploymentPlan {
     }
 
     /// Compiles every bundle at its planned folding (scenario-parallel,
-    /// one scoped thread per model), attaches the IPs to one board and
-    /// returns the serving-ready deployment.
+    /// one scoped thread per model) and returns the serving-ready
+    /// deployment: this plan and the compiled IPs.
     ///
     /// `base` supplies the non-folding compilation parameters (FIFO
     /// depth, verification samples); the per-model name, clock and
@@ -315,13 +318,13 @@ impl DeploymentPlan {
     ///
     /// [`CoreError::PlanMismatch`] when a same-length but different
     /// bundle set is handed in (the compiled IPs would not match the
-    /// plan's folding/resource facts); compilation and SoC errors
-    /// otherwise.
+    /// plan's folding/resource facts); compilation errors otherwise,
+    /// among them [`DataflowError::KernelRefused`] for a model the packed
+    /// serving kernel cannot hold.
     pub fn deploy(
         &self,
         bundles: &[DetectorBundle],
         base: &CompileConfig,
-        ecu: EcuConfig,
     ) -> Result<MultiIdsDeployment, CoreError> {
         assert_eq!(
             bundles.len(),
@@ -359,54 +362,26 @@ impl DeploymentPlan {
             }
             ips.push(ip);
         }
-        let deployment = MultiIdsDeployment {
-            ecu: build_ecu(&ips, ecu)?,
+        Ok(MultiIdsDeployment {
             kinds: bundles.iter().map(|b| b.kind).collect(),
-            total_resources: self.total_resources,
-            utilization: self.utilization,
-            headroom: self.headroom,
             plan: self.clone(),
             ips,
-        };
-        Ok(deployment)
+        })
     }
 }
 
-fn build_ecu(ips: &[AcceleratorIp], config: EcuConfig) -> Result<IdsEcu, CoreError> {
-    let mut board = Zcu104Board::new(BoardConfig::default());
-    let mut models = Vec::with_capacity(ips.len());
-    for ip in ips {
-        models.push(board.attach_accelerator(ip.clone())?);
-    }
-    Ok(IdsEcu::new(board, models, config))
-}
-
-/// A deployed multi-IDS ECU plus its plan and aggregate hardware facts.
+/// A compiled multi-IDS deployment: its plan (summed resources,
+/// utilisation, headroom) and its IPs. ECUs are built per session
+/// ([`fresh_ecu`](Self::fresh_ecu)), since the simulated board clock is
+/// monotonic.
+#[derive(Debug, Clone)]
 pub struct MultiIdsDeployment {
-    /// The ECU with all detectors attached.
-    pub ecu: IdsEcu,
-    /// Attack kind per attached accelerator index.
+    /// Attack kind per compiled IP.
     pub kinds: Vec<AttackKind>,
-    /// Summed PL resources.
-    pub total_resources: ResourceEstimate,
-    /// Peak device utilisation fraction.
-    pub utilization: f64,
-    /// Additional copies of the largest IP that still fit the true
-    /// remaining resources.
-    pub headroom: u64,
     /// The folding-budget plan this deployment realises.
     pub plan: DeploymentPlan,
     /// The compiled IPs, in bundle order.
     pub ips: Vec<AcceleratorIp>,
-}
-
-impl std::fmt::Debug for MultiIdsDeployment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiIdsDeployment")
-            .field("kinds", &self.kinds)
-            .field("utilization", &self.utilization)
-            .finish_non_exhaustive()
-    }
 }
 
 impl MultiIdsDeployment {
@@ -419,7 +394,7 @@ impl MultiIdsDeployment {
     ///
     /// Propagates SoC attach errors.
     pub fn fresh_ecu(&self, config: EcuConfig) -> Result<IdsEcu, CoreError> {
-        build_ecu(&self.ips, config)
+        Ok(IdsEcu::with_ips(self.ips.iter().cloned(), config)?)
     }
 
     /// A serving backend over this deployment for the unified harness
@@ -432,9 +407,8 @@ impl MultiIdsDeployment {
 }
 
 /// Compiles and deploys several detectors onto one board with default
-/// planning (ZCU104) and the default scheduling policy — the
-/// compatibility entry point over [`DeploymentPlan::build`] +
-/// [`DeploymentPlan::deploy`].
+/// planning (ZCU104) — the compatibility entry point over
+/// [`DeploymentPlan::build`] + [`DeploymentPlan::deploy`].
 ///
 /// The caller's `compile.goal` is honoured as the allocator's starting
 /// rung: a `TargetFps` goal heads the fold-deeper ladder (slower
@@ -444,7 +418,7 @@ impl MultiIdsDeployment {
 ///
 /// # Errors
 ///
-/// Planning, compilation and SoC errors.
+/// Planning and compilation errors (see [`DeploymentPlan::deploy`]).
 pub fn deploy_multi_ids(
     bundles: &[DetectorBundle],
     compile: CompileConfig,
@@ -468,7 +442,7 @@ pub fn deploy_multi_ids(
             fps_ladder,
         },
     )?;
-    plan.deploy(bundles, &compile, EcuConfig::default())
+    plan.deploy(bundles, &compile)
 }
 
 #[cfg(test)]
@@ -503,13 +477,15 @@ mod tests {
     fn dual_deployment_fits_with_headroom() {
         let deployment = deploy_multi_ids(&bundles(2), CompileConfig::default()).unwrap();
         assert_eq!(deployment.kinds.len(), 2);
+        let plan = &deployment.plan;
         assert!(
-            deployment.utilization < 0.08,
+            plan.utilization < 0.08,
             "two IPs stay well under 8%: {}",
-            deployment.utilization
+            plan.utilization
         );
-        assert!(deployment.headroom >= 4, "headroom {}", deployment.headroom);
-        assert_eq!(deployment.ecu.models().len(), 2);
+        assert!(plan.headroom >= 4, "headroom {}", plan.headroom);
+        let ecu = deployment.fresh_ecu(EcuConfig::default()).unwrap();
+        assert_eq!(ecu.models().len(), 2);
         // Latency-first: the default ladder's top rung was granted.
         assert!(deployment.plan.models.iter().all(|m| m.demotions == 0));
         assert!(deployment.plan.min_peak_fps() >= 1_000_000.0);
@@ -519,16 +495,14 @@ mod tests {
     fn resources_sum_across_ips() {
         let one = deploy_multi_ids(&bundles(1), CompileConfig::default()).unwrap();
         let two = deploy_multi_ids(&bundles(2), CompileConfig::default()).unwrap();
-        assert!(two.total_resources.lut > one.total_resources.lut);
+        assert!(two.plan.total_resources.lut > one.plan.total_resources.lut);
     }
 
     #[test]
     fn plan_resources_match_compiled_ips() {
         let bs = bundles(2);
         let plan = DeploymentPlan::build(&bs, &PlanConfig::default()).unwrap();
-        let deployment = plan
-            .deploy(&bs, &CompileConfig::default(), EcuConfig::default())
-            .unwrap();
+        let deployment = plan.deploy(&bs, &CompileConfig::default()).unwrap();
         for (m, ip) in plan.models.iter().zip(&deployment.ips) {
             assert_eq!(m.resources, ip.resources(), "{}", m.name);
             assert_eq!(&m.folding, ip.folding(), "{}", m.name);
@@ -621,10 +595,10 @@ mod tests {
         .unwrap();
         let fast = deploy_multi_ids(&bundles(1), CompileConfig::default()).unwrap();
         assert!(
-            min.total_resources.lut < fast.total_resources.lut,
+            min.plan.total_resources.lut < fast.plan.total_resources.lut,
             "MinResource deployment must be smaller: {} !< {}",
-            min.total_resources.lut,
-            fast.total_resources.lut
+            min.plan.total_resources.lut,
+            fast.plan.total_resources.lut
         );
         assert!(min.plan.min_peak_fps() < fast.plan.min_peak_fps());
         // A custom throughput target heads the ladder.
@@ -640,7 +614,7 @@ mod tests {
         )
         .unwrap();
         assert!(custom.plan.min_peak_fps() >= 50_000.0);
-        assert!(custom.total_resources.lut <= fast.total_resources.lut);
+        assert!(custom.plan.total_resources.lut <= fast.plan.total_resources.lut);
     }
 
     #[test]
@@ -661,7 +635,7 @@ mod tests {
             })
             .collect();
         let err = plan
-            .deploy(&swapped, &CompileConfig::default(), EcuConfig::default())
+            .deploy(&swapped, &CompileConfig::default())
             .unwrap_err();
         assert!(
             matches!(err, CoreError::PlanMismatch { detector: 0, .. }),

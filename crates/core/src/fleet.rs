@@ -32,8 +32,6 @@
 use canids_dataflow::ip::{AcceleratorIp, CompileConfig};
 use canids_dataflow::resources::{Device, ResourceEstimate};
 use canids_dataset::attacks::AttackKind;
-use canids_soc::board::{BoardConfig, Zcu104Board};
-use canids_soc::ecu::{EcuConfig, IdsEcu};
 
 use crate::deploy::{DeploymentPlan, DetectorBundle, PlanConfig};
 use crate::error::CoreError;
@@ -338,7 +336,7 @@ impl FleetPlan {
                 shard.members.iter().map(|&i| bundles[i].clone()).collect();
             let (ips, kinds) = match &shard.plan {
                 Some(plan) => {
-                    let d = plan.deploy(&sub, base, EcuConfig::default())?;
+                    let d = plan.deploy(&sub, base)?;
                     (d.ips, d.kinds)
                 }
                 None => (Vec::new(), Vec::new()),
@@ -418,22 +416,6 @@ impl FleetDeployment {
     }
 }
 
-/// Builds a fresh serving ECU for one shard. The runtime board is the
-/// ZCU104 SoC model for every shard (see [`BoardSpec`]); the per-board
-/// heterogeneity lives in the planned resources and compiled IP timing.
-pub(crate) fn build_shard_ecu(
-    shard: &ShardDeployment,
-    standbys: &[AcceleratorIp],
-    config: EcuConfig,
-) -> Result<IdsEcu, CoreError> {
-    let mut board = Zcu104Board::new(BoardConfig::default());
-    let mut models = Vec::with_capacity(shard.ips.len() + standbys.len());
-    for ip in shard.ips.iter().chain(standbys) {
-        models.push(board.attach_accelerator(ip.clone())?);
-    }
-    Ok(IdsEcu::new(board, models, config))
-}
-
 /// Pre-provisions warm standby copies for [`AdmissionPolicy::Rebalance`]:
 /// each model gets at most one standby, on the board (≠ home) whose
 /// *true* resource remainder best absorbs the IP. Models that fit
@@ -494,7 +476,7 @@ mod tests {
 
     use canids_can::time::SimTime;
     use canids_dataset::generator::Dataset;
-    use canids_soc::ecu::SchedPolicy;
+    use canids_soc::ecu::{EcuConfig, SchedPolicy};
 
     use crate::serve::{Pacing, ReplayConfig, ServeHarness, ServeReport};
 

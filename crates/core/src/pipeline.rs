@@ -18,7 +18,6 @@ use canids_qnn::export::IntegerMlp;
 use canids_qnn::metrics::ConfusionMatrix;
 use canids_qnn::mlp::{MlpConfig, QuantMlp};
 use canids_qnn::trainer::{TrainConfig, Trainer};
-use canids_soc::board::{BoardConfig, Zcu104Board};
 use canids_soc::ecu::{EcuConfig, EcuReport, IdsEcu};
 
 use crate::error::CoreError;
@@ -242,9 +241,7 @@ impl IdsPipeline {
         ip: AcceleratorIp,
         test_set: &Dataset,
     ) -> Result<(EcuReport, f64), CoreError> {
-        let mut board = Zcu104Board::new(BoardConfig::default());
-        let idx = board.attach_accelerator(ip)?;
-        let mut ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
+        let mut ecu = IdsEcu::with_ips([ip], EcuConfig::default())?;
         let frames: Vec<_> = test_set.iter().map(|r| (r.timestamp, r.frame)).collect();
         let report = ecu.process_capture(&frames, &PaperFeaturizer)?;
 

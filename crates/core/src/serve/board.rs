@@ -2,6 +2,9 @@
 //! behind the event-driven gateway network, both served through one
 //! [`BoardSession`].
 
+use std::borrow::Cow;
+use std::collections::VecDeque;
+
 use canids_can::frame::CanFrame;
 use canids_can::timing::frame_bit_count;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits, FEATURE_BITS_DIM};
@@ -24,10 +27,9 @@ use crate::telemetry::{Counter, Probe, Stage};
 /// FIFO queueing), so latencies/drops/energy are platform facts rather
 /// than host noise.
 ///
-/// Construct it from a [`MultiIdsDeployment`] (a fresh ECU is built per
-/// session, so one backend supports any number of replays) or over an
-/// existing [`IdsEcu`] with [`EcuBackend::over`] (one session only —
-/// board time is monotonic; the ECU's own `EcuConfig` is kept).
+/// Construct it from a [`MultiIdsDeployment`], borrowed or owned: a
+/// fresh ECU is built per session, so one backend supports any number
+/// of replays.
 ///
 /// # Example
 ///
@@ -46,26 +48,15 @@ use crate::telemetry::{Counter, Probe, Stage};
 /// # Ok::<(), canids_core::CoreError>(())
 /// ```
 pub struct EcuBackend<'d> {
-    source: EcuSource<'d>,
-    /// The ECU a deployment-backed session serves on, rebuilt per open.
+    deployment: Cow<'d, MultiIdsDeployment>,
+    /// The ECU the current session serves on, rebuilt per open.
     session_ecu: Option<IdsEcu>,
-    names: Vec<String>,
-}
-
-/// Where an [`EcuBackend`]'s sessions get their ECU.
-enum EcuSource<'d> {
-    /// A fresh ECU per session from a borrowed deployment.
-    Deployment(&'d MultiIdsDeployment),
-    /// A fresh ECU per session from an owned deployment.
-    OwnedDeployment(Box<MultiIdsDeployment>),
-    /// The caller's ECU, served as it is.
-    Ecu(&'d mut IdsEcu),
 }
 
 impl std::fmt::Debug for EcuBackend<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EcuBackend")
-            .field("models", &self.names.len())
+            .field("models", &self.deployment.ips.len())
             .finish_non_exhaustive()
     }
 }
@@ -75,16 +66,9 @@ impl<'d> EcuBackend<'d> {
     /// ECU ([`MultiIdsDeployment::fresh_ecu`]) configured from the
     /// replay's [`ReplayConfig::ecu`].
     pub fn new(deployment: &'d MultiIdsDeployment) -> Self {
-        let names = deployment
-            .plan
-            .models
-            .iter()
-            .map(|m| m.name.clone())
-            .collect();
         EcuBackend {
-            source: EcuSource::Deployment(deployment),
+            deployment: Cow::Borrowed(deployment),
             session_ecu: None,
-            names,
         }
     }
 
@@ -95,31 +79,9 @@ impl<'d> EcuBackend<'d> {
     /// and lives inside the backend, so nothing non-`Sync` crosses
     /// threads.
     pub fn owning(deployment: MultiIdsDeployment) -> Self {
-        let names = deployment
-            .plan
-            .models
-            .iter()
-            .map(|m| m.name.clone())
-            .collect();
         EcuBackend {
-            source: EcuSource::OwnedDeployment(Box::new(deployment)),
+            deployment: Cow::Owned(deployment),
             session_ecu: None,
-            names,
-        }
-    }
-
-    /// A backend over an existing ECU. The ECU's own
-    /// [`EcuConfig`](canids_soc::ecu::EcuConfig) (policy, FIFO depth) is
-    /// used — the replay config's `ecu` section is ignored — and board
-    /// time being monotonic means one session per backend.
-    pub fn over(ecu: &'d mut IdsEcu) -> Self {
-        let names = (0..ecu.models().len())
-            .map(|i| format!("model-{i}"))
-            .collect();
-        EcuBackend {
-            source: EcuSource::Ecu(ecu),
-            session_ecu: None,
-            names,
         }
     }
 }
@@ -135,17 +97,21 @@ impl ServeBackend for EcuBackend<'_> {
     }
 
     fn models(&self) -> usize {
-        self.names.len()
+        self.deployment.ips.len()
     }
 
     fn open(&mut self, config: &ReplayConfig) -> Result<BoardSession<'_>, CoreError> {
-        let ecu: &mut IdsEcu = match &mut self.source {
-            EcuSource::Deployment(d) => self.session_ecu.insert(d.fresh_ecu(config.ecu)?),
-            EcuSource::OwnedDeployment(d) => self.session_ecu.insert(d.fresh_ecu(config.ecu)?),
-            EcuSource::Ecu(ecu) => ecu,
-        };
-        let depth = ecu.config().queue_depth.max(1);
-        let mut topology = ServeTopology::single_shard(&self.names, depth);
+        let names: Vec<String> = self
+            .deployment
+            .plan
+            .models
+            .iter()
+            .map(|m| m.name.clone())
+            .collect();
+        let ecu = self
+            .session_ecu
+            .insert(self.deployment.fresh_ecu(config.ecu)?);
+        let mut topology = ServeTopology::single_shard(&names, config.ecu.queue_depth.max(1));
         topology.shard_names[0] = "ecu".to_owned();
         Ok(BoardSession::new(vec![ecu.stream()], None, topology))
     }
@@ -237,7 +203,9 @@ impl ServeBackend for FleetBackend<'_> {
             .shards
             .iter()
             .zip(&extra_ips)
-            .map(|(shard, extra)| crate::fleet::build_shard_ecu(shard, extra, config.ecu))
+            .map(|(shard, extra)| {
+                IdsEcu::with_ips(shard.ips.iter().chain(extra).cloned(), config.ecu)
+            })
             .collect::<Result<_, _>>()?;
         let mut streams: Vec<EcuStream<'_>> = self.ecus.iter_mut().map(IdsEcu::stream).collect();
         for sb in standbys.iter().flatten() {
@@ -279,6 +247,10 @@ impl ServeBackend for FleetBackend<'_> {
 /// counts each frame's wire length once, on its first board's push, and
 /// hands that count to every board's gateway hop.
 ///
+/// The session takes each board's verdicts as it drains them, so it
+/// holds only the ordinals of the frames each board has admitted and
+/// not yet answered.
+///
 /// # Example
 ///
 /// ```no_run
@@ -301,10 +273,13 @@ pub struct BoardSession<'a> {
     wire_bits: Option<(usize, usize)>,
     /// Frames the network transport lost per board, before its ECU.
     net_dropped: Vec<u64>,
-    /// Per board, the ordinals of the frames it admitted, in order.
-    admitted: Vec<Vec<usize>>,
-    /// Per board, how many of its detections were drained.
-    cursors: Vec<usize>,
+    /// Per board, the ordinals of the frames it admitted and has not
+    /// answered yet, in order.
+    in_flight: Vec<VecDeque<usize>>,
+    /// Per board, the verdicts drained so far.
+    serviced: Vec<usize>,
+    /// The detections of one drain, reused across drains.
+    detections: Vec<Detection>,
     topology: ServeTopology,
     probe: Option<Probe>,
     /// The stage samples of one drain, reused across drains.
@@ -328,8 +303,9 @@ impl<'a> BoardSession<'a> {
             net,
             wire_bits: None,
             net_dropped: vec![0; boards],
-            admitted: vec![Vec::new(); boards],
-            cursors: vec![0; boards],
+            in_flight: vec![VecDeque::new(); boards],
+            serviced: vec![0; boards],
+            detections: Vec::new(),
             topology,
             probe: None,
             samples: Vec::new(),
@@ -337,26 +313,30 @@ impl<'a> BoardSession<'a> {
     }
 }
 
-/// Appends the shard verdicts of `detections[*cursor..]`, the board's
-/// detections not yet drained, mapping each to the ordinal it answers.
-fn drain_detections(
+/// Appends a shard verdict per detection of `detections` (emptied),
+/// each answering the oldest of board `shard`'s frames in flight.
+fn emit_verdicts(
     shard: usize,
-    detections: &[Detection],
-    admitted: &[usize],
-    cursor: &mut usize,
+    detections: &mut Vec<Detection>,
+    in_flight: &mut VecDeque<usize>,
+    serviced: &mut usize,
     out: &mut Vec<ShardVerdict>,
 ) {
-    for d in &detections[*cursor..] {
-        out.push(ShardVerdict {
-            shard,
-            ordinal: admitted[*cursor],
-            completed_at: d.completed_at,
-            flagged: d.flagged,
-            model_flags: d.model_flags,
-            active_mask: d.active_mask,
-        });
-        *cursor += 1;
-    }
+    let answered = in_flight.drain(..detections.len());
+    *serviced += answered.len();
+    out.extend(
+        detections
+            .drain(..)
+            .zip(answered)
+            .map(|(d, ordinal)| ShardVerdict {
+                shard,
+                ordinal,
+                completed_at: d.completed_at,
+                flagged: d.flagged,
+                model_flags: d.model_flags,
+                active_mask: d.active_mask,
+            }),
+    );
 }
 
 impl ServeSession for BoardSession<'_> {
@@ -405,7 +385,7 @@ impl ServeSession for BoardSession<'_> {
         stream.push(delivered, rec.frame, &PaperFeaturizer)?;
         let admitted = stream.dropped() == before;
         if admitted {
-            self.admitted[shard].push(ordinal);
+            self.in_flight[shard].push_back(ordinal);
         }
         Ok(ShardPush {
             delivered,
@@ -420,11 +400,12 @@ impl ServeSession for BoardSession<'_> {
             record_stage_samples(probe, shard as u32, &self.samples);
             self.samples.clear();
         }
-        drain_detections(
+        stream.take_detections(&mut self.detections);
+        emit_verdicts(
             shard,
-            stream.detections(),
-            &self.admitted[shard],
-            &mut self.cursors[shard],
+            &mut self.detections,
+            &mut self.in_flight[shard],
+            &mut self.serviced[shard],
             out,
         );
     }
@@ -470,25 +451,31 @@ impl ServeSession for BoardSession<'_> {
         let BoardSession {
             streams,
             net_dropped,
-            admitted,
-            mut cursors,
+            mut in_flight,
+            mut serviced,
             probe,
             ..
         } = self;
         let mut totals = Vec::with_capacity(streams.len());
         for (b, stream) in streams.into_iter().enumerate() {
-            let report = stream.try_finish()?;
+            let mut report = stream.try_finish()?;
             if let Some(probe) = &probe {
                 // Samples from the trailing DMA flush land in the report.
                 record_stage_samples(probe, b as u32, &report.stage_samples);
                 probe.add(Counter::KernelRuns, report.kernel.runs);
                 probe.add(Counter::KernelMemoHits, report.kernel.hits);
             }
-            drain_detections(b, &report.detections, &admitted[b], &mut cursors[b], out);
-            debug_assert_eq!(report.detections.len(), admitted[b].len());
+            emit_verdicts(
+                b,
+                &mut report.detections,
+                &mut in_flight[b],
+                &mut serviced[b],
+                out,
+            );
+            debug_assert!(in_flight[b].is_empty());
             totals.push(ShardTotals {
                 dropped: report.dropped + net_dropped[b],
-                serviced: report.detections.len(),
+                serviced: serviced[b],
                 energy: Some(EnergyStats {
                     mean_power_w: report.mean_power_w,
                     energy_per_message_j: report.energy_per_message_j,

@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use canids_qnn::QnnError;
+
 /// Errors raised while compiling or simulating an accelerator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataflowError {
@@ -58,6 +60,11 @@ pub enum DataflowError {
         /// Device capacity.
         capacity: u64,
     },
+    /// The packed serving kernel cannot hold the model: the error
+    /// [`canids_qnn::kernel::PackedMlp::new`] refused it with, a
+    /// [`QnnError::KernelRange`] for a quantity outside the kernel's
+    /// storage.
+    KernelRefused(QnnError),
 }
 
 impl fmt::Display for DataflowError {
@@ -93,11 +100,19 @@ impl fmt::Display for DataflowError {
                 required,
                 capacity,
             } => write!(f, "{resource} overflow: need {required}, device has {capacity}"),
+            DataflowError::KernelRefused(e) => write!(f, "packed serving kernel refuses the model: {e}"),
         }
     }
 }
 
-impl Error for DataflowError {}
+impl Error for DataflowError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            DataflowError::KernelRefused(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

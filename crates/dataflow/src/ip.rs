@@ -6,19 +6,21 @@
 //! and power estimates, a cycle-accurate simulator, and a built-in
 //! bit-exactness verification step (FINN's cppsim/rtlsim gate).
 //!
-//! The IP's functional model runs the packed lane kernel
-//! ([`PackedMlp`]) compiled once here and shared by every clone of the
-//! IP: [`AcceleratorIp::infer_words`] classifies the packed AXI input
-//! words the DMA and MMIO paths carry, allocation-free and through the
-//! caller's [`ClassMemo`], and [`AcceleratorIp::infer`] takes unpacked
-//! levels. A model the kernel cannot represent keeps the dataflow
-//! graph's `i64` functional model ([`DataflowGraph::compute`]).
+//! The IP's functional model is the packed lane kernel ([`PackedMlp`]),
+//! compiled once here and shared by every clone of the IP:
+//! [`AcceleratorIp::infer_words`] classifies the packed AXI input words
+//! the DMA and MMIO paths carry, allocation-free and through the
+//! caller's [`ClassMemo`], and [`AcceleratorIp::infer`] writes unpacked
+//! levels into those words first. The compile refuses a model the
+//! kernel cannot hold with [`DataflowError::KernelRefused`]; the
+//! dataflow graph's `i64` model ([`DataflowGraph::compute`]) stays the
+//! compile gate's reference and the simulator's model, and serves
+//! nothing.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use canids_qnn::export::IntegerMlp;
-use canids_qnn::kernel::{pack_levels, ClassMemo, PackedMlp, PackedScratch};
+use canids_qnn::kernel::{ClassMemo, PackedMlp, PackedScratch, MAX_INPUT_BITS};
 use serde::Serialize;
 
 use crate::error::DataflowError;
@@ -140,22 +142,25 @@ pub struct AcceleratorIp {
     latency_cycles: u64,
     /// Steady-state initiation interval, `max fold_i` cycles.
     initiation_interval: u64,
-    /// The packed serving kernel (`None` when the model does not fit it).
-    kernel: Option<Arc<PackedMlp>>,
+    /// The packed serving kernel.
+    kernel: Arc<PackedMlp>,
 }
 
 impl AcceleratorIp {
     /// Compiles a streamlined integer network into an IP core:
-    /// lowering → threshold passes → folding → resource estimation →
-    /// packed-kernel compilation → bit-exactness verification of both
-    /// the graph and the kernel.
+    /// lowering → packed-kernel compilation → threshold passes → folding
+    /// → resource estimation → bit-exactness verification of both the
+    /// graph and the kernel.
     ///
     /// # Errors
     ///
-    /// Any [`DataflowError`] from lowering, folding validation or the
+    /// [`DataflowError::KernelRefused`] when the packed kernel cannot
+    /// hold the model (for example weight codes wider than `i8`); any
+    /// other [`DataflowError`] from lowering, folding validation or the
     /// verification gate.
     pub fn compile(model: &IntegerMlp, config: CompileConfig) -> Result<Self, DataflowError> {
         let mut graph = DataflowGraph::from_integer_mlp(model)?;
+        let kernel = Arc::new(PackedMlp::new(model).map_err(DataflowError::KernelRefused)?);
         round_and_clip_thresholds(&mut graph);
         validate_thresholds_sorted(&graph)?;
         let folding = auto_fold(&graph, config.goal)?;
@@ -173,7 +178,7 @@ impl AcceleratorIp {
             resources,
             latency_cycles,
             initiation_interval,
-            kernel: PackedMlp::new(model).ok().map(Arc::new),
+            kernel,
         };
         verify_with(
             &[&|x: &[u32]| ip.graph.compute(x), &|x: &[u32]| ip.infer(x)],
@@ -223,23 +228,24 @@ impl AcceleratorIp {
             .expect("folding validated at compile time")
     }
 
-    /// Functional (untimed) inference: the packed kernel for a binary
-    /// input vector, the dataflow graph's functional model otherwise
-    /// (and for a model the kernel cannot represent). Both are
-    /// bit-identical to the compiled [`IntegerMlp`].
+    /// Functional (untimed) inference on unpacked input levels. `x` is
+    /// written into AXI input words as the driver writes a frame (a
+    /// nonzero level sets the input's bit, missing inputs read 0, inputs
+    /// past [`input_dim`](Self::input_dim) are ignored) and classified
+    /// by the packed kernel, bit-identical to the compiled
+    /// [`IntegerMlp`] on binary inputs of the model's width.
     pub fn infer(&self, x: &[u32]) -> (usize, Vec<i64>) {
-        let packed = self
-            .kernel
-            .as_ref()
-            .filter(|k| k.input_dim() == x.len())
-            .zip(pack_levels(x));
-        match packed {
-            Some((kernel, bits)) => {
-                let p = kernel.infer(bits);
-                (p.class, p.scores)
-            }
-            None => self.graph.compute(x),
+        let mut words = [0u32; MAX_INPUT_BITS / 32];
+        for (i, _) in x
+            .iter()
+            .take(self.input_dim())
+            .enumerate()
+            .filter(|&(_, &level)| level != 0)
+        {
+            words[i / 32] |= 1 << (i % 32);
         }
+        let p = self.kernel.infer(frame_bits(&words));
+        (p.class, p.scores)
     }
 
     /// Classifies one frame given as packed AXI input words, the layout
@@ -252,33 +258,15 @@ impl AcceleratorIp {
     /// This is the allocation-free entry point of the DMA and MMIO
     /// paths: the packed kernel runs through the caller's `scratch` and
     /// `memo` ([`ClassMemo::classify`]), and the returned scores borrow
-    /// `scratch`. Keep one memo per IP. A model the kernel cannot
-    /// represent runs the graph's functional model on the unpacked bits,
-    /// past the memo, and returns its scores owned.
+    /// `scratch`. Keep one memo per IP.
     pub fn infer_words<'s>(
         &self,
         words: &[u32],
         scratch: &'s mut PackedScratch,
         memo: &mut ClassMemo,
-    ) -> (usize, Cow<'s, [i64]>) {
-        match &self.kernel {
-            Some(kernel) => {
-                let bits = words
-                    .iter()
-                    .take(4)
-                    .enumerate()
-                    .fold(0u128, |bits, (k, &w)| bits | u128::from(w) << (32 * k));
-                let class = memo.classify(kernel, bits, scratch);
-                (class, Cow::Borrowed(scratch.scores()))
-            }
-            None => {
-                let x: Vec<u32> = (0..self.input_dim())
-                    .map(|i| words.get(i / 32).map_or(0, |w| (w >> (i % 32)) & 1))
-                    .collect();
-                let (class, scores) = self.graph.compute(&x);
-                (class, Cow::Owned(scores))
-            }
-        }
+    ) -> (usize, &'s [i64]) {
+        let class = memo.classify(&self.kernel, frame_bits(words), scratch);
+        (class, scratch.scores())
     }
 
     /// Single-frame compute latency in cycles (the simulator's
@@ -377,6 +365,16 @@ impl AcceleratorIp {
             input_words: self.input_words(),
         }
     }
+}
+
+/// The frame bitmask of packed AXI input words: word `k` holds inputs
+/// `32k..32k + 32`. Words past the kernel's widest input are ignored.
+fn frame_bits(words: &[u32]) -> u128 {
+    words
+        .iter()
+        .take(MAX_INPUT_BITS / 32)
+        .enumerate()
+        .fold(0, |bits, (k, &w)| bits | u128::from(w) << (32 * k))
 }
 
 #[cfg(test)]

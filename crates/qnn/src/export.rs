@@ -168,10 +168,12 @@ pub struct IntegerMlp {
 }
 
 /// Reusable buffers for [`IntegerMlp::infer_class`], the `i64`
-/// reference path: the fallback that serves a model the packed kernel
-/// ([`crate::kernel::PackedMlp`]) cannot represent, and the independent
-/// check the kernel is tested against. The buffers grow to the model's
-/// widest layer on first use and are reused on every subsequent frame.
+/// reference path: the independent check the packed kernel
+/// ([`crate::kernel::PackedMlp`]) is tested against, and the path a bare
+/// software evaluator keeps for a model that kernel refuses (the
+/// accelerator IP compile refuses such a model instead). The buffers
+/// grow to the model's widest layer on first use and are reused on
+/// every subsequent frame.
 #[derive(Debug, Clone, Default)]
 pub struct IntScratch {
     act: Vec<u32>,
@@ -210,9 +212,9 @@ impl IntegerMlp {
     /// arithmetic to [`infer`](Self::infer) (which delegates here), but
     /// allocation-free once `scratch` has warmed up. This `i64` path is
     /// the reference the packed serving kernel
-    /// ([`crate::kernel::PackedMlp`]) is pinned against, and the fallback
-    /// serving path for a model that kernel refuses. Scores stay
-    /// readable via [`IntScratch::scores`].
+    /// ([`crate::kernel::PackedMlp`]) is pinned against, and what a bare
+    /// software evaluator serves a model that kernel refuses. Scores
+    /// stay readable via [`IntScratch::scores`].
     ///
     /// # Panics
     ///

@@ -25,8 +25,9 @@
 //! and the codes. It picks `i16` lanes exactly when every accumulator
 //! bound, every clamped threshold and every activation level fits
 //! `i16`, and refuses a model it cannot represent on `i32` lanes with a
-//! typed [`QnnError`]. Callers keep such a model on the `i64` reference
-//! path ([`IntegerMlp::infer_class`]).
+//! typed [`QnnError`]. The accelerator IP compile returns that refusal
+//! as its own error; only a bare software evaluator keeps such a model
+//! on the `i64` reference path ([`IntegerMlp::infer_class`]).
 //!
 //! [`ClassMemo`] sits in front of the kernel: a fixed table of
 //! [`MEMO_SLOTS`] recent frames with their classes and scores, so a

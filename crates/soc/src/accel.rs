@@ -87,7 +87,7 @@ impl AccelPeripheral {
             self.ip
                 .infer_words(&self.input_words, &mut self.scratch, &mut self.memo);
         self.result_scores.clear();
-        self.result_scores.extend_from_slice(&scores);
+        self.result_scores.extend_from_slice(scores);
         let latency =
             SimTime::from_nanos(self.ip.latency_cycles() * 1_000_000_000 / self.ip.clock_hz());
         self.busy_until = Some(now + latency);

@@ -38,17 +38,6 @@ impl Default for DmaConfig {
     }
 }
 
-/// Result of one batched inference transfer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchReport {
-    /// Classes, one per frame in the batch.
-    pub classes: Vec<usize>,
-    /// Wall time of the whole transfer (software + stream + compute).
-    pub total: SimTime,
-    /// Amortised per-frame latency.
-    pub per_frame: SimTime,
-}
-
 /// A window of frames packed **once** into AXI input words for DMA
 /// streaming, then consumable by any number of accelerator IPs: the
 /// shared feature-packing substrate of the multi-detector deployment (N
@@ -201,39 +190,10 @@ fn transfer_time(ip: &AcceleratorIp, cpu: &CpuModel, dma: DmaConfig, n: u64) -> 
     cpu.runtime_dispatch + dma.setup + SimTime::from_secs_f64(compute_s) + dma.completion_irq
 }
 
-/// Runs a pre-packed batch through one IP via a modelled DMA transfer.
-///
-/// # Errors
-///
-/// [`SocError::InputDimension`] when the batch width does not match the
-/// IP input width.
-pub fn run_batch_shared(
-    ip: &AcceleratorIp,
-    cpu: &CpuModel,
-    dma: DmaConfig,
-    batch: &FeatureBatch,
-) -> Result<BatchReport, SocError> {
-    if batch.dim() != ip.input_dim() {
-        return Err(SocError::InputDimension {
-            expected: ip.input_dim(),
-            actual: batch.dim(),
-        });
-    }
-    // Functional results from the (bit-exact) IP model.
-    let mut classes = Vec::with_capacity(batch.len());
-    classify(ip, batch, &mut Default::default(), &mut classes);
-    let n = batch.len() as u64;
-    let total = transfer_time(ip, cpu, dma, n);
-    let per_frame = SimTime::from_nanos(total.as_nanos() / n.max(1));
-    Ok(BatchReport {
-        classes,
-        total,
-        per_frame,
-    })
-}
-
-/// Runs a batch of packed feature vectors through the IP via a modelled
-/// DMA transfer.
+/// Runs a batch of feature vectors through one IP via a modelled DMA
+/// transfer: the vectors are packed once into a [`FeatureBatch`] and
+/// streamed by [`run_batch_multi`] over that one IP, so the report holds
+/// one row of classes.
 ///
 /// # Errors
 ///
@@ -243,13 +203,17 @@ pub fn run_batch(
     cpu: &CpuModel,
     dma: DmaConfig,
     batch: &[Vec<f32>],
-) -> Result<BatchReport, SocError> {
-    run_batch_shared(
-        ip,
+) -> Result<MultiBatchReport, SocError> {
+    let batch = FeatureBatch::from_features(ip.input_dim(), batch)?;
+    let mut report = MultiBatchReport::default();
+    run_batch_multi(
+        [(ip, &mut Default::default())],
         cpu,
         dma,
-        &FeatureBatch::from_features(ip.input_dim(), batch)?,
-    )
+        &batch,
+        &mut report,
+    )?;
+    Ok(report)
 }
 
 /// Result of one batched transfer broadcast to several IPs.
@@ -360,7 +324,8 @@ mod tests {
         let cpu = CpuModel::zynqmp_a53_linux();
         let frames = batch(16);
         let report = run_batch(&ip, &cpu, DmaConfig::default(), &frames).unwrap();
-        for (bits, &class) in frames.iter().zip(&report.classes) {
+        assert_eq!(report.classes.len(), 1, "one row for the one IP");
+        for (bits, &class) in frames.iter().zip(&report.classes[0]) {
             let x: Vec<u32> = bits.iter().map(|&v| u32::from(v >= 0.5)).collect();
             assert_eq!(class, ip.infer(&x).0);
         }
@@ -391,19 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_batch_packs_once_and_matches_per_vec_path() {
-        let ip = ip();
-        let cpu = CpuModel::zynqmp_a53_linux();
-        let frames = batch(32);
-        let fb = FeatureBatch::from_features(ip.input_dim(), &frames).unwrap();
-        assert_eq!(fb.len(), 32);
-        assert!(!fb.is_empty());
-        let shared = run_batch_shared(&ip, &cpu, DmaConfig::default(), &fb).unwrap();
-        let legacy = run_batch(&ip, &cpu, DmaConfig::default(), &frames).unwrap();
-        assert_eq!(shared, legacy);
-    }
-
-    #[test]
     fn multi_batch_broadcasts_one_buffer_to_all_models() {
         let cpu = CpuModel::zynqmp_a53_linux();
         let a = ip();
@@ -429,11 +381,11 @@ mod tests {
         .unwrap();
         assert_eq!(multi.classes.len(), 2);
         assert_eq!(multi.flagged.len(), 16);
-        // Per-model classes match the single-IP shared path exactly.
-        let only_a = run_batch_shared(&a, &cpu, DmaConfig::default(), &fb).unwrap();
-        let only_b = run_batch_shared(&b, &cpu, DmaConfig::default(), &fb).unwrap();
-        assert_eq!(multi.classes[0], only_a.classes);
-        assert_eq!(multi.classes[1], only_b.classes);
+        // Per-model classes match a one-IP transfer of the same frames.
+        let only_a = run_batch(&a, &cpu, DmaConfig::default(), &frames).unwrap();
+        let only_b = run_batch(&b, &cpu, DmaConfig::default(), &frames).unwrap();
+        assert_eq!(multi.classes[0], only_a.classes[0]);
+        assert_eq!(multi.classes[1], only_b.classes[0]);
         for (f, &flag) in multi.flagged.iter().enumerate() {
             assert_eq!(flag, multi.classes[0][f] != 0 || multi.classes[1][f] != 0);
         }

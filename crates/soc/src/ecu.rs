@@ -10,10 +10,11 @@
 
 use canids_can::frame::CanFrame;
 use canids_can::time::SimTime;
+use canids_dataflow::ip::AcceleratorIp;
 use canids_qnn::kernel::{ClassMemo, MemoCounts, PackedScratch};
 
 use crate::accel::pack_features_into;
-use crate::board::Zcu104Board;
+use crate::board::{BoardConfig, Zcu104Board};
 use crate::dma::{run_batch_multi, DmaConfig, FeatureBatch, MultiBatchReport};
 use crate::error::SocError;
 
@@ -200,7 +201,10 @@ pub struct StageSample {
 pub struct EcuReport {
     /// The scheduling policy the capture was served under.
     pub policy: SchedPolicy,
-    /// Per-frame verdicts, in arrival order (dropped frames excluded).
+    /// Per-frame verdicts not taken through
+    /// [`EcuStream::take_detections`] before the session closed, in
+    /// service order (dropped frames excluded): every verdict of
+    /// [`IdsEcu::process_capture`], which takes none.
     pub detections: Vec<Detection>,
     /// Frames lost to software-FIFO overflow.
     pub dropped: u64,
@@ -239,9 +243,7 @@ pub struct EcuReport {
 ///
 /// let mlp = QuantMlp::new(MlpConfig::default())?;
 /// let ip = AcceleratorIp::compile(&mlp.export()?, CompileConfig::default())?;
-/// let mut board = Zcu104Board::new(BoardConfig::default());
-/// let idx = board.attach_accelerator(ip)?;
-/// let mut ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
+/// let mut ecu = IdsEcu::with_ips([ip], EcuConfig::default())?;
 ///
 /// let frame = CanFrame::new(CanId::standard(0x316)?, &[1, 2, 3])?;
 /// let featurize = |_f: &CanFrame| vec![0.0f32; 75];
@@ -276,6 +278,25 @@ impl IdsEcu {
         }
     }
 
+    /// Builds the ECU of a compiled deployment: a default
+    /// [`Zcu104Board`] with every IP attached in order, each consulted
+    /// per frame.
+    ///
+    /// # Errors
+    ///
+    /// [`SocError`] when an IP cannot be mapped onto the board's bus.
+    pub fn with_ips(
+        ips: impl IntoIterator<Item = AcceleratorIp>,
+        config: EcuConfig,
+    ) -> Result<Self, SocError> {
+        let mut board = Zcu104Board::new(BoardConfig::default());
+        let models = ips
+            .into_iter()
+            .map(|ip| board.attach_accelerator(ip))
+            .collect::<Result<_, _>>()?;
+        Ok(IdsEcu::new(board, models, config))
+    }
+
     /// The underlying board.
     pub fn board(&self) -> &Zcu104Board {
         &self.board
@@ -306,7 +327,7 @@ impl IdsEcu {
     /// counterpart of [`IdsEcu::process_capture`].
     ///
     /// Frames are handed to [`EcuStream::push`] as they arrive (in
-    /// non-decreasing time order); [`EcuStream::finish`] closes the
+    /// non-decreasing time order); [`EcuStream::try_finish`] closes the
     /// session and returns the same [`EcuReport`] the batch path
     /// produces. `process_capture` is itself implemented on top of this
     /// session, so the two serving modes are equivalent by construction.
@@ -322,7 +343,7 @@ impl IdsEcu {
             rx_cost,
             overhead,
             active,
-            detections: Vec::new(),
+            verdicts: VerdictLog::default(),
             queue,
             dropped: 0,
             busy: SimTime::ZERO,
@@ -355,7 +376,7 @@ impl IdsEcu {
         featurizer: &F,
     ) -> Result<EcuReport, SocError> {
         let mut session = self.stream();
-        session.detections.reserve(frames.len());
+        session.verdicts.pending.reserve(frames.len());
         for &(arrival, frame) in frames {
             session.push(arrival, frame, featurizer)?;
         }
@@ -365,7 +386,12 @@ impl IdsEcu {
 
 /// An open frame-at-a-time serving session on an [`IdsEcu`].
 ///
-/// Created by [`IdsEcu::stream`]; consumed by [`EcuStream::finish`].
+/// Created by [`IdsEcu::stream`]; consumed by [`EcuStream::try_finish`].
+///
+/// The stream keeps the verdicts not yet taken through
+/// [`take_detections`](EcuStream::take_detections) and running totals
+/// of all of them, so a caller that takes verdicts as they land holds
+/// only the frames in flight, however long the capture.
 ///
 /// # Example
 ///
@@ -378,9 +404,7 @@ impl IdsEcu {
 ///
 /// let mlp = QuantMlp::new(MlpConfig::default())?;
 /// let ip = AcceleratorIp::compile(&mlp.export()?, CompileConfig::default())?;
-/// let mut board = Zcu104Board::new(BoardConfig::default());
-/// let idx = board.attach_accelerator(ip)?;
-/// let mut ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
+/// let mut ecu = IdsEcu::with_ips([ip], EcuConfig::default())?;
 ///
 /// let featurize = |_f: &CanFrame| vec![0.0f32; 75];
 /// let mut session = ecu.stream();
@@ -388,7 +412,7 @@ impl IdsEcu {
 ///     let frame = CanFrame::new(CanId::standard(0x316)?, &[i as u8])?;
 ///     session.push(SimTime::from_micros(i * 200), frame, &featurize)?;
 /// }
-/// let report = session.finish();
+/// let report = session.try_finish()?;
 /// assert_eq!(report.detections.len(), 10);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -401,7 +425,7 @@ pub struct EcuStream<'a> {
     /// are skipped by the service loop — the graceful-degradation lever
     /// the fleet admission policies pull.
     active: Vec<bool>,
-    detections: Vec<Detection>,
+    verdicts: VerdictLog,
     queue: ServiceQueue,
     dropped: u64,
     busy: SimTime,
@@ -431,10 +455,34 @@ pub struct EcuStream<'a> {
     samples: Vec<StageSample>,
 }
 
+/// A session's verdicts: those not yet taken through
+/// [`EcuStream::take_detections`], and what an [`EcuReport`] needs of
+/// every verdict booked, taken or not.
+#[derive(Debug, Clone, Default)]
+struct VerdictLog {
+    pending: Vec<Detection>,
+    count: usize,
+    latency_sum_ns: u64,
+    max_latency: SimTime,
+    /// Completion of the verdict booked last.
+    last_completed: Option<SimTime>,
+}
+
+impl VerdictLog {
+    fn book(&mut self, d: Detection) {
+        let latency = d.latency();
+        self.count += 1;
+        self.latency_sum_ns += latency.as_nanos();
+        self.max_latency = self.max_latency.max(latency);
+        self.last_completed = Some(d.completed_at);
+        self.pending.push(d);
+    }
+}
+
 impl std::fmt::Debug for EcuStream<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EcuStream")
-            .field("serviced", &self.detections.len())
+            .field("serviced", &self.verdicts.count)
             .field("dropped", &self.dropped)
             .field("queue", &self.queue)
             .finish_non_exhaustive()
@@ -571,7 +619,7 @@ impl EcuStream<'_> {
             let window = batch.max(1).min(self.ecu.config.queue_depth.max(1));
             if self.batch_meta.len() >= window {
                 self.flush_batch()?;
-                return Ok(self.detections.last().copied());
+                return Ok(self.verdicts.pending.last().copied());
             }
             return Ok(None);
         }
@@ -666,7 +714,7 @@ impl EcuStream<'_> {
             model_flags,
             active_mask: active_mask_of(&self.active),
         };
-        self.detections.push(detection);
+        self.verdicts.book(detection);
         Ok(Some(detection))
     }
 
@@ -748,7 +796,7 @@ impl EcuStream<'_> {
                 .zip(&self.window.classes)
                 .filter(|(_, classes)| classes[f] != 0)
                 .fold(0u64, |m, ((k, _), _)| if k < 64 { m | (1 << k) } else { m });
-            self.detections.push(Detection {
+            self.verdicts.book(Detection {
                 arrival,
                 frame,
                 flagged,
@@ -802,17 +850,25 @@ impl EcuStream<'_> {
     }
 
     /// Frames serviced so far (excluding frames deferred in an unflushed
-    /// DMA batch).
+    /// DMA batch), taken or not.
     pub fn serviced(&self) -> usize {
-        self.detections.len()
+        self.verdicts.count
     }
 
-    /// Verdicts booked so far, in service order — the incremental view a
-    /// streaming harness drains between pushes (new entries appear at
-    /// the tail; under [`SchedPolicy::DmaBatch`] a whole window lands at
-    /// once).
+    /// Verdicts booked and not yet taken, in service order (new entries
+    /// appear at the tail; under [`SchedPolicy::DmaBatch`] a whole
+    /// window lands at once).
     pub fn detections(&self) -> &[Detection] {
-        &self.detections
+        &self.verdicts.pending
+    }
+
+    /// Moves the verdicts booked since the last call into `out`
+    /// (appending), in service order: the incremental view a streaming
+    /// harness drains between pushes. The report still counts them in
+    /// its latency, throughput, busy and energy figures, but no longer
+    /// lists them.
+    pub fn take_detections(&mut self, out: &mut Vec<Detection>) {
+        out.append(&mut self.verdicts.pending);
     }
 
     /// Frames dropped so far.
@@ -839,28 +895,18 @@ impl EcuStream<'_> {
     /// [`SchedPolicy::DmaBatch`] a partial trailing window is flushed
     /// first.
     ///
+    /// The latency, throughput, busy and energy figures cover every
+    /// verdict of the session; [`EcuReport::detections`] lists those not
+    /// taken through [`take_detections`](Self::take_detections).
+    ///
     /// # Errors
     ///
     /// Propagates driver/bus errors from the trailing flush.
     pub fn try_finish(mut self) -> Result<EcuReport, SocError> {
         self.flush_batch()?;
-        Ok(self.finish())
-    }
-
-    /// Closes the session and aggregates the report.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a trailing DMA batch fails to flush (use
-    /// [`EcuStream::try_finish`] to handle that error); per-message
-    /// policies never flush and cannot panic here.
-    pub fn finish(mut self) -> EcuReport {
-        self.flush_batch()
-            // lint:allow(panic-in-lib): documented `# Panics` contract; `try_finish` is the fallible form, and per-message policies never flush
-            .expect("trailing DMA batch flush");
         let EcuStream {
             ecu,
-            detections,
+            verdicts,
             dropped,
             busy,
             first_arrival,
@@ -873,77 +919,61 @@ impl EcuStream<'_> {
         for (_, memo) in &kernels {
             kernel += memo.counts();
         }
-        let span = match (first_arrival, detections.last()) {
-            (Some(first), Some(last)) => last.completed_at.saturating_sub(first),
+        let span = match (first_arrival, verdicts.last_completed) {
+            (Some(first), Some(last)) => last.saturating_sub(first),
             _ => SimTime::ZERO,
         };
-        let mean_latency = if detections.is_empty() {
-            SimTime::ZERO
-        } else {
-            SimTime::from_nanos(
-                detections
-                    .iter()
-                    .map(|d| d.latency().as_nanos())
-                    .sum::<u64>()
-                    / detections.len() as u64,
-            )
+        let mean_latency = match verdicts.count {
+            0 => SimTime::ZERO,
+            n => SimTime::from_nanos(verdicts.latency_sum_ns / n as u64),
         };
-        let max_latency = detections
-            .iter()
-            .map(Detection::latency)
-            .max()
-            .unwrap_or(SimTime::ZERO);
         let busy_fraction = if span > SimTime::ZERO {
             (busy.as_secs_f64() / span.as_secs_f64()).min(1.0)
         } else {
             0.0
         };
         let throughput_fps = if span > SimTime::ZERO {
-            detections.len() as f64 / span.as_secs_f64()
+            verdicts.count as f64 / span.as_secs_f64()
         } else {
             0.0
         };
         let mean_power_w = ecu.board.power_model().total_w(busy_fraction);
         let energy_per_message_j = mean_power_w * mean_latency.as_secs_f64();
 
-        EcuReport {
+        Ok(EcuReport {
             policy: ecu.config.policy,
-            detections,
+            detections: verdicts.pending,
             dropped,
             mean_latency,
-            max_latency,
+            max_latency: verdicts.max_latency,
             throughput_fps,
             busy_fraction,
             mean_power_w,
             energy_per_message_j,
             stage_samples: samples,
             kernel,
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::board::{BoardConfig, Zcu104Board};
     use canids_can::frame::CanId;
     use canids_dataflow::ip::{AcceleratorIp, CompileConfig};
     use canids_qnn::prelude::*;
 
-    fn board_with(n: usize) -> (Zcu104Board, Vec<usize>) {
-        let mut board = Zcu104Board::new(BoardConfig::default());
-        let mut idxs = Vec::new();
-        for i in 0..n {
+    /// An ECU with `n` seeded default-topology detectors attached.
+    fn ecu_with(n: usize, config: EcuConfig) -> IdsEcu {
+        let ips = (0..n).map(|i| {
             let mlp = QuantMlp::new(MlpConfig {
                 seed: 42 + i as u64,
                 ..MlpConfig::default()
             })
             .unwrap();
-            let ip =
-                AcceleratorIp::compile(&mlp.export().unwrap(), CompileConfig::default()).unwrap();
-            idxs.push(board.attach_accelerator(ip).unwrap());
-        }
-        (board, idxs)
+            AcceleratorIp::compile(&mlp.export().unwrap(), CompileConfig::default()).unwrap()
+        });
+        IdsEcu::with_ips(ips, config).unwrap()
     }
 
     fn frames(n: usize, period_us: u64) -> Vec<(SimTime, CanFrame)> {
@@ -964,8 +994,7 @@ mod tests {
 
     #[test]
     fn per_message_latency_near_paper() {
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut ecu = ecu_with(1, EcuConfig::default());
         // Frames every 200 µs: no queueing.
         let report = ecu.process_capture(&frames(50, 200), &zero_feat).unwrap();
         let ms = report.mean_latency.as_millis_f64();
@@ -980,8 +1009,7 @@ mod tests {
     fn keeps_up_at_line_rate() {
         // 1 Mb/s full-payload line rate ≈ 120 µs/frame; the service path
         // must not accumulate backlog.
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut ecu = ecu_with(1, EcuConfig::default());
         let report = ecu.process_capture(&frames(200, 120), &zero_feat).unwrap();
         assert_eq!(report.dropped, 0);
         assert!(
@@ -995,10 +1023,8 @@ mod tests {
     #[test]
     fn overload_drops_frames() {
         // 20 µs inter-arrival is ~6x beyond the service rate.
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(
-            board,
-            idxs,
+        let mut ecu = ecu_with(
+            1,
             EcuConfig {
                 queue_depth: 8,
                 ..EcuConfig::default()
@@ -1010,8 +1036,7 @@ mod tests {
 
     #[test]
     fn power_and_energy_near_paper_under_load() {
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut ecu = ecu_with(1, EcuConfig::default());
         let report = ecu.process_capture(&frames(300, 125), &zero_feat).unwrap();
         assert!(
             (1.9..2.2).contains(&report.mean_power_w),
@@ -1024,11 +1049,9 @@ mod tests {
 
     #[test]
     fn two_models_flag_union_and_cost_slightly_more() {
-        let (board, idxs) = board_with(2);
-        let mut ecu = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut ecu = ecu_with(2, EcuConfig::default());
         let two = ecu.process_capture(&frames(40, 250), &zero_feat).unwrap();
-        let (board1, idx1) = board_with(1);
-        let mut ecu1 = IdsEcu::new(board1, idx1, EcuConfig::default());
+        let mut ecu1 = ecu_with(1, EcuConfig::default());
         let one = ecu1.process_capture(&frames(40, 250), &zero_feat).unwrap();
         let ratio = two.mean_latency.as_secs_f64() / one.mean_latency.as_secs_f64();
         assert!(ratio > 1.0 && ratio < 1.2, "multi-model ratio {ratio}");
@@ -1036,8 +1059,7 @@ mod tests {
 
     #[test]
     fn empty_capture_is_empty_report() {
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut ecu = ecu_with(1, EcuConfig::default());
         let report = ecu.process_capture(&[], &zero_feat).unwrap();
         assert!(report.detections.is_empty());
         assert_eq!(report.mean_latency, SimTime::ZERO);
@@ -1067,13 +1089,11 @@ mod tests {
     fn streaming_session_matches_batch_capture() {
         // The two serving modes must agree frame for frame: batch replay
         // on one ECU, incremental pushes on an identically built one.
-        let (board, idxs) = board_with(1);
-        let mut batch_ecu = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut batch_ecu = ecu_with(1, EcuConfig::default());
         let f = frames(60, 150);
         let batch = batch_ecu.process_capture(&f, &zero_feat).unwrap();
 
-        let (board2, idxs2) = board_with(1);
-        let mut stream_ecu = IdsEcu::new(board2, idxs2, EcuConfig::default());
+        let mut stream_ecu = ecu_with(1, EcuConfig::default());
         let mut session = stream_ecu.stream();
         for (i, &(t, frame)) in f.iter().enumerate() {
             let det = session.push(t, frame, &zero_feat).unwrap();
@@ -1081,16 +1101,71 @@ mod tests {
             assert_eq!(session.serviced(), i + 1);
         }
         assert_eq!(session.dropped(), 0);
-        let streamed = session.finish();
+        let streamed = session.try_finish().unwrap();
         assert_eq!(batch, streamed);
     }
 
     #[test]
+    fn taken_detections_and_the_report_tail_equal_one_capture() {
+        // Frames every 60 µs queue behind a ~100 µs service, so the
+        // latencies vary. Verdicts taken every seventh push, then the
+        // report's tail, must rebuild one `process_capture` on a fresh
+        // ECU, figure for figure.
+        let f = frames(100, 60);
+        for policy in [SchedPolicy::RoundRobin, SchedPolicy::DmaBatch { batch: 8 }] {
+            let config = EcuConfig {
+                policy,
+                ..EcuConfig::default()
+            };
+            let whole = ecu_with(2, config)
+                .process_capture(&f, &featurize_bits)
+                .unwrap();
+            let mut ecu = ecu_with(2, config);
+            let mut session = ecu.stream();
+            let mut taken = Vec::new();
+            for (i, &(t, frame)) in f.iter().enumerate() {
+                session.push(t, frame, &featurize_bits).unwrap();
+                if i % 7 == 3 {
+                    session.take_detections(&mut taken);
+                    assert!(session.detections().is_empty());
+                    assert_eq!(session.serviced(), taken.len());
+                }
+            }
+            let tail = session.try_finish().unwrap();
+            assert!(!taken.is_empty() && !tail.detections.is_empty());
+            let bits = |r: &EcuReport| {
+                let (e, p) = (r.energy_per_message_j, r.mean_power_w);
+                [r.throughput_fps, r.busy_fraction, p, e].map(f64::to_bits)
+            };
+            assert_eq!(bits(&tail), bits(&whole), "{}", policy.label());
+            let lat: Vec<u64> = whole
+                .detections
+                .iter()
+                .map(|d| d.latency().as_nanos())
+                .collect();
+            let mean = lat.iter().sum::<u64>() / lat.len() as u64;
+            assert_eq!(whole.mean_latency, SimTime::from_nanos(mean));
+            assert_eq!(
+                whole.max_latency.as_nanos(),
+                lat.iter().copied().max().unwrap()
+            );
+            let span = whole.detections[lat.len() - 1].completed_at - f[0].0;
+            let fps = lat.len() as f64 / span.as_secs_f64();
+            assert_eq!(whole.throughput_fps.to_bits(), fps.to_bits());
+            assert!(whole.max_latency > whole.mean_latency, "latencies vary");
+            taken.extend_from_slice(&tail.detections);
+            let joined = EcuReport {
+                detections: taken,
+                ..tail
+            };
+            assert_eq!(joined, whole, "{}", policy.label());
+        }
+    }
+
+    #[test]
     fn streaming_session_reports_drops_in_flight() {
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(
-            board,
-            idxs,
+        let mut ecu = ecu_with(
+            1,
             EcuConfig {
                 queue_depth: 4,
                 ..EcuConfig::default()
@@ -1104,16 +1179,15 @@ mod tests {
             }
         }
         assert!(saw_drop, "20x overload must overflow a 4-deep FIFO");
-        let report = session.finish();
+        let report = session.try_finish().unwrap();
         assert!(report.dropped > 0);
         assert_eq!(report.dropped + report.detections.len() as u64, 200);
     }
 
     #[test]
     fn empty_streaming_session_is_empty_report() {
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(board, idxs, EcuConfig::default());
-        let report = ecu.stream().finish();
+        let mut ecu = ecu_with(1, EcuConfig::default());
+        let report = ecu.stream().try_finish().unwrap();
         assert!(report.detections.is_empty());
         assert_eq!(report.mean_latency, SimTime::ZERO);
         assert_eq!(report.throughput_fps, 0.0);
@@ -1140,10 +1214,8 @@ mod tests {
             SchedPolicy::DmaBatch { batch: 16 },
             SchedPolicy::InterruptPerFrame,
         ] {
-            let (board, idxs) = board_with(2);
-            let mut ecu = IdsEcu::new(
-                board,
-                idxs,
+            let mut ecu = ecu_with(
+                2,
                 EcuConfig {
                     policy,
                     ..EcuConfig::default()
@@ -1183,10 +1255,8 @@ mod tests {
             SchedPolicy::DmaBatch { batch: 8 },
             SchedPolicy::InterruptPerFrame,
         ] {
-            let (board, idxs) = board_with(2);
-            let mut ecu = IdsEcu::new(
-                board,
-                idxs,
+            let mut ecu = ecu_with(
+                2,
                 EcuConfig {
                     policy,
                     ..EcuConfig::default()
@@ -1208,8 +1278,7 @@ mod tests {
         }
 
         // Detach model 1: its bit disappears from both masks.
-        let (board, idxs) = board_with(2);
-        let mut ecu = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut ecu = ecu_with(2, EcuConfig::default());
         let mut session = ecu.stream();
         session.set_model_active(1, false);
         for &(t, frame) in &f {
@@ -1226,13 +1295,10 @@ mod tests {
     #[test]
     fn sequential_costs_roughly_n_times_round_robin() {
         let f = frames(30, 1_000);
-        let (board, idxs) = board_with(2);
-        let mut rr = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut rr = ecu_with(2, EcuConfig::default());
         let rr_report = rr.process_capture(&f, &zero_feat).unwrap();
-        let (board2, idxs2) = board_with(2);
-        let mut seq = IdsEcu::new(
-            board2,
-            idxs2,
+        let mut seq = ecu_with(
+            2,
             EcuConfig {
                 policy: SchedPolicy::Sequential,
                 ..EcuConfig::default()
@@ -1248,10 +1314,8 @@ mod tests {
 
     #[test]
     fn dma_batch_defers_verdicts_to_the_window() {
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(
-            board,
-            idxs,
+        let mut ecu = ecu_with(
+            1,
             EcuConfig {
                 policy: SchedPolicy::DmaBatch { batch: 4 },
                 ..EcuConfig::default()
@@ -1287,10 +1351,8 @@ mod tests {
         // unreachable (buffered frames count against the FIFO, so the
         // buffer capped below the flush threshold) and every later
         // frame was silently dropped.
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(
-            board,
-            idxs,
+        let mut ecu = ecu_with(
+            1,
             EcuConfig {
                 queue_depth: 8,
                 policy: SchedPolicy::DmaBatch { batch: 1000 },
@@ -1304,10 +1366,8 @@ mod tests {
 
     #[test]
     fn dma_batch_first_verdict_waits_for_the_window() {
-        let (board, idxs) = board_with(1);
-        let mut batched = IdsEcu::new(
-            board,
-            idxs,
+        let mut batched = ecu_with(
+            1,
             EcuConfig {
                 policy: SchedPolicy::DmaBatch { batch: 8 },
                 ..EcuConfig::default()
@@ -1315,8 +1375,7 @@ mod tests {
         );
         let f = frames(8, 500);
         let b = batched.process_capture(&f, &zero_feat).unwrap();
-        let (board2, idxs2) = board_with(1);
-        let mut per_msg = IdsEcu::new(board2, idxs2, EcuConfig::default());
+        let mut per_msg = ecu_with(1, EcuConfig::default());
         let p = per_msg.process_capture(&f, &zero_feat).unwrap();
         // First-verdict delay: batch waits for the fill, per-message does
         // not. Amortised service cost: batch wins.
@@ -1327,13 +1386,10 @@ mod tests {
     #[test]
     fn interrupt_policy_is_slower_per_frame_under_linux() {
         let f = frames(20, 1_000);
-        let (board, idxs) = board_with(1);
-        let mut polled = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut polled = ecu_with(1, EcuConfig::default());
         let poll_report = polled.process_capture(&f, &zero_feat).unwrap();
-        let (board2, idxs2) = board_with(1);
-        let mut irq = IdsEcu::new(
-            board2,
-            idxs2,
+        let mut irq = ecu_with(
+            1,
             EcuConfig {
                 policy: SchedPolicy::InterruptPerFrame,
                 ..EcuConfig::default()
@@ -1349,8 +1405,7 @@ mod tests {
 
     #[test]
     fn set_policy_reuses_one_deployment() {
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut ecu = ecu_with(1, EcuConfig::default());
         let f = frames(10, 500);
         let a = ecu.process_capture(&f, &zero_feat).unwrap();
         assert_eq!(a.policy, SchedPolicy::RoundRobin);
@@ -1371,10 +1426,8 @@ mod tests {
     fn detached_models_are_skipped_and_readmitted() {
         // Sequential pays the path once per *active* model: detaching one
         // of two models halves the service time, re-attaching restores it.
-        let (board, idxs) = board_with(2);
-        let mut ecu = IdsEcu::new(
-            board,
-            idxs,
+        let mut ecu = ecu_with(
+            2,
             EcuConfig {
                 policy: SchedPolicy::Sequential,
                 ..EcuConfig::default()
@@ -1396,7 +1449,7 @@ mod tests {
             d2b.latency() > d1.latency(),
             "re-admitted model serves again"
         );
-        let report = session.finish();
+        let report = session.try_finish().unwrap();
         assert_eq!(report.detections.len(), 3);
     }
 
@@ -1407,10 +1460,8 @@ mod tests {
             SchedPolicy::RoundRobin,
             SchedPolicy::DmaBatch { batch: 4 },
         ] {
-            let (board, idxs) = board_with(1);
-            let mut ecu = IdsEcu::new(
-                board,
-                idxs,
+            let mut ecu = ecu_with(
+                1,
                 EcuConfig {
                     policy,
                     ..EcuConfig::default()
@@ -1430,10 +1481,8 @@ mod tests {
 
     #[test]
     fn backlog_counts_pending_and_batched_frames() {
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(
-            board,
-            idxs,
+        let mut ecu = ecu_with(
+            1,
             EcuConfig {
                 policy: SchedPolicy::DmaBatch { batch: 8 },
                 ..EcuConfig::default()
@@ -1451,8 +1500,7 @@ mod tests {
 
     #[test]
     fn detection_latency_accounts_queueing() {
-        let (board, idxs) = board_with(1);
-        let mut ecu = IdsEcu::new(board, idxs, EcuConfig::default());
+        let mut ecu = ecu_with(1, EcuConfig::default());
         // Two frames arriving simultaneously: the second waits for the first.
         let f = frames(2, 0);
         let report = ecu.process_capture(&f, &zero_feat).unwrap();
@@ -1494,17 +1542,15 @@ mod tests {
         // reuses one window report (class rows and flags) throughout;
         // every detection must equal a fresh `run_batch_multi` over the
         // same window and the same active models.
-        let (board, idxs) = board_with(3);
-        let ips: Vec<AcceleratorIp> = idxs
-            .iter()
-            .map(|&i| board.accelerator(i).unwrap().clone())
-            .collect();
-        let cpu = *board.cpu();
         let config = EcuConfig {
             policy: SchedPolicy::DmaBatch { batch: 4 },
             ..EcuConfig::default()
         };
-        let mut ecu = IdsEcu::new(board, idxs, config);
+        let mut ecu = ecu_with(3, config);
+        let ips: Vec<AcceleratorIp> = (0..3)
+            .map(|i| ecu.board().accelerator(i).unwrap().clone())
+            .collect();
+        let cpu = *ecu.board().cpu();
         // A pool of frames with payloads from a fixed LCG, each tagged
         // with the models that flag it.
         let mut state = 0x2545_F491_u32;
@@ -1578,7 +1624,7 @@ mod tests {
                 session.set_model_active(1, true);
             }
         }
-        let report = session.finish();
+        let report = session.try_finish().unwrap();
         assert_eq!(report.detections.len(), f.len());
 
         let mut flags_seen = [[false; 2]; 3];

@@ -52,10 +52,7 @@ pub use axi::{AxiInterconnect, MmioDevice};
 pub use board::{BoardConfig, Zcu104Board, ACCEL_BASE, ACCEL_STRIDE};
 pub use cancontroller::CanPeripheral;
 pub use cpu::CpuModel;
-pub use dma::{
-    run_batch, run_batch_multi, run_batch_shared, BatchReport, DmaConfig, FeatureBatch,
-    MultiBatchReport,
-};
+pub use dma::{run_batch, run_batch_multi, DmaConfig, FeatureBatch, MultiBatchReport};
 pub use driver::{run_inference, run_inference_irq, InferenceBreakdown, InferenceRecord};
 pub use ecu::{
     Detection, EcuConfig, EcuReport, EcuStream, FrameFeaturizer, IdsEcu, SchedPolicy, ServiceQueue,

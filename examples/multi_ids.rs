@@ -48,7 +48,7 @@ fn main() -> Result<(), CoreError> {
         plan.utilization * 100.0,
         plan.headroom
     );
-    let deployment = plan.deploy(&bundles, &CompileConfig::default(), EcuConfig::default())?;
+    let deployment = plan.deploy(&bundles, &CompileConfig::default())?;
 
     // A matching multi-attacker capture: fuzzy + gear-spoof overlaid on
     // one trace (a saturating DoS flood would starve the second

@@ -61,9 +61,7 @@ fn main() -> Result<(), CoreError> {
     }
 
     // The IDS ECU replays everything it observed through the accelerator.
-    let mut board = Zcu104Board::new(BoardConfig::default());
-    let idx = board.attach_accelerator(ip)?;
-    let mut ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
+    let mut ecu = IdsEcu::with_ips([ip], EcuConfig::default())?;
     let frames: Vec<(SimTime, CanFrame)> = events.iter().map(|e| (e.time, e.frame)).collect();
     let encoder = IdBitsPayloadBits;
     let report = ecu.process_capture(&frames, &|f: &CanFrame| encoder.encode(f))?;

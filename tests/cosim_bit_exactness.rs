@@ -11,12 +11,16 @@
 
 use canids_can::frame::{CanFrame, CanId, Dlc};
 use canids_can::time::SimTime;
+use canids_core::deploy::{deploy_multi_ids, DetectorBundle};
 use canids_core::stream::StreamingEvaluator;
+use canids_core::CoreError;
 use canids_dataflow::folding::{auto_fold, FoldingGoal};
 use canids_dataflow::graph::DataflowGraph;
 use canids_dataflow::ip::{AcceleratorIp, CompileConfig, RegisterMap};
 use canids_dataflow::simulator::{AcceleratorSim, SimConfig};
 use canids_dataflow::verify::verify_bit_exact;
+use canids_dataflow::DataflowError;
+use canids_dataset::attacks::AttackKind;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
 use canids_dataset::generator::{DatasetBuilder, TrafficConfig};
 use canids_qnn::kernel::{pack_levels, ClassMemo, PackedMlp, PackedScratch};
@@ -165,31 +169,47 @@ fn paper_topology_cosim_holds() {
     assert_kernel_and_ip_exact(&model, &ip, &inputs);
 }
 
-#[test]
-fn sixteen_bit_codes_serve_bit_exactly_on_the_reference_path() {
-    // 16-bit weight codes do not fit the kernel's i8 storage: the kernel
-    // refuses the model with a typed error, and both serving paths keep
-    // the i64 reference and stay bit-identical to `infer`.
-    let model = QuantMlp::new(MlpConfig {
+/// The paper topology with 16-bit weight codes: binary, 75 wide, and
+/// outside the packed kernel's `i8` code storage.
+fn sixteen_bit_model() -> IntegerMlp {
+    QuantMlp::new(MlpConfig {
         weight_bits: BitWidth::new(16).unwrap(),
         ..MlpConfig::paper_4bit()
     })
     .unwrap()
     .export()
-    .unwrap();
-    assert!(matches!(
-        PackedMlp::new(&model),
-        Err(QnnError::KernelRange {
+    .unwrap()
+}
+
+/// Whether `e` is the kernel's refusal of a 16-bit weight code.
+fn refuses_the_weight_code(e: &QnnError) -> bool {
+    matches!(
+        e,
+        QnnError::KernelRange {
             quantity: "weight code",
             ..
-        })
-    ));
+        }
+    )
+}
 
-    let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
-    for x in random_inputs(75, 256, 0x16) {
-        let want = model.infer(&x);
-        assert_eq!(ip.infer(&x), (want.class, want.scores));
-    }
+#[test]
+fn sixteen_bit_codes_are_refused_by_the_ip_and_kept_in_software() {
+    // 16-bit weight codes do not fit the kernel's i8 storage: the kernel
+    // refuses the model with a typed error, the IP compile and the
+    // multi-detector deployment return that refusal, and a bare
+    // streaming evaluator keeps the i64 reference, bit-identical to
+    // `infer`.
+    let model = sixteen_bit_model();
+    assert!(PackedMlp::new(&model).is_err_and(|e| refuses_the_weight_code(&e)));
+    assert!(matches!(
+        AcceleratorIp::compile(&model, CompileConfig::default()),
+        Err(DataflowError::KernelRefused(e)) if refuses_the_weight_code(&e)
+    ));
+    let bundles = [DetectorBundle::new(AttackKind::Dos, model.clone())];
+    assert!(matches!(
+        deploy_multi_ids(&bundles, CompileConfig::default()),
+        Err(CoreError::Dataflow(DataflowError::KernelRefused(e))) if refuses_the_weight_code(&e)
+    ));
 
     let capture = DatasetBuilder::new(TrafficConfig {
         duration: SimTime::from_millis(100),
@@ -264,33 +284,54 @@ fn paper_encoding_bitmask_covers_every_dlc() {
 }
 
 #[test]
-fn ip_word_entry_point_matches_the_reference_on_kernel_and_fallback_models() {
-    // The paper model runs the packed kernel; 16-bit codes take the
-    // graph's functional model. Both read the same AXI words.
+fn ip_word_entry_point_matches_the_reference_and_refuses_wide_codes() {
+    // The paper model's IP classifies the AXI words the driver writes
+    // exactly as the reference does; 16-bit codes compile to no IP.
     let paper = QuantMlp::new(MlpConfig::paper_4bit())
         .unwrap()
         .export()
         .unwrap();
-    let wide = QuantMlp::new(MlpConfig {
-        weight_bits: BitWidth::new(16).unwrap(),
-        ..MlpConfig::paper_4bit()
-    })
-    .unwrap()
-    .export()
-    .unwrap();
-    for model in [paper, wide] {
-        let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
-        let mut scratch = PackedScratch::default();
-        let mut memo = ClassMemo::default();
-        let mut inputs = vec![vec![0; 75], vec![1; 75]];
-        inputs.extend(random_inputs(75, 128, 0x3D));
-        for x in inputs {
-            let bits: Vec<f32> = x.iter().map(|&b| b as f32).collect();
-            let words = pack_features(&bits);
-            let want = model.infer(&x);
-            let (class, scores) = ip.infer_words(&words, &mut scratch, &mut memo);
-            assert_eq!(class, want.class);
-            assert_eq!(scores.as_ref(), want.scores.as_slice());
-        }
+    let ip = AcceleratorIp::compile(&paper, CompileConfig::default()).unwrap();
+    let mut scratch = PackedScratch::default();
+    let mut memo = ClassMemo::default();
+    let mut inputs = vec![vec![0; 75], vec![1; 75]];
+    inputs.extend(random_inputs(75, 128, 0x3D));
+    for x in inputs {
+        let bits: Vec<f32> = x.iter().map(|&b| b as f32).collect();
+        let words = pack_features(&bits);
+        let want = paper.infer(&x);
+        let (class, scores) = ip.infer_words(&words, &mut scratch, &mut memo);
+        assert_eq!(class, want.class);
+        assert_eq!(scores, want.scores.as_slice());
+    }
+    assert!(matches!(
+        AcceleratorIp::compile(&sixteen_bit_model(), CompileConfig::default()),
+        Err(DataflowError::KernelRefused(e)) if refuses_the_weight_code(&e)
+    ));
+}
+
+#[test]
+fn ip_infer_writes_levels_as_the_driver_writes_words() {
+    // `infer` on unpacked levels answers what the word entry point
+    // answers for the words the driver writes from the same levels as
+    // features: a short input reads 0 past its end, a long one is cut at
+    // the input width, and any nonzero level sets its bit.
+    let model = QuantMlp::new(MlpConfig::paper_4bit())
+        .unwrap()
+        .export()
+        .unwrap();
+    let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
+    let (mut scratch, mut memo) = (PackedScratch::default(), ClassMemo::default());
+    let ones = |n: usize| -> Vec<u32> { (0..n).map(|i| u32::from(i % 3 != 1)).collect() };
+    let level_two: Vec<u32> = (0..75).map(|i| [0, 2, 1][i % 3]).collect();
+    for x in [ones(74), ones(76), level_two] {
+        let features: Vec<f32> = x.iter().map(|&level| level as f32).collect();
+        let words = pack_features(&features);
+        let (class, scores) = ip.infer_words(&words, &mut scratch, &mut memo);
+        assert_eq!(ip.infer(&x), (class, scores.to_vec()), "x={x:?}");
+    }
+    for x in random_inputs(75, 256, 0x75) {
+        let want = model.infer(&x);
+        assert_eq!(ip.infer(&x), (want.class, want.scores), "x={x:?}");
     }
 }

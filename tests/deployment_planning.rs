@@ -166,9 +166,7 @@ proptest! {
             ),
         ];
         let plan = DeploymentPlan::build(&bundles, &PlanConfig::default()).unwrap();
-        let deployment = plan
-            .deploy(&bundles, &CompileConfig::default(), EcuConfig::default())
-            .unwrap();
+        let deployment = plan.deploy(&bundles, &CompileConfig::default()).unwrap();
 
         // Gear spoofing at 1 ms keeps the offered rate below even the
         // sequential service rate, so the comparison is drop-free.

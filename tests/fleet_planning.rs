@@ -193,9 +193,7 @@ proptest! {
             },
         )
         .unwrap();
-        let single = single_plan
-            .deploy(&bs, &CompileConfig::default(), EcuConfig::default())
-            .unwrap();
+        let single = single_plan.deploy(&bs, &CompileConfig::default()).unwrap();
 
         // A non-saturating capture (original 500 kb/s pacing): neither
         // deployment drops, so the verdict sequences align frame for

@@ -25,9 +25,7 @@ fn driver_breakdown_sums_to_latency() {
 
 #[test]
 fn energy_equals_power_times_latency() {
-    let mut board = Zcu104Board::new(BoardConfig::default());
-    let idx = board.attach_accelerator(quick_ip()).unwrap();
-    let mut ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
+    let mut ecu = IdsEcu::with_ips([quick_ip()], EcuConfig::default()).unwrap();
     let frames: Vec<(SimTime, CanFrame)> = (0..100u8)
         .map(|i| {
             (
@@ -87,9 +85,7 @@ fn baremetal_ablation_shows_software_dominance() {
 
 #[test]
 fn queue_latency_grows_monotonically_under_burst() {
-    let mut board = Zcu104Board::new(BoardConfig::default());
-    let idx = board.attach_accelerator(quick_ip()).unwrap();
-    let mut ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
+    let mut ecu = IdsEcu::with_ips([quick_ip()], EcuConfig::default()).unwrap();
     // A burst of simultaneous arrivals: each later frame waits longer.
     let frames: Vec<(SimTime, CanFrame)> = (0..10u8)
         .map(|i| {

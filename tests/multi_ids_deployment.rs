@@ -45,7 +45,7 @@ fn dual_model_ecu_detects_both_attacks() {
     let (dos_kind, dos_model) = quick_detector(PipelineConfig::dos().quick());
     let (fuzzy_kind, fuzzy_model) = quick_detector(PipelineConfig::fuzzy().quick());
 
-    let mut deployment = deploy_multi_ids(
+    let deployment = deploy_multi_ids(
         &[
             DetectorBundle {
                 kind: dos_kind,
@@ -61,8 +61,9 @@ fn dual_model_ecu_detects_both_attacks() {
     .expect("deployment");
 
     // Both IPs fit with plenty of headroom (paper: <4% each).
-    assert!(deployment.utilization < 0.08, "{}", deployment.utilization);
-    assert!(deployment.headroom >= 4);
+    let plan = &deployment.plan;
+    assert!(plan.utilization < 0.08, "{}", plan.utilization);
+    assert!(plan.headroom >= 4);
 
     // Replay a capture with DoS injection; the DoS model must flag it.
     let capture = DatasetBuilder::new(TrafficConfig {
@@ -75,7 +76,8 @@ fn dual_model_ecu_detects_both_attacks() {
     let frames: Vec<(SimTime, CanFrame)> = capture.iter().map(|r| (r.timestamp, r.frame)).collect();
     let encoder = IdBitsPayloadBits;
     let report = deployment
-        .ecu
+        .fresh_ecu(EcuConfig::default())
+        .unwrap()
         .process_capture(&frames, &|f: &CanFrame| encoder.encode(f))
         .expect("replay");
 
@@ -102,7 +104,7 @@ fn dual_model_latency_overhead_is_small() {
     let encoder = IdBitsPayloadBits;
     let featurize = |f: &CanFrame| encoder.encode(f);
 
-    let mut single = deploy_multi_ids(
+    let single = deploy_multi_ids(
         &[DetectorBundle {
             kind: kind_a,
             model: model_a.clone(),
@@ -110,10 +112,14 @@ fn dual_model_latency_overhead_is_small() {
         CompileConfig::default(),
     )
     .unwrap();
-    let single_report = single.ecu.process_capture(&frames, &featurize).unwrap();
+    let single_report = single
+        .fresh_ecu(EcuConfig::default())
+        .unwrap()
+        .process_capture(&frames, &featurize)
+        .unwrap();
 
     let (kind_b, model_b) = quick_detector(PipelineConfig::fuzzy().quick());
-    let mut dual = deploy_multi_ids(
+    let dual = deploy_multi_ids(
         &[
             DetectorBundle {
                 kind: kind_a,
@@ -127,7 +133,11 @@ fn dual_model_latency_overhead_is_small() {
         CompileConfig::default(),
     )
     .unwrap();
-    let dual_report = dual.ecu.process_capture(&frames, &featurize).unwrap();
+    let dual_report = dual
+        .fresh_ecu(EcuConfig::default())
+        .unwrap()
+        .process_capture(&frames, &featurize)
+        .unwrap();
 
     let ratio = dual_report.mean_latency.as_secs_f64() / single_report.mean_latency.as_secs_f64();
     assert!(
@@ -154,7 +164,7 @@ fn eight_detector_plan_fits_zcu104_and_sustains_line_rate_under_dma_batch() {
 
     // 2. The plan compiles end to end.
     let deployment = plan
-        .deploy(&bundles, &CompileConfig::default(), EcuConfig::default())
+        .deploy(&bundles, &CompileConfig::default())
         .expect("compile + attach");
     assert_eq!(deployment.ips.len(), 8);
     assert_eq!(deployment.kinds.len(), 8);
@@ -208,9 +218,7 @@ fn scheduling_policies_agree_on_classification() {
         DetectorBundle::new(AttackKind::Fuzzy, seeded_model(8)),
     ];
     let plan = DeploymentPlan::build(&bundles, &PlanConfig::default()).unwrap();
-    let deployment = plan
-        .deploy(&bundles, &CompileConfig::default(), EcuConfig::default())
-        .unwrap();
+    let deployment = plan.deploy(&bundles, &CompileConfig::default()).unwrap();
 
     let capture = DatasetBuilder::new(TrafficConfig {
         duration: SimTime::from_millis(300),

@@ -167,7 +167,7 @@ fn harness_reproduces_pr4_acceptance_bit_identically() {
 }
 
 #[test]
-fn ecu_backend_over_an_existing_ecu_matches_the_deployment_backend() {
+fn ecu_backend_owning_a_deployment_matches_the_borrowing_backend() {
     let bundles: Vec<DetectorBundle> = (0..4)
         .map(|i| {
             DetectorBundle::new(
@@ -191,13 +191,7 @@ fn ecu_backend_over_an_existing_ecu_matches_the_deployment_backend() {
     .build();
 
     for policy in [SchedPolicy::Sequential, SchedPolicy::DmaBatch { batch: 32 }] {
-        let mut ecu = deployment
-            .fresh_ecu(EcuConfig {
-                policy,
-                ..EcuConfig::default()
-            })
-            .unwrap();
-        let over = ServeHarness::new(EcuBackend::over(&mut ecu))
+        let owned = ServeHarness::new(EcuBackend::owning(deployment.clone()))
             .replay(&capture, &ReplayConfig::default().with_policy(policy))
             .unwrap();
 
@@ -205,14 +199,14 @@ fn ecu_backend_over_an_existing_ecu_matches_the_deployment_backend() {
             .replay(&capture, &ReplayConfig::default().with_policy(policy))
             .unwrap();
         assert_eq!(new.sched, policy.label());
-        assert_eq!(over.offered, new.offered);
-        assert_eq!(over.serviced, new.serviced);
-        assert_eq!(over.dropped, new.dropped);
-        assert_eq!(over.latency.p50, new.latency.p50);
-        assert_eq!(over.latency.p99, new.latency.p99);
-        assert_eq!(over.latency.max, new.latency.max);
-        assert_eq!(over.flagged, new.flagged);
-        let (eo, en) = (over.energy.unwrap(), new.energy.unwrap());
+        assert_eq!(owned.offered, new.offered);
+        assert_eq!(owned.serviced, new.serviced);
+        assert_eq!(owned.dropped, new.dropped);
+        assert_eq!(owned.latency.p50, new.latency.p50);
+        assert_eq!(owned.latency.p99, new.latency.p99);
+        assert_eq!(owned.latency.max, new.latency.max);
+        assert_eq!(owned.flagged, new.flagged);
+        let (eo, en) = (owned.energy.unwrap(), new.energy.unwrap());
         assert_eq!(eo.mean_power_w.to_bits(), en.mean_power_w.to_bits());
         assert_eq!(
             eo.energy_per_message_j.to_bits(),

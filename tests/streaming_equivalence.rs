@@ -122,19 +122,15 @@ fn ecu_streaming_session_equals_batch_processing() {
     let enc = IdBitsPayloadBits;
     let featurize = move |f: &canids_can::frame::CanFrame| enc.encode(f);
 
-    let mut board = Zcu104Board::new(BoardConfig::default());
-    let idx = board.attach_accelerator(ip.clone()).unwrap();
-    let mut batch_ecu = IdsEcu::new(board, vec![idx], EcuConfig::default());
+    let mut batch_ecu = IdsEcu::with_ips([ip.clone()], EcuConfig::default()).unwrap();
     let batch = batch_ecu.process_capture(&frames, &featurize).unwrap();
 
-    let mut board2 = Zcu104Board::new(BoardConfig::default());
-    let idx2 = board2.attach_accelerator(ip).unwrap();
-    let mut stream_ecu = IdsEcu::new(board2, vec![idx2], EcuConfig::default());
+    let mut stream_ecu = IdsEcu::with_ips([ip], EcuConfig::default()).unwrap();
     let mut session = stream_ecu.stream();
     for &(t, f) in &frames {
         session.push(t, f, &featurize).unwrap();
     }
-    let streamed = session.finish();
+    let streamed = session.try_finish().unwrap();
 
     assert_eq!(batch, streamed);
     assert!(!streamed.detections.is_empty());
