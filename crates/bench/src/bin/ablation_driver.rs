@@ -9,7 +9,7 @@
 
 use canids_bench::untrained_ip;
 use canids_core::prelude::*;
-use canids_soc::dma::{run_batch, DmaConfig};
+use canids_soc::dma::run_batch;
 
 fn main() -> Result<(), CoreError> {
     let ip = untrained_ip();
@@ -55,7 +55,6 @@ fn main() -> Result<(), CoreError> {
 
     let mut bm = Zcu104Board::new(BoardConfig {
         cpu: CpuModel::zynqmp_a53_baremetal(),
-        ..BoardConfig::default()
     });
     let bi = bm.attach_accelerator(ip.clone())?;
     let bm_rec = bm.infer(bi, &bits)?;
@@ -68,12 +67,7 @@ fn main() -> Result<(), CoreError> {
 
     for n in [64usize, 256] {
         let batch: Vec<Vec<f32>> = (0..n).map(|_| bits.clone()).collect();
-        let report = run_batch(
-            &ip,
-            &CpuModel::zynqmp_a53_linux(),
-            DmaConfig::default(),
-            &batch,
-        )?;
+        let report = run_batch(&ip, &CpuModel::zynqmp_a53_linux(), &batch)?;
         alt.push_row(&[
             format!("DMA batch x{n}, Linux"),
             format!("{}", report.per_frame),

@@ -10,14 +10,15 @@
 //!    its [`canids_dataflow::folding::LayerFolding`] configuration
 //!    against the device's capacity — until the summed
 //!    [`ResourceEstimate`] fits. When even fully-sequential folding
-//!    cannot place a model, [`CoreError::PlanOverflow`] names it.
+//!    cannot place a model, [`CoreError::PlanOverflow`] names it. Every
+//!    IP holds the packed serving kernel, so a model the kernel cannot
+//!    hold is refused before any rung is searched, with the
+//!    [`DataflowError::KernelRefused`] the compile would return.
 //! 2. **Compilation** — [`DeploymentPlan::deploy`] compiles each bundle
 //!    with its planned folding goal (scenario-parallel on scoped
-//!    threads). Every IP holds the packed serving kernel, so a model the
-//!    kernel cannot hold is refused here with
-//!    [`DataflowError::KernelRefused`]. The deployment is the plan and
-//!    its IPs: [`MultiIdsDeployment::fresh_ecu`] attaches them to a new
-//!    simulated ZCU104 ([`IdsEcu::with_ips`]) whose
+//!    threads), and refuses such a model too. The deployment is the
+//!    plan and its IPs: [`MultiIdsDeployment::fresh_ecu`] attaches them
+//!    to a new simulated ZCU104 ([`IdsEcu::with_ips`]) whose
 //!    [`SchedPolicy`](canids_soc::ecu::SchedPolicy) is first-class
 //!    configuration.
 //! 3. **Serving** — the ECU featurises and packs each frame **once** and
@@ -38,6 +39,7 @@ use canids_dataflow::resources::{estimate_resources, Device, ResourceEstimate};
 use canids_dataflow::DataflowError;
 use canids_dataset::attacks::AttackKind;
 use canids_qnn::export::IntegerMlp;
+use canids_qnn::kernel::PackedMlp;
 use canids_soc::ecu::{EcuConfig, IdsEcu};
 
 use crate::error::CoreError;
@@ -152,15 +154,15 @@ fn component(r: ResourceEstimate, class: &'static str) -> u64 {
     }
 }
 
-/// Unique per-bundle IP-core names: `dos-ids`, and `dos-ids-2`,
+/// Unique per-model IP-core names: `dos-ids`, and `dos-ids-2`,
 /// `dos-ids-3`, … for folded duplicates of the same kind.
-fn bundle_names(bundles: &[DetectorBundle]) -> Vec<String> {
+fn model_names(models: &[(AttackKind, &DataflowGraph)]) -> Vec<String> {
     let mut counts: std::collections::BTreeMap<&'static str, usize> =
         std::collections::BTreeMap::new();
-    bundles
+    models
         .iter()
-        .map(|b| {
-            let slug = b.kind.slug();
+        .map(|(kind, _)| {
+            let slug = kind.slug();
             let n = counts.entry(slug).or_insert(0);
             *n += 1;
             if *n == 1 {
@@ -170,6 +172,15 @@ fn bundle_names(bundles: &[DetectorBundle]) -> Vec<String> {
             }
         })
         .collect()
+}
+
+/// Lowers `bundle` for planning and refuses it as the IP compile would:
+/// lowering errors first, then [`DataflowError::KernelRefused`] when the
+/// packed serving kernel cannot hold the model.
+pub(crate) fn lower(bundle: &DetectorBundle) -> Result<DataflowGraph, CoreError> {
+    let graph = DataflowGraph::from_integer_mlp(&bundle.model)?;
+    PackedMlp::new(&bundle.model).map_err(DataflowError::KernelRefused)?;
+    Ok(graph)
 }
 
 /// A fitted N-detector plan: per-model folding budgets whose sum is
@@ -200,23 +211,37 @@ impl DeploymentPlan {
     ///
     /// [`CoreError::EmptyDeployment`] without bundles;
     /// [`CoreError::PlanOverflow`] naming the offending model when even
-    /// fully-sequential folding cannot fit the set; lowering errors
-    /// otherwise.
+    /// fully-sequential folding cannot fit the set;
+    /// [`DataflowError::KernelRefused`] (as [`CoreError::Dataflow`]) for
+    /// a model the packed serving kernel cannot hold, which
+    /// [`deploy`](Self::deploy) would refuse; lowering errors otherwise.
     pub fn build(bundles: &[DetectorBundle], config: &PlanConfig) -> Result<Self, CoreError> {
-        if bundles.is_empty() {
+        let graphs = bundles.iter().map(lower).collect::<Result<Vec<_>, _>>()?;
+        let models: Vec<_> = bundles.iter().map(|b| b.kind).zip(&graphs).collect();
+        DeploymentPlan::fit(&models, config)
+    }
+
+    /// The allocator behind [`build`](Self::build), over models already
+    /// lowered (and checked against the kernel) by [`lower`]: the
+    /// fleet planner lowers each bundle once and fits every placement
+    /// trial from those graphs.
+    pub(crate) fn fit(
+        models: &[(AttackKind, &DataflowGraph)],
+        config: &PlanConfig,
+    ) -> Result<Self, CoreError> {
+        if models.is_empty() {
             return Err(CoreError::EmptyDeployment);
         }
-        let names = bundle_names(bundles);
-        let mut ladders = Vec::with_capacity(bundles.len());
-        for bundle in bundles {
-            let graph = DataflowGraph::from_integer_mlp(&bundle.model)?;
-            ladders.push(RungLadder::build(&graph, config)?);
-        }
+        let names = model_names(models);
+        let ladders = models
+            .iter()
+            .map(|(_, graph)| RungLadder::build(graph, config))
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Greedy: everyone starts latency-first; while the sum
         // overflows, fold the largest offender (in the overflowing
         // class) one rung deeper.
-        let mut rung = vec![0usize; bundles.len()];
+        let mut rung = vec![0usize; models.len()];
         let total = loop {
             let total = rung
                 .iter()
@@ -227,7 +252,7 @@ impl DeploymentPlan {
             let Some((class, required, capacity)) = config.device.first_overflow(total) else {
                 break total;
             };
-            let victim = (0..bundles.len())
+            let victim = (0..models.len())
                 .filter(|&i| rung[i] + 1 < ladders[i].rungs.len())
                 .max_by_key(|&i| {
                     (
@@ -240,7 +265,7 @@ impl DeploymentPlan {
                 None => {
                     // Everyone is already fully folded: blame the model
                     // contributing most to the overflowing class.
-                    let worst = (0..bundles.len())
+                    let worst = (0..models.len())
                         .max_by_key(|&i| {
                             (
                                 component(ladders[i].rungs[rung[i]].2, class),
@@ -260,15 +285,15 @@ impl DeploymentPlan {
             }
         };
 
-        let models: Vec<ModelPlan> = bundles
+        let plans: Vec<ModelPlan> = models
             .iter()
-            .zip(&names)
+            .zip(names)
             .zip(rung.iter().zip(&ladders))
-            .map(|((bundle, name), (&r, ladder))| {
+            .map(|((&(kind, _), name), (&r, ladder))| {
                 let (goal, folding, resources, peak_fps) = ladder.rungs[r].clone();
                 ModelPlan {
-                    kind: bundle.kind,
-                    name: name.clone(),
+                    kind,
+                    name,
                     goal,
                     folding,
                     resources,
@@ -277,7 +302,7 @@ impl DeploymentPlan {
                 }
             })
             .collect();
-        let largest = models
+        let largest = plans
             .iter()
             .map(|m| m.resources)
             .max_by_key(|r| r.lut)
@@ -288,7 +313,7 @@ impl DeploymentPlan {
             utilization: config.device.utilization(total).max_fraction(),
             headroom: config.device.headroom_after(total, largest),
             total_resources: total,
-            models,
+            models: plans,
         })
     }
 

@@ -9,9 +9,11 @@
 //! 1. **Partitioning** — [`FleetPlan::build`] assigns N
 //!    [`DetectorBundle`]s to M boards ([`BoardSpec`]: device, clock,
 //!    optional admission-control model cap), keeping per-board
-//!    utilisation balanced and reusing [`DeploymentPlan::build`] per
-//!    shard so every shard inherits the folding-budget ladder and its
-//!    fit proof. When no board can take a model even fold-deepest,
+//!    utilisation balanced and reusing [`DeploymentPlan::build`]'s
+//!    allocator per shard so every shard inherits the folding-budget
+//!    ladder and its fit proof. Each bundle is lowered, and checked
+//!    against the packed serving kernel, once per build. When no board
+//!    can take a model even fold-deepest,
 //!    [`CoreError::FleetOverflow`] names it and the closest-fit board's
 //!    shortfall.
 //! 2. **Compilation** — [`FleetPlan::deploy`] compiles every shard
@@ -33,7 +35,7 @@ use canids_dataflow::ip::{AcceleratorIp, CompileConfig};
 use canids_dataflow::resources::{Device, ResourceEstimate};
 use canids_dataset::attacks::AttackKind;
 
-use crate::deploy::{DeploymentPlan, DetectorBundle, PlanConfig};
+use crate::deploy::{lower, DeploymentPlan, DetectorBundle, PlanConfig};
 use crate::error::CoreError;
 use crate::serve::FleetBackend;
 
@@ -184,8 +186,9 @@ impl FleetPlan {
     /// [`CoreError::EmptyFleet`] without boards,
     /// [`CoreError::FleetOverflow`] when a bundle fits no board (the
     /// closest-fit board's shortfall is reported; `resource == "SLOTS"`
-    /// when every board is at the admission cap); lowering errors
-    /// otherwise.
+    /// when every board is at the admission cap); the single-board
+    /// allocator's lowering errors and kernel refusals
+    /// ([`DeploymentPlan::build`]) otherwise.
     pub fn build(bundles: &[DetectorBundle], config: &FleetConfig) -> Result<Self, CoreError> {
         if bundles.is_empty() {
             return Err(CoreError::EmptyDeployment);
@@ -193,6 +196,9 @@ impl FleetPlan {
         if config.boards.is_empty() {
             return Err(CoreError::EmptyFleet);
         }
+        // Each bundle is lowered, and checked against the packed kernel,
+        // once; every placement trial fits its shard from these graphs.
+        let graphs = bundles.iter().map(lower).collect::<Result<Vec<_>, _>>()?;
         let m = config.boards.len();
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); m];
         let mut plans: Vec<Option<DeploymentPlan>> = vec![None; m];
@@ -219,18 +225,14 @@ impl FleetPlan {
                         continue;
                     }
                 }
-                // Re-planning the whole shard per trial clones the
-                // member models (IntegerMlp weights) — O(N²·M) clones
-                // over a build. Fleets are tens of models on a handful
-                // of boards, and the clones are a few KB each; keeping
-                // the single-board allocator as the one source of fit
-                // truth is worth far more than the copies.
-                let trial: Vec<DetectorBundle> = members[b]
+                // The single-board allocator re-plans the whole shard
+                // per trial: it is the one source of fit truth.
+                let trial: Vec<_> = members[b]
                     .iter()
-                    .map(|&j| bundles[j].clone())
-                    .chain(std::iter::once(bundle.clone()))
+                    .chain([&i])
+                    .map(|&j| (bundles[j].kind, &graphs[j]))
                     .collect();
-                match DeploymentPlan::build(
+                match DeploymentPlan::fit(
                     &trial,
                     &shard_plan_config(&config.boards[b], &config.fps_ladder),
                 ) {

@@ -542,7 +542,6 @@ mod tests {
             ecu: EcuConfig {
                 queue_depth: 4,
                 policy: SchedPolicy::Sequential,
-                ..EcuConfig::default()
             },
             ..ReplayConfig::default()
         };

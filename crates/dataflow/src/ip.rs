@@ -132,6 +132,14 @@ impl RegisterMap {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AcceleratorIp {
+    /// What the compile produced, shared by every clone: a clone of the
+    /// IP is a reference count, not a copy of its graph and kernel.
+    compiled: Arc<Compiled>,
+}
+
+/// The artifact behind an [`AcceleratorIp`].
+#[derive(Debug)]
+struct Compiled {
     name: String,
     graph: DataflowGraph,
     folding: FoldingConfig,
@@ -143,7 +151,7 @@ pub struct AcceleratorIp {
     /// Steady-state initiation interval, `max fold_i` cycles.
     initiation_interval: u64,
     /// The packed serving kernel.
-    kernel: Arc<PackedMlp>,
+    kernel: PackedMlp,
 }
 
 impl AcceleratorIp {
@@ -160,14 +168,14 @@ impl AcceleratorIp {
     /// verification gate.
     pub fn compile(model: &IntegerMlp, config: CompileConfig) -> Result<Self, DataflowError> {
         let mut graph = DataflowGraph::from_integer_mlp(model)?;
-        let kernel = Arc::new(PackedMlp::new(model).map_err(DataflowError::KernelRefused)?);
+        let kernel = PackedMlp::new(model).map_err(DataflowError::KernelRefused)?;
         round_and_clip_thresholds(&mut graph);
         validate_thresholds_sorted(&graph)?;
         let folding = auto_fold(&graph, config.goal)?;
         let resources = estimate_resources(&graph, &folding);
         let latency_cycles = folding.fold_cycles(&graph).iter().map(|f| f + 1).sum();
         let initiation_interval = folding.initiation_interval(&graph);
-        let ip = AcceleratorIp {
+        let compiled = Arc::new(Compiled {
             name: config.name,
             graph,
             folding,
@@ -179,9 +187,10 @@ impl AcceleratorIp {
             latency_cycles,
             initiation_interval,
             kernel,
-        };
+        });
+        let ip = AcceleratorIp { compiled };
         verify_with(
-            &[&|x: &[u32]| ip.graph.compute(x), &|x: &[u32]| ip.infer(x)],
+            &[&|x: &[u32]| ip.graph().compute(x), &|x: &[u32]| ip.infer(x)],
             ip.input_dim(),
             model,
             config.verify_samples,
@@ -192,27 +201,27 @@ impl AcceleratorIp {
 
     /// IP core name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.compiled.name
     }
 
     /// The compiled dataflow graph.
     pub fn graph(&self) -> &DataflowGraph {
-        &self.graph
+        &self.compiled.graph
     }
 
     /// The chosen folding.
     pub fn folding(&self) -> &FoldingConfig {
-        &self.folding
+        &self.compiled.folding
     }
 
     /// PL clock frequency.
     pub fn clock_hz(&self) -> u64 {
-        self.clock_hz
+        self.compiled.clock_hz
     }
 
     /// Input feature count.
     pub fn input_dim(&self) -> usize {
-        self.graph.input_dim()
+        self.graph().input_dim()
     }
 
     /// 32-bit words of packed binary input per frame (what the driver
@@ -223,7 +232,8 @@ impl AcceleratorIp {
 
     /// Builds a fresh cycle-accurate simulator for this IP.
     pub fn simulator(&self) -> AcceleratorSim {
-        AcceleratorSim::new(self.graph.clone(), &self.folding, self.sim_config)
+        let c = &self.compiled;
+        AcceleratorSim::new(c.graph.clone(), &c.folding, c.sim_config)
             // lint:allow(panic-in-lib): `compile` validated this folding against this graph, and neither changes after it
             .expect("folding validated at compile time")
     }
@@ -244,7 +254,7 @@ impl AcceleratorIp {
         {
             words[i / 32] |= 1 << (i % 32);
         }
-        let p = self.kernel.infer(frame_bits(&words));
+        let p = self.compiled.kernel.infer(frame_bits(&words));
         (p.class, p.scores)
     }
 
@@ -265,47 +275,47 @@ impl AcceleratorIp {
         scratch: &'s mut PackedScratch,
         memo: &mut ClassMemo,
     ) -> (usize, &'s [i64]) {
-        let class = memo.classify(&self.kernel, frame_bits(words), scratch);
+        let class = memo.classify(&self.compiled.kernel, frame_bits(words), scratch);
         (class, scratch.scores())
     }
 
     /// Single-frame compute latency in cycles (the simulator's
     /// [`AcceleratorSim::single_frame_latency_cycles`], fixed at compile).
     pub fn latency_cycles(&self) -> u64 {
-        self.latency_cycles
+        self.compiled.latency_cycles
     }
 
     /// Single-frame compute latency in seconds at the IP clock.
     pub fn latency_secs(&self) -> f64 {
-        self.latency_cycles() as f64 / self.clock_hz as f64
+        self.latency_cycles() as f64 / self.clock_hz() as f64
     }
 
     /// Steady-state initiation interval in cycles (fixed at compile, so
     /// a DMA window's timing reads it without walking the folding).
     pub fn initiation_interval(&self) -> u64 {
-        self.initiation_interval
+        self.compiled.initiation_interval
     }
 
     /// Peak streaming throughput in frames/second.
     pub fn peak_throughput_fps(&self) -> f64 {
-        self.clock_hz as f64 / self.initiation_interval() as f64
+        self.clock_hz() as f64 / self.initiation_interval() as f64
     }
 
     /// Resource estimate.
     pub fn resources(&self) -> ResourceEstimate {
-        self.resources
+        self.compiled.resources
     }
 
     /// Utilisation on a device.
     pub fn utilization(&self, device: Device) -> Utilization {
-        device.utilization(self.resources)
+        device.utilization(self.resources())
     }
 
     /// PL power estimate at the given toggle activity.
     pub fn power(&self, toggle: f64) -> PowerEstimate {
         estimate_power(
-            self.resources,
-            self.clock_hz,
+            self.resources(),
+            self.clock_hz(),
             toggle,
             PowerCoefficients::default(),
         )
@@ -352,7 +362,7 @@ impl AcceleratorIp {
         for (c, name) in ["OUT_SCORE0", "OUT_SCORE1", "OUT_SCORE2", "OUT_SCORE3"]
             .iter()
             .enumerate()
-            .take(self.graph.label_select.classes.min(4))
+            .take(self.graph().label_select.classes.min(4))
         {
             registers.push(Register {
                 name,

@@ -1,11 +1,10 @@
-//! The ZCU104 board model: PS + interconnect + peripherals + power.
+//! The ZCU104 board model: PS + interconnect + accelerators + power.
 //!
 //! Mirrors the paper's integration (their Fig. 1 right-hand side): the
-//! quad-A53 PS runs the ECU software, the CAN controller receives every
-//! bus frame, and one or more QMLP accelerator IPs sit in the PL as
-//! memory-mapped slaves.
+//! quad-A53 PS runs the ECU software, and one or more QMLP accelerator
+//! IPs sit in the PL as memory-mapped slaves, each with a done line to
+//! the PS interrupt controller.
 
-use canids_can::node::{CanController, ControllerConfig};
 use canids_can::time::SimTime;
 use canids_dataflow::ip::AcceleratorIp;
 use canids_dataflow::power::PowerEstimate;
@@ -14,9 +13,8 @@ use canids_qnn::tensor::pinned_sum_f64;
 
 use crate::accel::{pack_features, AccelPeripheral};
 use crate::axi::AxiInterconnect;
-use crate::cancontroller::CanPeripheral;
 use crate::cpu::CpuModel;
-use crate::driver::{run_inference, run_inference_irq, InferenceRecord};
+use crate::driver::{run_inference, Completion, InferenceRecord, Wait};
 use crate::error::SocError;
 use crate::interrupt::{accel_irq_line, InterruptController};
 use crate::power_rails::BoardPowerModel;
@@ -29,27 +27,20 @@ pub const ACCEL_STRIDE: u64 = 0x1_0000;
 /// Static board configuration.
 ///
 /// The default is the paper's platform: the A53 running Linux
-/// ([`CpuModel::zynqmp_a53_linux`] is `CpuModel::default`) with the
-/// default CAN controller.
+/// ([`CpuModel::zynqmp_a53_linux`] is `CpuModel::default`).
 #[derive(Debug, Clone, Default)]
 pub struct BoardConfig {
     /// CPU/OS cost model.
     pub cpu: CpuModel,
-    /// CAN controller hardware configuration.
-    pub can: ControllerConfig,
 }
 
-/// Summary of an attached IP, kept board-side for power/resource
-/// aggregation and DMA-batch scheduling without reaching through the
-/// bus. The `ip` field is a full clone of the compiled artifact (a few
-/// KB of weights for the paper topology) alongside the mapped
-/// peripheral's copy — acceptable at simulation scale; switch to a
-/// shared handle if models grow large.
+/// An attached IP as the board keeps it for power aggregation and
+/// DMA-batch scheduling without reaching through the bus: the IP handle,
+/// which shares its compiled artifact with the mapped peripheral, and
+/// its PL power at the nominal activity.
 #[derive(Debug, Clone)]
 struct IpSummary {
     ip: AcceleratorIp,
-    input_dim: usize,
-    input_words: usize,
     dynamic_w: f64,
     static_w: f64,
 }
@@ -75,7 +66,6 @@ struct IpSummary {
 pub struct Zcu104Board {
     config: BoardConfig,
     bus: AxiInterconnect,
-    can: CanPeripheral,
     gic: InterruptController,
     now: SimTime,
     ips: Vec<IpSummary>,
@@ -91,16 +81,12 @@ impl std::fmt::Debug for Zcu104Board {
 }
 
 impl Zcu104Board {
-    /// Creates a board with a CAN controller and no accelerators.
+    /// Creates a board with no accelerators.
     pub fn new(config: BoardConfig) -> Self {
-        let can = CanPeripheral::new(CanController::new(config.can.clone()));
-        let mut gic = InterruptController::new();
-        gic.set_enabled(crate::interrupt::IRQ_CAN0, true);
         Zcu104Board {
             config,
             bus: AxiInterconnect::new(),
-            can,
-            gic,
+            gic: InterruptController::new(),
             now: SimTime::ZERO,
             ips: Vec::new(),
         }
@@ -119,8 +105,6 @@ impl Zcu104Board {
         let active = ip.power(0.125);
         self.ips.push(IpSummary {
             ip: ip.clone(),
-            input_dim: ip.input_dim(),
-            input_words: ip.input_words() as usize,
             dynamic_w: active.dynamic_w,
             static_w: active.static_w,
         });
@@ -157,93 +141,85 @@ impl Zcu104Board {
         &self.config.cpu
     }
 
-    /// The CAN peripheral (bus-side frame delivery + register access).
-    pub fn can_mut(&mut self) -> &mut CanPeripheral {
-        &mut self.can
-    }
-
-    /// Shared access to the CAN peripheral.
-    pub fn can(&self) -> &CanPeripheral {
-        &self.can
-    }
-
-    /// The interrupt controller.
-    pub fn gic_mut(&mut self) -> &mut InterruptController {
-        &mut self.gic
-    }
-
-    /// Runs one inference on accelerator `idx` with float binary
-    /// features, advancing the board clock by the full software path.
+    /// Runs one polled inference on accelerator `idx` with float binary
+    /// features: packs them and makes the one packed call
+    /// ([`Zcu104Board::infer_packed`]), advancing the board clock by the
+    /// full software path.
     ///
     /// # Errors
     ///
     /// [`SocError::NoSuchAccelerator`], [`SocError::InputDimension`] or
     /// any driver/bus error.
     pub fn infer(&mut self, idx: usize, features: &[f32]) -> Result<InferenceRecord, SocError> {
-        let ip = self.ips.get(idx).ok_or(SocError::NoSuchAccelerator(idx))?;
-        if features.len() != ip.input_dim {
+        let ip = &self
+            .ips
+            .get(idx)
+            .ok_or(SocError::NoSuchAccelerator(idx))?
+            .ip;
+        if features.len() != ip.input_dim() {
             return Err(SocError::InputDimension {
-                expected: ip.input_dim,
+                expected: ip.input_dim(),
                 actual: features.len(),
             });
         }
         let words = pack_features(features);
-        self.infer_packed(idx, &words)
+        self.infer_packed(idx, &words, Completion::Poll)
     }
 
     /// Runs one inference on accelerator `idx` from already-packed input
-    /// words — the shared-packing hot path: the ECU service loop packs a
-    /// frame once and feeds the same words to every attached model.
+    /// words, advancing the board clock by the full software path: the
+    /// one accelerator call every serving path makes (the ECU service
+    /// loop packs a frame once and feeds the same words to every
+    /// attached model).
+    ///
+    /// `completion` picks how the driver waits for done: the status poll,
+    /// or the accelerator's done line, which the board unmasks on the
+    /// interrupt controller before the call.
     ///
     /// # Errors
     ///
     /// [`SocError::NoSuchAccelerator`], [`SocError::InputDimension`]
-    /// (word-count mismatch) or any driver/bus error.
-    pub fn infer_packed(&mut self, idx: usize, words: &[u32]) -> Result<InferenceRecord, SocError> {
-        let ip = self.ips.get(idx).ok_or(SocError::NoSuchAccelerator(idx))?;
-        if words.len() != ip.input_words {
-            return Err(SocError::InputDimension {
-                expected: ip.input_words,
-                actual: words.len(),
-            });
-        }
-        let base = ACCEL_BASE + ACCEL_STRIDE * idx as u64;
-        run_inference(&mut self.bus, &self.config.cpu, &mut self.now, base, words)
-    }
-
-    /// Like [`Zcu104Board::infer_packed`], but with interrupt-driven
-    /// completion: the driver blocks on the accelerator's done line
-    /// through the GIC instead of spinning on the status register.
-    ///
-    /// # Errors
-    ///
-    /// [`SocError::NoSuchAccelerator`], [`SocError::InputDimension`] or
-    /// any driver/bus error.
-    pub fn infer_packed_irq(
+    /// (word-count mismatch), [`SocError::NoIrqLine`] for an interrupt
+    /// call on an accelerator past the fabric's last line, or any
+    /// driver/bus error.
+    pub fn infer_packed(
         &mut self,
         idx: usize,
         words: &[u32],
+        completion: Completion,
     ) -> Result<InferenceRecord, SocError> {
-        let ip = self.ips.get(idx).ok_or(SocError::NoSuchAccelerator(idx))?;
-        if words.len() != ip.input_words {
+        let ip = &self
+            .ips
+            .get(idx)
+            .ok_or(SocError::NoSuchAccelerator(idx))?
+            .ip;
+        let expected = ip.input_words() as usize;
+        if words.len() != expected {
             return Err(SocError::InputDimension {
-                expected: ip.input_words,
+                expected,
                 actual: words.len(),
             });
         }
-        let compute = SimTime::from_secs_f64(ip.ip.latency_secs());
+        let wait = match completion {
+            Completion::Poll => Wait::Poll,
+            Completion::Interrupt => {
+                let line = accel_irq_line(idx).ok_or(SocError::NoIrqLine(idx))?;
+                self.gic.set_enabled(line, true);
+                Wait::Interrupt {
+                    gic: &mut self.gic,
+                    line,
+                    compute: SimTime::from_secs_f64(ip.latency_secs()),
+                }
+            }
+        };
         let base = ACCEL_BASE + ACCEL_STRIDE * idx as u64;
-        // Board bring-up: the accelerator's done line is unmasked once.
-        self.gic.set_enabled(accel_irq_line(idx), true);
-        run_inference_irq(
+        run_inference(
             &mut self.bus,
             &self.config.cpu,
-            &mut self.gic,
             &mut self.now,
             base,
-            accel_irq_line(idx),
             words,
-            compute,
+            wait,
         )
     }
 
@@ -274,7 +250,6 @@ impl Zcu104Board {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canids_can::frame::{CanFrame, CanId};
     use canids_dataflow::ip::CompileConfig;
     use canids_qnn::prelude::*;
 
@@ -345,15 +320,17 @@ mod tests {
         let bits: Vec<f32> = (0..75).map(|i| f32::from(i % 2 == 0)).collect();
         let through_floats = board.infer(a, &bits).unwrap();
         let words = crate::accel::pack_features(&bits);
-        let through_words = board.infer_packed(a, &words).unwrap();
+        let through_words = board.infer_packed(a, &words, Completion::Poll).unwrap();
         assert_eq!(through_floats.class, through_words.class);
-        let through_irq = board.infer_packed_irq(a, &words).unwrap();
+        let through_irq = board
+            .infer_packed(a, &words, Completion::Interrupt)
+            .unwrap();
         assert_eq!(through_irq.class, through_words.class);
         // The IRQ path costs more per verdict under Linux (9 us entry vs
         // sub-us spin polls) but frees the core during the compute.
         assert!(through_irq.latency() > through_words.latency());
         assert!(matches!(
-            board.infer_packed(a, &[0u32; 1]),
+            board.infer_packed(a, &[0u32; 1], Completion::Poll),
             Err(SocError::InputDimension {
                 expected: 3,
                 actual: 1
@@ -361,14 +338,6 @@ mod tests {
         ));
         assert!(board.accelerator(a).is_some());
         assert!(board.accelerator(7).is_none());
-    }
-
-    #[test]
-    fn can_frames_flow_through_board() {
-        let mut board = Zcu104Board::new(BoardConfig::default());
-        let f = CanFrame::new(CanId::standard(0x316).unwrap(), &[1, 2]).unwrap();
-        board.can_mut().deliver(SimTime::from_micros(3), f);
-        assert_eq!(board.can().rx_pending(), 1);
     }
 
     #[test]

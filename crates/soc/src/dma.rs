@@ -16,27 +16,13 @@ use crate::accel::pack_features_into;
 use crate::cpu::CpuModel;
 use crate::error::SocError;
 
-/// DMA engine parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DmaConfig {
-    /// Sustained stream bandwidth between DDR and the PL (bytes/s).
-    pub bandwidth_bytes_per_s: f64,
-    /// One-off descriptor setup cost per transfer (software).
-    pub setup: SimTime,
-    /// Completion-interrupt service cost per transfer.
-    pub completion_irq: SimTime,
-}
-
-impl Default for DmaConfig {
-    fn default() -> Self {
-        DmaConfig {
-            // HP port at 128 bit × 200 MHz, conservatively derated.
-            bandwidth_bytes_per_s: 1.6e9,
-            setup: SimTime::from_micros(20),
-            completion_irq: SimTime::from_micros(12),
-        }
-    }
-}
+/// Sustained stream bandwidth between DDR and the PL, bytes per second
+/// (the HP port at 128 bit × 200 MHz, conservatively derated).
+pub const DMA_BANDWIDTH_BYTES_PER_S: f64 = 1.6e9;
+/// Software descriptor setup, paid once per transfer.
+pub const DMA_SETUP: SimTime = SimTime::from_micros(20);
+/// Completion-interrupt service, paid once per transfer.
+pub const DMA_COMPLETION_IRQ: SimTime = SimTime::from_micros(12);
 
 /// A window of frames packed **once** into AXI input words for DMA
 /// streaming, then consumable by any number of accelerator IPs: the
@@ -181,19 +167,21 @@ fn classify(
 /// The timing of one DMA transfer of `n` frames into `ip`: one dispatch
 /// plus descriptor setup, then the stream runs at min(DMA bandwidth,
 /// accelerator initiation interval), plus the completion interrupt.
-fn transfer_time(ip: &AcceleratorIp, cpu: &CpuModel, dma: DmaConfig, n: u64) -> SimTime {
+fn transfer_time(ip: &AcceleratorIp, cpu: &CpuModel, n: u64) -> SimTime {
     let bytes = n * u64::from(ip.input_words()) * 4;
-    let stream_s = bytes as f64 / dma.bandwidth_bytes_per_s;
+    let stream_s = bytes as f64 / DMA_BANDWIDTH_BYTES_PER_S;
     let ii_s = ip.initiation_interval() as f64 / ip.clock_hz() as f64;
     let pipeline_s = ip.latency_secs() + ii_s * (n.saturating_sub(1)) as f64;
     let compute_s = pipeline_s.max(stream_s);
-    cpu.runtime_dispatch + dma.setup + SimTime::from_secs_f64(compute_s) + dma.completion_irq
+    cpu.runtime_dispatch + DMA_SETUP + SimTime::from_secs_f64(compute_s) + DMA_COMPLETION_IRQ
 }
 
 /// Runs a batch of feature vectors through one IP via a modelled DMA
 /// transfer: the vectors are packed once into a [`FeatureBatch`] and
 /// streamed by [`run_batch_multi`] over that one IP, so the report holds
-/// one row of classes.
+/// one row of classes and its timing comes from `cpu` and the engine
+/// constants ([`DMA_BANDWIDTH_BYTES_PER_S`], [`DMA_SETUP`],
+/// [`DMA_COMPLETION_IRQ`]).
 ///
 /// # Errors
 ///
@@ -201,18 +189,11 @@ fn transfer_time(ip: &AcceleratorIp, cpu: &CpuModel, dma: DmaConfig, n: u64) -> 
 pub fn run_batch(
     ip: &AcceleratorIp,
     cpu: &CpuModel,
-    dma: DmaConfig,
     batch: &[Vec<f32>],
 ) -> Result<MultiBatchReport, SocError> {
     let batch = FeatureBatch::from_features(ip.input_dim(), batch)?;
     let mut report = MultiBatchReport::default();
-    run_batch_multi(
-        [(ip, &mut Default::default())],
-        cpu,
-        dma,
-        &batch,
-        &mut report,
-    )?;
+    run_batch_multi([(ip, &mut Default::default())], cpu, &batch, &mut report)?;
     Ok(report)
 }
 
@@ -234,9 +215,11 @@ pub struct MultiBatchReport {
 }
 
 /// Broadcasts one pre-packed batch to `ips` over a shared DMA stream:
-/// the descriptor setup and the stream are paid once (every IP taps the
-/// same packed buffer), and the transfer completes when the slowest
-/// model's pipeline drains.
+/// the dispatch, the descriptor setup ([`DMA_SETUP`]), the stream (at
+/// [`DMA_BANDWIDTH_BYTES_PER_S`]) and the completion interrupt
+/// ([`DMA_COMPLETION_IRQ`]) are paid once, since every IP taps the same
+/// packed buffer, and the transfer completes when the slowest model's
+/// pipeline drains.
 ///
 /// Each IP classifies through the kernel scratch and class memo paired
 /// with it, which the caller keeps from window to window. The result
@@ -253,7 +236,6 @@ pub struct MultiBatchReport {
 pub fn run_batch_multi<'i>(
     ips: impl IntoIterator<Item = (&'i AcceleratorIp, &'i mut (PackedScratch, ClassMemo))>,
     cpu: &CpuModel,
-    dma: DmaConfig,
     batch: &FeatureBatch,
     out: &mut MultiBatchReport,
 ) -> Result<(), SocError> {
@@ -267,7 +249,7 @@ pub fn run_batch_multi<'i>(
                 actual: batch.dim(),
             });
         }
-        total = total.max(transfer_time(ip, cpu, dma, n));
+        total = total.max(transfer_time(ip, cpu, n));
         if models == out.classes.len() {
             out.classes.push(Vec::with_capacity(batch.len()));
         }
@@ -307,8 +289,8 @@ mod tests {
     fn batch_amortises_dispatch() {
         let ip = ip();
         let cpu = CpuModel::zynqmp_a53_linux();
-        let one = run_batch(&ip, &cpu, DmaConfig::default(), &batch(1)).unwrap();
-        let many = run_batch(&ip, &cpu, DmaConfig::default(), &batch(256)).unwrap();
+        let one = run_batch(&ip, &cpu, &batch(1)).unwrap();
+        let many = run_batch(&ip, &cpu, &batch(256)).unwrap();
         assert!(many.per_frame < one.per_frame);
         // 256-frame batches push per-frame cost to the microsecond range.
         assert!(
@@ -323,7 +305,7 @@ mod tests {
         let ip = ip();
         let cpu = CpuModel::zynqmp_a53_linux();
         let frames = batch(16);
-        let report = run_batch(&ip, &cpu, DmaConfig::default(), &frames).unwrap();
+        let report = run_batch(&ip, &cpu, &frames).unwrap();
         assert_eq!(report.classes.len(), 1, "one row for the one IP");
         for (bits, &class) in frames.iter().zip(&report.classes[0]) {
             let x: Vec<u32> = bits.iter().map(|&v| u32::from(v >= 0.5)).collect();
@@ -339,7 +321,7 @@ mod tests {
         // exceed the single-message driver path.
         let ip = ip();
         let cpu = CpuModel::zynqmp_a53_linux();
-        let many = run_batch(&ip, &cpu, DmaConfig::default(), &batch(256)).unwrap();
+        let many = run_batch(&ip, &cpu, &batch(256)).unwrap();
         assert!(
             many.total > SimTime::from_micros(120),
             "batch verdict delay {}",
@@ -351,7 +333,7 @@ mod tests {
     fn input_validation() {
         let ip = ip();
         let cpu = CpuModel::zynqmp_a53_linux();
-        let err = run_batch(&ip, &cpu, DmaConfig::default(), &[vec![0.0; 10]]).unwrap_err();
+        let err = run_batch(&ip, &cpu, &[vec![0.0; 10]]).unwrap_err();
         assert!(matches!(err, SocError::InputDimension { .. }));
     }
 
@@ -371,19 +353,12 @@ mod tests {
         let fb = FeatureBatch::from_features(a.input_dim(), &frames).unwrap();
         let (mut buf_a, mut buf_b) = Default::default();
         let mut multi = MultiBatchReport::default();
-        run_batch_multi(
-            [(&a, &mut buf_a), (&b, &mut buf_b)],
-            &cpu,
-            DmaConfig::default(),
-            &fb,
-            &mut multi,
-        )
-        .unwrap();
+        run_batch_multi([(&a, &mut buf_a), (&b, &mut buf_b)], &cpu, &fb, &mut multi).unwrap();
         assert_eq!(multi.classes.len(), 2);
         assert_eq!(multi.flagged.len(), 16);
         // Per-model classes match a one-IP transfer of the same frames.
-        let only_a = run_batch(&a, &cpu, DmaConfig::default(), &frames).unwrap();
-        let only_b = run_batch(&b, &cpu, DmaConfig::default(), &frames).unwrap();
+        let only_a = run_batch(&a, &cpu, &frames).unwrap();
+        let only_b = run_batch(&b, &cpu, &frames).unwrap();
         assert_eq!(multi.classes[0], only_a.classes[0]);
         assert_eq!(multi.classes[1], only_b.classes[0]);
         for (f, &flag) in multi.flagged.iter().enumerate() {
@@ -398,7 +373,7 @@ mod tests {
         let cpu = CpuModel::zynqmp_a53_linux();
         let fb = FeatureBatch::from_features(75, &batch(4)).unwrap();
         assert!(matches!(
-            run_batch_multi([], &cpu, DmaConfig::default(), &fb, &mut Default::default()),
+            run_batch_multi([], &cpu, &fb, &mut Default::default()),
             Err(SocError::NoSuchAccelerator(0))
         ));
         let a = ip();
@@ -407,7 +382,6 @@ mod tests {
             run_batch_multi(
                 [(&a, &mut Default::default())],
                 &cpu,
-                DmaConfig::default(),
                 &wrong,
                 &mut Default::default()
             ),

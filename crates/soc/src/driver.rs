@@ -1,11 +1,13 @@
 //! The userspace accelerator driver (PYNQ-runtime equivalent).
 //!
 //! FINN deployments drive the stitched IP from Linux through `mmap`-ed
-//! AXI-Lite registers: pack inputs, write them, pulse start, poll the
-//! done bit, read the result. Each step costs software time from the
+//! AXI-Lite registers: pack inputs, write them, pulse start, wait for
+//! done, read the result. Each step costs software time from the
 //! [`CpuModel`]; the sum — dominated by the fixed runtime-dispatch
 //! overhead — is what the paper reports as the 0.12 ms per-message
-//! processing latency.
+//! processing latency. [`run_inference`] is that one call; its only
+//! fork is how it waits for done ([`Wait`]): the paper's status poll, or
+//! the accelerator's interrupt line.
 
 use canids_can::time::SimTime;
 use canids_dataflow::ip::RegisterMap;
@@ -26,7 +28,9 @@ pub struct InferenceBreakdown {
     pub dispatch: SimTime,
     /// Register reads and writes (input words, control, result).
     pub mmio: SimTime,
-    /// Time spent in the status-poll loop waiting for the datapath.
+    /// Time from the start pulse until done was confirmed: the
+    /// status-poll loop, or the compute, the interrupt entry and one
+    /// status read.
     pub compute_wait: SimTime,
 }
 
@@ -57,19 +61,65 @@ impl InferenceRecord {
     }
 }
 
+/// How a driver call learns that the datapath is done.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Completion {
+    /// Spin on the status register, one read per `poll_interval`: the
+    /// paper's per-message path.
+    Poll,
+    /// Block on the accelerator's done line through the interrupt
+    /// controller: the core sleeps through the compute but pays one
+    /// interrupt entry per call.
+    Interrupt,
+}
+
+/// How [`run_inference`] waits for done, with what the wait needs.
+#[derive(Debug)]
+pub enum Wait<'g> {
+    /// Spin on `STATUS.done` until it rises, within [`MAX_POLLS`].
+    Poll,
+    /// Sleep until `line` fires on `gic`: the datapath raises it
+    /// `compute` after the start pulse, and the CPU pays one interrupt
+    /// entry, the acknowledge and one status read.
+    Interrupt {
+        /// The controller the line is routed through.
+        gic: &'g mut InterruptController,
+        /// The accelerator's done line.
+        line: u32,
+        /// The datapath's compute latency.
+        compute: SimTime,
+    },
+}
+
 /// Runs one inference against the accelerator mapped at `base`,
-/// advancing `now` by every software and wait cost incurred.
+/// advancing `now` by every software and wait cost incurred: dispatch,
+/// the input-word writes, the start pulse, the wait for done, and the
+/// class read.
+///
+/// The wait is the only step that differs between the two completions.
+/// The poll loop trades `poll_interval`-grained spin reads for
+/// [`Wait::Interrupt`]'s single `irq_entry`, which frees the core while
+/// the datapath runs but costs more per verdict on a Linux-class
+/// interrupt path. An interrupt wait needs `line` enabled on the
+/// controller (the board unmasks it before its first interrupt call): a
+/// masked line never wakes the driver, so the call fails rather than
+/// spinning. It acknowledges only its own line; foreign pending lines
+/// are untouched (in hardware a higher-priority line would preempt
+/// first, but the model charges one interrupt entry either way).
 ///
 /// # Errors
 ///
 /// Propagates bus/peripheral errors; returns [`SocError::PollTimeout`]
-/// when the done bit never rises within [`MAX_POLLS`].
+/// when the done bit never rises within [`MAX_POLLS`], when the
+/// interrupt line is masked, or when the done bit is not set once the
+/// interrupt fires (a wedged datapath).
 pub fn run_inference(
     bus: &mut AxiInterconnect,
     cpu: &CpuModel,
     now: &mut SimTime,
     base: u64,
     input_words: &[u32],
+    wait: Wait<'_>,
 ) -> Result<InferenceRecord, SocError> {
     let started_at = *now;
     let mut mmio = SimTime::ZERO;
@@ -93,117 +143,41 @@ pub fn run_inference(
     mmio += cpu.mmio_write;
     bus.write(base + u64::from(RegisterMap::CTRL), CTRL_START, *now)?;
 
-    // Poll the done bit.
+    // Wait for done.
     let wait_start = *now;
-    let mut polls = 0usize;
-    loop {
-        *now += cpu.mmio_read;
-        let status = bus.read(base + u64::from(RegisterMap::STATUS), *now)?;
-        if status & STATUS_DONE != 0 {
-            break;
+    let status = base + u64::from(RegisterMap::STATUS);
+    match wait {
+        Wait::Poll => {
+            let mut polls = 0usize;
+            loop {
+                *now += cpu.mmio_read;
+                if bus.read(status, *now)? & STATUS_DONE != 0 {
+                    break;
+                }
+                polls += 1;
+                if polls > MAX_POLLS {
+                    return Err(SocError::PollTimeout);
+                }
+                *now += cpu.poll_interval;
+            }
         }
-        polls += 1;
-        if polls > MAX_POLLS {
-            return Err(SocError::PollTimeout);
+        Wait::Interrupt { gic, line, compute } => {
+            // The datapath completes and raises its done line; a masked
+            // line never wakes the blocked driver.
+            *now += compute;
+            gic.raise(line);
+            if !gic.is_enabled(line) {
+                return Err(SocError::PollTimeout);
+            }
+            // Interrupt entry, then acknowledge our line.
+            *now += cpu.irq_entry;
+            gic.ack(line);
+            // One status read confirms done (no spin).
+            *now += cpu.mmio_read;
+            if bus.read(status, *now)? & STATUS_DONE == 0 {
+                return Err(SocError::PollTimeout);
+            }
         }
-        *now += cpu.poll_interval;
-    }
-    let compute_wait = *now - wait_start;
-
-    // Read the class register.
-    *now += cpu.mmio_read;
-    mmio += cpu.mmio_read;
-    let class = bus.read(base + u64::from(RegisterMap::OUT_CLASS), *now)? as usize;
-
-    Ok(InferenceRecord {
-        class,
-        started_at,
-        completed_at: *now,
-        breakdown: InferenceBreakdown {
-            dispatch: cpu.runtime_dispatch,
-            mmio,
-            compute_wait,
-        },
-    })
-}
-
-/// Runs one inference with interrupt-driven completion instead of the
-/// status-poll loop: the datapath is started and the driver blocks; the
-/// done line is raised when the compute finishes (`compute_latency`
-/// after the start pulse, as the peripheral models it) and the CPU pays
-/// one interrupt entry plus the acknowledge before reading the result.
-///
-/// The caller must have enabled `irq_line` on the controller (board
-/// bring-up does this per accelerator, see
-/// `Zcu104Board::infer_packed_irq`) — a masked line means the wake-up
-/// never reaches the CPU and the call fails rather than spinning.
-/// Foreign pending lines are untouched: in hardware a higher-priority
-/// line would preempt first, but the model charges one interrupt entry
-/// either way.
-///
-/// Functionally identical to [`run_inference`] — only the completion
-/// timing differs: the poll loop trades `poll_interval`-grained MMIO spin
-/// reads for a single `irq_entry`, which frees the core while the
-/// datapath runs but costs more per verdict on a Linux-class interrupt
-/// path.
-///
-/// # Errors
-///
-/// Propagates bus/peripheral errors; returns [`SocError::PollTimeout`]
-/// when `irq_line` is masked, or when the done bit is not set once the
-/// interrupt fires (a wedged datapath).
-#[allow(clippy::too_many_arguments)] // mirrors the bare-driver call surface
-pub fn run_inference_irq(
-    bus: &mut AxiInterconnect,
-    cpu: &CpuModel,
-    gic: &mut InterruptController,
-    now: &mut SimTime,
-    base: u64,
-    irq_line: u32,
-    input_words: &[u32],
-    compute_latency: SimTime,
-) -> Result<InferenceRecord, SocError> {
-    let started_at = *now;
-    let mut mmio = SimTime::ZERO;
-
-    // Runtime dispatch: buffer checks, driver entry (the fixed PYNQ cost).
-    *now += cpu.runtime_dispatch;
-
-    // Write the packed input words.
-    for (i, &w) in input_words.iter().enumerate() {
-        *now += cpu.mmio_write;
-        mmio += cpu.mmio_write;
-        bus.write(
-            base + u64::from(RegisterMap::INPUT_BASE) + 4 * i as u64,
-            w,
-            *now,
-        )?;
-    }
-
-    // Pulse start; the datapath completes `compute_latency` later and
-    // raises the done line.
-    *now += cpu.mmio_write;
-    mmio += cpu.mmio_write;
-    bus.write(base + u64::from(RegisterMap::CTRL), CTRL_START, *now)?;
-    let wait_start = *now;
-
-    // The datapath completes and raises its done line; a masked line
-    // never wakes the blocked driver.
-    *now += compute_latency;
-    gic.raise(irq_line);
-    if !gic.is_enabled(irq_line) {
-        return Err(SocError::PollTimeout);
-    }
-    // Interrupt entry, then acknowledge our line (foreign pending lines
-    // stay pending for their own handlers).
-    *now += cpu.irq_entry;
-    gic.ack(irq_line);
-
-    // One status read confirms done (no spin).
-    *now += cpu.mmio_read;
-    let status = bus.read(base + u64::from(RegisterMap::STATUS), *now)?;
-    if status & STATUS_DONE == 0 {
-        return Err(SocError::PollTimeout);
     }
     let compute_wait = *now - wait_start;
 
@@ -228,6 +202,7 @@ pub fn run_inference_irq(
 mod tests {
     use super::*;
     use crate::accel::{pack_features, AccelPeripheral};
+    use crate::interrupt::{IRQ_ACCEL0, IRQ_CAN0};
     use canids_dataflow::ip::{AcceleratorIp, CompileConfig};
     use canids_qnn::prelude::*;
 
@@ -247,7 +222,7 @@ mod tests {
         let cpu = CpuModel::zynqmp_a53_linux();
         let mut now = SimTime::ZERO;
         let words = pack_features(&[1.0f32; 75]);
-        let rec = run_inference(&mut bus, &cpu, &mut now, base, &words).unwrap();
+        let rec = run_inference(&mut bus, &cpu, &mut now, base, &words, Wait::Poll).unwrap();
         let ms = rec.latency().as_millis_f64();
         assert!(
             (0.09..0.13).contains(&ms),
@@ -266,7 +241,7 @@ mod tests {
                 .map(|i| f32::from((seed.wrapping_mul(i as u64 + 13) >> 2) & 1 == 1))
                 .collect();
             let words = pack_features(&bits);
-            let rec = run_inference(&mut bus, &cpu, &mut now, base, &words).unwrap();
+            let rec = run_inference(&mut bus, &cpu, &mut now, base, &words, Wait::Poll).unwrap();
             let x: Vec<u32> = bits.iter().map(|&b| u32::from(b >= 0.5)).collect();
             assert_eq!(rec.class, ip.infer(&x).0, "seed {seed}");
         }
@@ -278,7 +253,7 @@ mod tests {
         let cpu = CpuModel::zynqmp_a53_linux();
         let mut now = SimTime::ZERO;
         let words = pack_features(&[0.0f32; 75]);
-        let rec = run_inference(&mut bus, &cpu, &mut now, base, &words).unwrap();
+        let rec = run_inference(&mut bus, &cpu, &mut now, base, &words, Wait::Poll).unwrap();
         assert!(rec.breakdown.dispatch > rec.breakdown.mmio);
         assert!(rec.breakdown.dispatch > rec.breakdown.compute_wait);
         assert!(rec.breakdown.compute_wait > SimTime::ZERO);
@@ -295,6 +270,7 @@ mod tests {
             &mut now,
             base,
             &words,
+            Wait::Poll,
         )
         .unwrap();
         let bm = run_inference(
@@ -303,6 +279,7 @@ mod tests {
             &mut now,
             base,
             &words,
+            Wait::Poll,
         )
         .unwrap();
         assert!(bm.latency().as_nanos() * 5 < linux.latency().as_nanos());
@@ -313,7 +290,7 @@ mod tests {
         let (mut bus, base, ip) = setup();
         let cpu = CpuModel::zynqmp_a53_linux();
         let mut gic = InterruptController::new();
-        gic.set_enabled(crate::interrupt::accel_irq_line(0), true);
+        gic.set_enabled(IRQ_ACCEL0, true);
         let latency = SimTime::from_secs_f64(ip.latency_secs());
         let mut now = SimTime::ZERO;
         for seed in 0u64..8 {
@@ -321,17 +298,12 @@ mod tests {
                 .map(|i| f32::from((seed.wrapping_mul(i as u64 + 29) >> 1) & 1 == 1))
                 .collect();
             let words = pack_features(&bits);
-            let rec = run_inference_irq(
-                &mut bus,
-                &cpu,
-                &mut gic,
-                &mut now,
-                base,
-                crate::interrupt::accel_irq_line(0),
-                &words,
-                latency,
-            )
-            .unwrap();
+            let wait = Wait::Interrupt {
+                gic: &mut gic,
+                line: IRQ_ACCEL0,
+                compute: latency,
+            };
+            let rec = run_inference(&mut bus, &cpu, &mut now, base, &words, wait).unwrap();
             let x: Vec<u32> = bits.iter().map(|&b| u32::from(b >= 0.5)).collect();
             assert_eq!(rec.class, ip.infer(&x).0, "seed {seed}");
             assert_eq!(rec.latency(), rec.breakdown.total());
@@ -342,32 +314,27 @@ mod tests {
 
     #[test]
     fn irq_path_ignores_unrelated_pending_interrupts() {
-        // Regression: a pending foreign line (e.g. CAN0 RX, enabled by
-        // default on the board) used to win the claim and abort the
-        // inference as a fake PollTimeout, leaving both lines stale.
+        // Regression: a pending foreign line (here CAN0 RX) used to win
+        // the claim and abort the inference as a fake PollTimeout,
+        // leaving both lines stale.
         let (mut bus, base, ip) = setup();
         let cpu = CpuModel::zynqmp_a53_linux();
         let mut gic = InterruptController::new();
-        gic.set_enabled(crate::interrupt::accel_irq_line(0), true);
-        gic.set_enabled(crate::interrupt::IRQ_CAN0, true);
-        gic.raise(crate::interrupt::IRQ_CAN0);
+        gic.set_enabled(IRQ_ACCEL0, true);
+        gic.set_enabled(IRQ_CAN0, true);
+        gic.raise(IRQ_CAN0);
         let words = pack_features(&[1.0f32; 75]);
         let mut now = SimTime::ZERO;
-        let rec = run_inference_irq(
-            &mut bus,
-            &cpu,
-            &mut gic,
-            &mut now,
-            base,
-            crate::interrupt::accel_irq_line(0),
-            &words,
-            SimTime::from_secs_f64(ip.latency_secs()),
-        )
-        .unwrap();
+        let wait = Wait::Interrupt {
+            gic: &mut gic,
+            line: IRQ_ACCEL0,
+            compute: SimTime::from_secs_f64(ip.latency_secs()),
+        };
+        let rec = run_inference(&mut bus, &cpu, &mut now, base, &words, wait).unwrap();
         assert_eq!(rec.class, ip.infer(&[1u32; 75]).0);
         // The foreign line is untouched, ours is acknowledged.
-        assert!(gic.is_pending(crate::interrupt::IRQ_CAN0));
-        assert!(!gic.is_pending(crate::interrupt::accel_irq_line(0)));
+        assert!(gic.is_pending(IRQ_CAN0));
+        assert!(!gic.is_pending(IRQ_ACCEL0));
     }
 
     #[test]
@@ -377,21 +344,16 @@ mod tests {
         let mut gic = InterruptController::new();
         let words = pack_features(&[0.0f32; 75]);
         let mut now = SimTime::ZERO;
-        let err = run_inference_irq(
-            &mut bus,
-            &cpu,
-            &mut gic,
-            &mut now,
-            base,
-            crate::interrupt::accel_irq_line(0),
-            &words,
-            SimTime::from_secs_f64(ip.latency_secs()),
-        )
-        .unwrap_err();
+        let wait = Wait::Interrupt {
+            gic: &mut gic,
+            line: IRQ_ACCEL0,
+            compute: SimTime::from_secs_f64(ip.latency_secs()),
+        };
+        let err = run_inference(&mut bus, &cpu, &mut now, base, &words, wait).unwrap_err();
         assert_eq!(err, SocError::PollTimeout);
         // The completion is latched pending for whenever the line is
         // unmasked.
-        assert!(gic.is_pending(crate::interrupt::accel_irq_line(0)));
+        assert!(gic.is_pending(IRQ_ACCEL0));
     }
 
     #[test]
@@ -403,20 +365,15 @@ mod tests {
         let cpu = CpuModel::zynqmp_a53_linux();
         let words = pack_features(&[1.0f32; 75]);
         let mut now = SimTime::ZERO;
-        let polled = run_inference(&mut bus, &cpu, &mut now, base, &words).unwrap();
+        let polled = run_inference(&mut bus, &cpu, &mut now, base, &words, Wait::Poll).unwrap();
         let mut gic = InterruptController::new();
-        gic.set_enabled(crate::interrupt::accel_irq_line(0), true);
-        let irq = run_inference_irq(
-            &mut bus,
-            &cpu,
-            &mut gic,
-            &mut now,
-            base,
-            crate::interrupt::accel_irq_line(0),
-            &words,
-            SimTime::from_secs_f64(ip.latency_secs()),
-        )
-        .unwrap();
+        gic.set_enabled(IRQ_ACCEL0, true);
+        let wait = Wait::Interrupt {
+            gic: &mut gic,
+            line: IRQ_ACCEL0,
+            compute: SimTime::from_secs_f64(ip.latency_secs()),
+        };
+        let irq = run_inference(&mut bus, &cpu, &mut now, base, &words, wait).unwrap();
         assert!(irq.latency() > polled.latency());
         assert_eq!(irq.class, polled.class);
     }
@@ -427,8 +384,8 @@ mod tests {
         let cpu = CpuModel::zynqmp_a53_linux();
         let mut now = SimTime::ZERO;
         let words = pack_features(&[0.0f32; 75]);
-        let a = run_inference(&mut bus, &cpu, &mut now, base, &words).unwrap();
-        let b = run_inference(&mut bus, &cpu, &mut now, base, &words).unwrap();
+        let a = run_inference(&mut bus, &cpu, &mut now, base, &words, Wait::Poll).unwrap();
+        let b = run_inference(&mut bus, &cpu, &mut now, base, &words, Wait::Poll).unwrap();
         assert!(b.started_at >= a.completed_at);
     }
 }

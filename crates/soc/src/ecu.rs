@@ -15,7 +15,8 @@ use canids_qnn::kernel::{ClassMemo, MemoCounts, PackedScratch};
 
 use crate::accel::pack_features_into;
 use crate::board::{BoardConfig, Zcu104Board};
-use crate::dma::{run_batch_multi, DmaConfig, FeatureBatch, MultiBatchReport};
+use crate::dma::{run_batch_multi, FeatureBatch, MultiBatchReport};
+use crate::driver::Completion;
 use crate::error::SocError;
 
 /// Maps a CAN frame to the accelerator's input features.
@@ -60,7 +61,8 @@ where
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// One driver context consults every model back to back: the verdict
-    /// pays the full per-call software path once *per model*.
+    /// pays the full per-call software path once *per model*, with no
+    /// arbitration margin.
     Sequential,
     /// Models spread round-robin over the A53 cores; the verdict waits
     /// for the slowest core plus the AXI arbitration penalty (the
@@ -95,35 +97,34 @@ impl SchedPolicy {
     }
 }
 
-/// ECU runtime configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// AXI arbitration penalty per additional concurrent model, as a
+/// fraction of the base service time: a verdict served by `k` models
+/// under [`SchedPolicy::RoundRobin`], [`SchedPolicy::InterruptPerFrame`]
+/// or [`SchedPolicy::DmaBatch`] takes `1 + MULTI_MODEL_OVERHEAD · (k − 1)`
+/// times the slowest core's (or transfer's) time.
+pub const MULTI_MODEL_OVERHEAD: f64 = 0.05;
+
+/// ECU runtime configuration: the software FIFO's depth and the
+/// scheduling policy.
+///
+/// Everything else about the ECU's timing is fixed: the board's
+/// [`CpuModel`](crate::cpu::CpuModel), the arbitration margin
+/// [`MULTI_MODEL_OVERHEAD`], and under [`SchedPolicy::DmaBatch`] the DMA
+/// engine constants of [`crate::dma`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EcuConfig {
     /// Software FIFO depth between the RX path and the IDS service loop.
     pub queue_depth: usize,
-    /// AXI arbitration penalty per additional concurrent model (fraction
-    /// of the base service time).
-    pub multi_model_overhead: f64,
     /// How models are scheduled over the fabric.
     pub policy: SchedPolicy,
-    /// DMA engine parameters (used by [`SchedPolicy::DmaBatch`]).
-    pub dma: DmaConfig,
 }
 
 impl Default for EcuConfig {
     fn default() -> Self {
         EcuConfig {
             queue_depth: 64,
-            multi_model_overhead: 0.05,
             policy: SchedPolicy::default(),
-            dma: DmaConfig::default(),
         }
-    }
-}
-
-impl EcuConfig {
-    /// Validated overhead fraction.
-    fn overhead(&self) -> f64 {
-        self.multi_model_overhead.clamp(0.0, 1.0)
     }
 }
 
@@ -333,7 +334,6 @@ impl IdsEcu {
     /// session, so the two serving modes are equivalent by construction.
     pub fn stream(&mut self) -> EcuStream<'_> {
         let rx_cost = self.board.cpu().rx_path();
-        let overhead = self.config.overhead();
         let queue = ServiceQueue::new(self.config.queue_depth);
         let active = vec![true; self.models.len()];
         let kernels = vec![Default::default(); self.models.len()];
@@ -341,7 +341,6 @@ impl IdsEcu {
         EcuStream {
             ecu: self,
             rx_cost,
-            overhead,
             active,
             verdicts: VerdictLog::default(),
             queue,
@@ -419,7 +418,6 @@ impl IdsEcu {
 pub struct EcuStream<'a> {
     ecu: &'a mut IdsEcu,
     rx_cost: SimTime,
-    overhead: f64,
     /// Per-model serving mask, index-aligned with the ECU's `models`.
     /// Detached (shed or migrated-away) models keep their IP attached but
     /// are skipped by the service loop — the graceful-degradation lever
@@ -432,8 +430,8 @@ pub struct EcuStream<'a> {
     first_arrival: Option<SimTime>,
     /// The current frame's packed input words, reused frame to frame.
     words: Vec<u32>,
-    /// Per-core busy time of the current frame, zeroed per frame
-    /// ([`SchedPolicy::RoundRobin`] and [`SchedPolicy::InterruptPerFrame`]).
+    /// Per-core busy time of the current frame, zeroed per frame (every
+    /// policy but [`SchedPolicy::DmaBatch`]).
     core_time: Vec<SimTime>,
     /// Frames packed once and awaiting the next DMA transfer
     /// ([`SchedPolicy::DmaBatch`] only).
@@ -606,94 +604,47 @@ impl EcuStream<'_> {
         self.words.clear();
         let dim = featurizer.featurize_packed(&frame, &mut self.words);
 
-        if let SchedPolicy::DmaBatch { batch } = self.ecu.config.policy {
-            if self.batch_buf.is_empty() && self.batch_buf.dim() != dim {
-                self.batch_buf = FeatureBatch::new(dim);
+        // A DMA window defers the frame. Every other policy is one loop:
+        // the active models spread round-robin over `cores` driver
+        // contexts, each running its share back to back, and the verdict
+        // waits for the slowest context times the arbitration `margin`.
+        let cores = self.ecu.board.cpu().cores.max(1);
+        let (cores, margin, completion) = match self.ecu.config.policy {
+            SchedPolicy::DmaBatch { batch } => {
+                return self.buffer_for_window(arrival, frame, dim, batch)
             }
-            self.batch_buf.push_packed(dim, &self.words)?;
-            self.batch_meta.push((arrival, frame));
-            self.busy += self.rx_cost;
-            // The window cannot exceed the FIFO: unflushed batch frames
-            // occupy FIFO slots, so a window larger than `queue_depth`
-            // would stall at the admission check and never fill.
-            let window = batch.max(1).min(self.ecu.config.queue_depth.max(1));
-            if self.batch_meta.len() >= window {
-                self.flush_batch()?;
-                return Ok(self.verdicts.pending.last().copied());
-            }
-            return Ok(None);
-        }
-
-        let words = &self.words;
-        let ready = arrival + self.rx_cost;
-        let start = self.queue.start_time(ready);
-        let multi_factor = self.multi_factor();
-
-        let mut model_flags = 0u64;
-        let (flagged, service) = match self.ecu.config.policy {
-            SchedPolicy::Sequential => {
-                // One driver context walks the active models back to back;
-                // the verdict pays the full software path once per model.
-                self.ecu.board.set_now(start);
-                let mut flagged = false;
-                for (k, (&idx, _)) in self
-                    .ecu
-                    .models
-                    .iter()
-                    .zip(&self.active)
-                    .enumerate()
-                    .filter(|&(_, (_, &a))| a)
-                {
-                    let rec = self.ecu.board.infer_packed(idx, words)?;
-                    if rec.class != 0 {
-                        flagged = true;
-                        if k < 64 {
-                            model_flags |= 1 << k;
-                        }
-                    }
-                }
-                (flagged, self.ecu.board.now().saturating_sub(start))
-            }
-            SchedPolicy::RoundRobin | SchedPolicy::InterruptPerFrame => {
-                // Active models spread round-robin over the A53 cores;
-                // each core runs its share back to back and the verdict
-                // waits for the slowest core plus the AXI-arbitration
-                // penalty.
-                let irq = self.ecu.config.policy == SchedPolicy::InterruptPerFrame;
-                let cores = self.ecu.board.cpu().cores.max(1);
-                let core_time = &mut self.core_time;
-                core_time.clear();
-                core_time.resize(cores, SimTime::ZERO);
-                let mut flagged = false;
-                let active = self
-                    .ecu
-                    .models
-                    .iter()
-                    .zip(&self.active)
-                    .enumerate()
-                    .filter(|&(_, (_, &a))| a)
-                    .map(|(k, (&idx, _))| (k, idx));
-                for (i, (k, idx)) in active.enumerate() {
-                    self.ecu.board.set_now(start);
-                    let rec = if irq {
-                        self.ecu.board.infer_packed_irq(idx, words)?
-                    } else {
-                        self.ecu.board.infer_packed(idx, words)?
-                    };
-                    if rec.class != 0 {
-                        flagged = true;
-                        if k < 64 {
-                            model_flags |= 1 << k;
-                        }
-                    }
-                    core_time[i % cores] += rec.latency();
-                }
-                let slowest = core_time.iter().copied().max().unwrap_or(SimTime::ZERO);
-                let service = SimTime::from_secs_f64(slowest.as_secs_f64() * multi_factor);
-                (flagged, service)
-            }
-            SchedPolicy::DmaBatch { .. } => unreachable!("handled above"),
+            SchedPolicy::Sequential => (1, 1.0, Completion::Poll),
+            SchedPolicy::RoundRobin => (cores, self.multi_factor(), Completion::Poll),
+            SchedPolicy::InterruptPerFrame => (cores, self.multi_factor(), Completion::Interrupt),
         };
+        let start = self.queue.start_time(arrival + self.rx_cost);
+        let core_time = &mut self.core_time;
+        core_time.clear();
+        core_time.resize(cores, SimTime::ZERO);
+        let mut flagged = false;
+        let mut model_flags = 0u64;
+        let active = self
+            .ecu
+            .models
+            .iter()
+            .zip(&self.active)
+            .enumerate()
+            .filter(|&(_, (_, &a))| a)
+            .map(|(k, (&idx, _))| (k, idx));
+        for (i, (k, idx)) in active.enumerate() {
+            let core = &mut core_time[i % cores];
+            self.ecu.board.set_now(start + *core);
+            let rec = self.ecu.board.infer_packed(idx, &self.words, completion)?;
+            if rec.class != 0 {
+                flagged = true;
+                if k < 64 {
+                    model_flags |= 1 << k;
+                }
+            }
+            *core += rec.latency();
+        }
+        let slowest = core_time.iter().copied().max().unwrap_or(SimTime::ZERO);
+        let service = SimTime::from_secs_f64(slowest.as_secs_f64() * margin);
 
         let completed_at = self.queue.serve(start, service);
         self.busy += service + self.rx_cost;
@@ -716,6 +667,33 @@ impl EcuStream<'_> {
         };
         self.verdicts.book(detection);
         Ok(Some(detection))
+    }
+
+    /// Buffers one packed frame for the next DMA window and flushes the
+    /// window once it holds `batch` frames; returns the window's last
+    /// verdict on a flush.
+    fn buffer_for_window(
+        &mut self,
+        arrival: SimTime,
+        frame: CanFrame,
+        dim: usize,
+        batch: usize,
+    ) -> Result<Option<Detection>, SocError> {
+        if self.batch_buf.is_empty() && self.batch_buf.dim() != dim {
+            self.batch_buf = FeatureBatch::new(dim);
+        }
+        self.batch_buf.push_packed(dim, &self.words)?;
+        self.batch_meta.push((arrival, frame));
+        self.busy += self.rx_cost;
+        // The window cannot exceed the FIFO: unflushed batch frames
+        // occupy FIFO slots, so a window larger than `queue_depth`
+        // would stall at the admission check and never fill.
+        let window = batch.max(1).min(self.ecu.config.queue_depth.max(1));
+        if self.batch_meta.len() < window {
+            return Ok(None);
+        }
+        self.flush_batch()?;
+        Ok(self.verdicts.pending.last().copied())
     }
 
     /// Runs the pending DMA batch through every active model as one
@@ -744,13 +722,7 @@ impl EcuStream<'_> {
                 .zip(&mut self.kernels)
                 .filter(|&((_, &a), _)| a)
                 .filter_map(|((&idx, _), buffers)| Some((ecu.board.accelerator(idx)?, buffers)));
-            run_batch_multi(
-                ips,
-                ecu.board.cpu(),
-                ecu.config.dma,
-                &self.batch_buf,
-                window,
-            )?;
+            run_batch_multi(ips, ecu.board.cpu(), &self.batch_buf, window)?;
         } else {
             // With every model detached the window still drains (frames
             // pay only the RX path and are never flagged).
@@ -813,7 +785,7 @@ impl EcuStream<'_> {
     /// AXI arbitration margin for the currently active model count.
     fn multi_factor(&self) -> f64 {
         let k = self.active.iter().filter(|&&a| a).count().max(1);
-        1.0 + self.overhead * (k as f64 - 1.0)
+        1.0 + MULTI_MODEL_OVERHEAD * (k as f64 - 1.0)
     }
 
     /// Enables or disables model `i` (index into the ECU's model list)
@@ -963,17 +935,19 @@ mod tests {
     use canids_dataflow::ip::{AcceleratorIp, CompileConfig};
     use canids_qnn::prelude::*;
 
+    /// A seeded default-topology detector.
+    fn detector(seed: u64) -> AcceleratorIp {
+        let mlp = QuantMlp::new(MlpConfig {
+            seed,
+            ..MlpConfig::default()
+        })
+        .unwrap();
+        AcceleratorIp::compile(&mlp.export().unwrap(), CompileConfig::default()).unwrap()
+    }
+
     /// An ECU with `n` seeded default-topology detectors attached.
     fn ecu_with(n: usize, config: EcuConfig) -> IdsEcu {
-        let ips = (0..n).map(|i| {
-            let mlp = QuantMlp::new(MlpConfig {
-                seed: 42 + i as u64,
-                ..MlpConfig::default()
-            })
-            .unwrap();
-            AcceleratorIp::compile(&mlp.export().unwrap(), CompileConfig::default()).unwrap()
-        });
-        IdsEcu::with_ips(ips, config).unwrap()
+        IdsEcu::with_ips((0..n).map(|i| detector(42 + i as u64)), config).unwrap()
     }
 
     fn frames(n: usize, period_us: u64) -> Vec<(SimTime, CanFrame)> {
@@ -1356,7 +1330,6 @@ mod tests {
             EcuConfig {
                 queue_depth: 8,
                 policy: SchedPolicy::DmaBatch { batch: 1000 },
-                ..EcuConfig::default()
             },
         );
         let report = ecu.process_capture(&frames(40, 1_000), &zero_feat).unwrap();
@@ -1401,6 +1374,30 @@ mod tests {
         let delta =
             irq_report.mean_latency.as_micros_f64() - poll_report.mean_latency.as_micros_f64();
         assert!((2.0..20.0).contains(&delta), "irq delta {delta} us");
+    }
+
+    #[test]
+    fn interrupt_policy_refuses_an_accelerator_past_the_irq_fabric() {
+        // The fabric routes done lines to the first 135 accelerators
+        // only. The 136th attaches and serves polled calls, but an
+        // interrupt-driven call on it is a typed error, not a panic.
+        let ip = detector(42);
+        let config = EcuConfig {
+            policy: SchedPolicy::InterruptPerFrame,
+            ..EcuConfig::default()
+        };
+        let mut ecu = IdsEcu::with_ips(vec![ip; 136], config).unwrap();
+        let f = frames(2, 1_000);
+        let mut session = ecu.stream();
+        assert_eq!(
+            session.push(f[0].0, f[0].1, &zero_feat).unwrap_err(),
+            SocError::NoIrqLine(135)
+        );
+        drop(session);
+        ecu.set_policy(SchedPolicy::RoundRobin);
+        let report = ecu.process_capture(&f[1..], &zero_feat).unwrap();
+        assert_eq!(report.detections.len(), 1);
+        assert_eq!(report.detections[0].active_mask, u64::MAX);
     }
 
     #[test]
@@ -1638,7 +1635,7 @@ mod tests {
                 .iter()
                 .zip(buffers.iter_mut())
                 .map(|(&k, b)| (&ips[k], b));
-            run_batch_multi(ips_in, &cpu, config.dma, &batch, &mut reference).unwrap();
+            run_batch_multi(ips_in, &cpu, &batch, &mut reference).unwrap();
             let mask = active.iter().fold(0u64, |m, &k| m | 1 << k);
             for (j, d) in detections.iter().enumerate() {
                 let flags = active

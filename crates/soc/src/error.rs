@@ -24,6 +24,9 @@ pub enum SocError {
     },
     /// An accelerator index that was never attached.
     NoSuchAccelerator(usize),
+    /// An interrupt-driven call on an accelerator past the last line of
+    /// the interrupt fabric (see [`crate::interrupt::accel_irq_line`]).
+    NoIrqLine(usize),
     /// Started an inference while the IP was still busy.
     DeviceBusy,
     /// The feature vector length does not match the IP input width.
@@ -48,6 +51,7 @@ impl fmt::Display for SocError {
                 write!(f, "access violation at {addr:#x}: {reason}")
             }
             SocError::NoSuchAccelerator(i) => write!(f, "accelerator {i} not attached"),
+            SocError::NoIrqLine(i) => write!(f, "accelerator {i} has no interrupt line"),
             SocError::DeviceBusy => write!(f, "accelerator busy"),
             SocError::InputDimension { expected, actual } => {
                 write!(f, "input has {actual} features, IP expects {expected}")

@@ -1,10 +1,10 @@
 //! A GIC-style interrupt controller model.
 //!
-//! Only the facilities the ECU path needs: level interrupt lines (CAN RX,
-//! accelerator done), per-line enables, and a claim/ack cycle. The
-//! controller models 256 SPI lines — enough for the CAN controller plus a
-//! full multi-model PL deployment with one completion line per
-//! accelerator (see [`accel_irq_line`]).
+//! Only the facilities the ECU path needs: level interrupt lines (the
+//! accelerators' done lines), per-line enables, and a claim/ack cycle.
+//! The controller models 256 SPI lines; the PL-to-PS fabric routes one
+//! completion line per accelerator from line 121 on, so the first 135
+//! accelerators have one (see [`accel_irq_line`]).
 
 /// Interrupt line assigned to CAN0 RX (mirrors the ZynqMP GIC SPI).
 pub const IRQ_CAN0: u32 = 55;
@@ -15,15 +15,12 @@ pub const IRQ_LINES: u32 = 256;
 
 /// The completion-interrupt line of PL accelerator `idx` (consecutive
 /// SPIs starting at [`IRQ_ACCEL0`], as the PL-to-PS interrupt fabric
-/// routes them).
-///
-/// # Panics
-///
-/// Panics when the line would exceed the controller's range.
-pub fn accel_irq_line(idx: usize) -> u32 {
-    let line = IRQ_ACCEL0 + idx as u32;
-    assert!(line < IRQ_LINES, "accelerator {idx} exceeds IRQ fabric");
-    line
+/// routes them), or `None` past the controller's last line.
+pub fn accel_irq_line(idx: usize) -> Option<u32> {
+    u32::try_from(idx)
+        .ok()
+        .and_then(|idx| IRQ_ACCEL0.checked_add(idx))
+        .filter(|&line| line < IRQ_LINES)
 }
 
 /// A simple 256-line interrupt controller.
@@ -148,7 +145,7 @@ mod tests {
         // An 8-detector deployment uses accelerator lines 121..=128; line
         // 128 crosses into the second word.
         let mut gic = InterruptController::new();
-        let line = accel_irq_line(7);
+        let line = accel_irq_line(7).unwrap();
         assert_eq!(line, 128);
         gic.set_enabled(line, true);
         gic.raise(line);
@@ -160,8 +157,12 @@ mod tests {
 
     #[test]
     fn accel_lines_are_consecutive() {
-        assert_eq!(accel_irq_line(0), IRQ_ACCEL0);
-        assert_eq!(accel_irq_line(3), IRQ_ACCEL0 + 3);
+        assert_eq!(accel_irq_line(0), Some(IRQ_ACCEL0));
+        assert_eq!(accel_irq_line(3), Some(IRQ_ACCEL0 + 3));
+        // ... up to the controller's last line.
+        assert_eq!(accel_irq_line(134), Some(IRQ_LINES - 1));
+        assert_eq!(accel_irq_line(135), None);
+        assert_eq!(accel_irq_line(usize::MAX), None);
     }
 
     #[test]

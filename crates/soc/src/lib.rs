@@ -9,11 +9,12 @@
 //! * [`cpu`] — the Cortex-A53 + Linux (PYNQ) software cost model that
 //!   dominates the end-to-end 0.12 ms per-message latency,
 //! * [`accel`] — the FINN-style IP as an MMIO peripheral,
-//! * [`cancontroller`] — a CANPS-style CAN controller peripheral,
 //! * [`interrupt`] — a GIC-lite interrupt controller,
-//! * [`driver`] — the PYNQ-like userspace inference driver,
-//! * [`power_rails`] — PMBus-style rail measurement and energy
-//!   integration (the paper's 2.09 W / 0.25 mJ methodology),
+//! * [`driver`] — the PYNQ-like userspace inference driver: one call,
+//!   polled or interrupt-driven,
+//! * [`dma`] — DMA batch transfers broadcast to several IPs,
+//! * [`power_rails`] — the PMBus-style rail model behind the paper's
+//!   2.09 W / 0.25 mJ figures,
 //! * [`board`] — the assembled ZCU104,
 //! * [`ecu`] — the integrated IDS ECU service loop of Fig. 1.
 //!
@@ -38,7 +39,6 @@
 pub mod accel;
 pub mod axi;
 pub mod board;
-pub mod cancontroller;
 pub mod cpu;
 pub mod dma;
 pub mod driver;
@@ -50,29 +50,31 @@ pub mod power_rails;
 pub use accel::{pack_features, AccelPeripheral};
 pub use axi::{AxiInterconnect, MmioDevice};
 pub use board::{BoardConfig, Zcu104Board, ACCEL_BASE, ACCEL_STRIDE};
-pub use cancontroller::CanPeripheral;
 pub use cpu::CpuModel;
-pub use dma::{run_batch, run_batch_multi, DmaConfig, FeatureBatch, MultiBatchReport};
-pub use driver::{run_inference, run_inference_irq, InferenceBreakdown, InferenceRecord};
+pub use dma::{
+    run_batch, run_batch_multi, FeatureBatch, MultiBatchReport, DMA_BANDWIDTH_BYTES_PER_S,
+    DMA_COMPLETION_IRQ, DMA_SETUP,
+};
+pub use driver::{run_inference, Completion, InferenceBreakdown, InferenceRecord, Wait};
 pub use ecu::{
     Detection, EcuConfig, EcuReport, EcuStream, FrameFeaturizer, IdsEcu, SchedPolicy, ServiceQueue,
     StageSample,
 };
 pub use error::SocError;
 pub use interrupt::{accel_irq_line, InterruptController};
-pub use power_rails::{BoardPowerModel, PowerMonitor, Rail};
+pub use power_rails::{BoardPowerModel, Rail};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::accel::pack_features;
     pub use crate::board::{BoardConfig, Zcu104Board};
     pub use crate::cpu::CpuModel;
-    pub use crate::dma::{DmaConfig, FeatureBatch};
-    pub use crate::driver::{InferenceBreakdown, InferenceRecord};
+    pub use crate::dma::FeatureBatch;
+    pub use crate::driver::{Completion, InferenceBreakdown, InferenceRecord};
     pub use crate::ecu::{
         Detection, EcuConfig, EcuReport, EcuStream, FrameFeaturizer, IdsEcu, SchedPolicy,
         ServiceQueue, StageSample,
     };
     pub use crate::error::SocError;
-    pub use crate::power_rails::{BoardPowerModel, PowerMonitor};
+    pub use crate::power_rails::BoardPowerModel;
 }

@@ -3,11 +3,12 @@
 //! The paper measures 2.09 W "directly from the device's power rails
 //! (using the PYNQ-PMBus package) while performing inference and other
 //! tasks on the ECU (with Linux OS)", giving 0.25 mJ per inference at the
-//! 0.12 ms per-message latency. This module reproduces that measurement
-//! path: per-rail power contributions (PS logic, PS DDR, PL) summed by a
-//! sampling monitor that integrates energy over simulated time.
+//! 0.12 ms per-message latency. This module is that rail model: per-rail
+//! power contributions (PS logic, PS DDR, PL) summed at an activity
+//! factor. An ECU report's power is the model at the session's busy
+//! fraction ([`BoardPowerModel::total_w`]), and its energy per message is
+//! that power times the mean verdict latency.
 
-use canids_can::time::SimTime;
 use canids_dataflow::power::PowerEstimate;
 use canids_qnn::tensor::pinned_sum_f64;
 use serde::{Deserialize, Serialize};
@@ -87,54 +88,6 @@ impl BoardPowerModel {
     }
 }
 
-/// A sampled power trace with trapezoidal energy integration.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PowerMonitor {
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl PowerMonitor {
-    /// Creates an empty monitor.
-    pub fn new() -> Self {
-        PowerMonitor::default()
-    }
-
-    /// Records a power sample at `t` (samples must be time-ordered).
-    pub fn sample(&mut self, t: SimTime, watts: f64) {
-        debug_assert!(
-            self.samples.last().is_none_or(|&(lt, _)| lt <= t),
-            "samples must be time-ordered"
-        );
-        self.samples.push((t, watts));
-    }
-
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean power over the trace.
-    pub fn mean_w(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        pinned_sum_f64(self.samples.iter().map(|&(_, w)| w)) / self.samples.len() as f64
-    }
-
-    /// Trapezoidal energy integral over the trace, in joules.
-    pub fn energy_j(&self) -> f64 {
-        pinned_sum_f64(self.samples.windows(2).map(|pair| {
-            let dt = (pair[1].0 - pair[0].0).as_secs_f64();
-            0.5 * (pair[0].1 + pair[1].1) * dt
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,32 +130,5 @@ mod tests {
         };
         assert_eq!(r.power_w(-1.0), 1.0);
         assert_eq!(r.power_w(2.0), 1.5);
-    }
-
-    #[test]
-    fn monitor_integrates_constant_power() {
-        let mut m = PowerMonitor::new();
-        m.sample(SimTime::ZERO, 2.0);
-        m.sample(SimTime::from_secs(1), 2.0);
-        m.sample(SimTime::from_secs(2), 2.0);
-        assert!((m.energy_j() - 4.0).abs() < 1e-12);
-        assert!((m.mean_w() - 2.0).abs() < 1e-12);
-        assert_eq!(m.len(), 3);
-    }
-
-    #[test]
-    fn monitor_trapezoid_on_ramp() {
-        let mut m = PowerMonitor::new();
-        m.sample(SimTime::ZERO, 0.0);
-        m.sample(SimTime::from_secs(2), 4.0);
-        assert!((m.energy_j() - 4.0).abs() < 1e-12, "0.5*(0+4)*2");
-    }
-
-    #[test]
-    fn empty_monitor_is_zero() {
-        let m = PowerMonitor::new();
-        assert!(m.is_empty());
-        assert_eq!(m.energy_j(), 0.0);
-        assert_eq!(m.mean_w(), 0.0);
     }
 }

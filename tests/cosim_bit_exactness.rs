@@ -11,7 +11,8 @@
 
 use canids_can::frame::{CanFrame, CanId, Dlc};
 use canids_can::time::SimTime;
-use canids_core::deploy::{deploy_multi_ids, DetectorBundle};
+use canids_core::deploy::{deploy_multi_ids, DeploymentPlan, DetectorBundle, PlanConfig};
+use canids_core::fleet::{BoardSpec, FleetConfig, FleetPlan};
 use canids_core::stream::StreamingEvaluator;
 use canids_core::CoreError;
 use canids_dataflow::folding::{auto_fold, FoldingGoal};
@@ -195,10 +196,10 @@ fn refuses_the_weight_code(e: &QnnError) -> bool {
 #[test]
 fn sixteen_bit_codes_are_refused_by_the_ip_and_kept_in_software() {
     // 16-bit weight codes do not fit the kernel's i8 storage: the kernel
-    // refuses the model with a typed error, the IP compile and the
-    // multi-detector deployment return that refusal, and a bare
-    // streaming evaluator keeps the i64 reference, bit-identical to
-    // `infer`.
+    // refuses the model with a typed error; the IP compile, the
+    // multi-detector deployment and both planners return that refusal;
+    // and a bare streaming evaluator keeps the i64 reference,
+    // bit-identical to `infer`.
     let model = sixteen_bit_model();
     assert!(PackedMlp::new(&model).is_err_and(|e| refuses_the_weight_code(&e)));
     assert!(matches!(
@@ -208,6 +209,14 @@ fn sixteen_bit_codes_are_refused_by_the_ip_and_kept_in_software() {
     let bundles = [DetectorBundle::new(AttackKind::Dos, model.clone())];
     assert!(matches!(
         deploy_multi_ids(&bundles, CompileConfig::default()),
+        Err(CoreError::Dataflow(DataflowError::KernelRefused(e))) if refuses_the_weight_code(&e)
+    ));
+    assert!(matches!(
+        DeploymentPlan::build(&bundles, &PlanConfig::default()),
+        Err(CoreError::Dataflow(DataflowError::KernelRefused(e))) if refuses_the_weight_code(&e)
+    ));
+    assert!(matches!(
+        FleetPlan::build(&bundles, &FleetConfig::new(vec![BoardSpec::zcu104("ecu")])),
         Err(CoreError::Dataflow(DataflowError::KernelRefused(e))) if refuses_the_weight_code(&e)
     ));
 
