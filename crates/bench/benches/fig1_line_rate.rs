@@ -113,8 +113,9 @@ fn bench_fig1(c: &mut Criterion) {
     // The fleet transport's gateway hops: the DoS capture paced at 1 Mb/s
     // and delivered through `FleetNet::deliver` to each of six boards, as
     // a six-board fleet replay sends every frame. Each call counts the
-    // frame's wire length and runs three events. Divide by the capture's
-    // frame count times six for a per-hop cost.
+    // frame's wire length and runs the hop's three steps, in place, since
+    // no fault is pending. Divide by the capture's frame count times six
+    // for a per-hop cost.
     let paced: Vec<LabeledFrame> = paced_records(&capture, Bitrate::HIGH_SPEED_1M).collect();
     group.bench_function("fleet_net_deliver_dos_200ms", |b| {
         b.iter(|| {

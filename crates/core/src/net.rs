@@ -49,7 +49,8 @@
 //! The serve harness pushes capture frames one at a time in timestamp
 //! order. [`FleetNet::deliver`] advances the simulation to the frame's
 //! arrival, injects it, then runs events forward until that frame
-//! resolves (delivered or dropped). This is sound for the FIFO
+//! resolves (delivered or dropped), or runs its hop in place when
+//! nothing can interleave with it (see below). This is sound for the FIFO
 //! disciplines here because later arrivals can never change an earlier
 //! frame's outcome. One documented consequence: fault traffic generated
 //! while running ahead can execute slightly "late" relative to the next
@@ -63,6 +64,24 @@
 //! [`NetSim::outcome`]; [`FleetNet`] releases each one as soon as
 //! [`FleetNet::deliver`] has returned it, so a fleet replay holds at most
 //! the frames still in flight.
+//!
+//! # Uncontended hops
+//!
+//! A fleet frame crosses one gateway in three events: it arrives on the
+//! backbone, its port starts serialising it, and it is complete on the
+//! board's segment. When the route has nothing dark, down or full, and
+//! no pending event fires at or before the hop's end
+//! (`max(now, delivered)`), nothing can interleave with those three
+//! events, so [`FleetNet::deliver`] runs their transitions in place
+//! instead of through the heap: the same PFC pause count, buffer peak,
+//! egress `busy_until`, forwarded and sink counts, in the same order,
+//! through the [`Topology`] helpers the events call. It counts three
+//! steps in [`Scheduler::executed`] and sets the clock to the hop's end,
+//! as the heap would have. With no faults configured nothing else is
+//! ever pending, so a fleet replay runs every hop its gateway has room
+//! for in place, with no heap traffic or event box. Contended, faulted
+//! and multi-hop frames, and every bare [`NetSim`], still run through
+//! the scheduler.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -335,9 +354,22 @@ impl<S> Scheduler<S> {
         self.heap.is_empty()
     }
 
-    /// Total events executed so far (the bench's µs/event denominator).
+    /// Total events executed so far (the bench's µs/event denominator),
+    /// counting those fired in place as `step` would have: a
+    /// [`FleetNet`] gateway hop counts its three events (arrival, port
+    /// service, delivery) whether they ran through the heap or in place.
     pub fn executed(&self) -> u64 {
         self.executed
+    }
+
+    /// Accounts for `steps` events that their owner fired in place,
+    /// outside the heap, the last of them at `at`: the clock moves to
+    /// `at` and `executed` counts them, as if `step` had run them. Sound
+    /// only when no pending event would have fired first.
+    pub(crate) fn fired_in_place(&mut self, at: SimTime, steps: u64) {
+        debug_assert!(at >= self.now && self.next_time().is_none_or(|t| t > at));
+        self.now = at;
+        self.executed += steps;
     }
 
     /// Enqueues an event; its firing time resolves against `now`.
@@ -665,6 +697,22 @@ struct GatewayNode {
     load: GatewayLoad,
 }
 
+impl GatewayNode {
+    /// Why the gateway drops a frame arriving now, if it does: it is
+    /// dark, or its shared drop-tail buffer is full.
+    fn refusal(&self) -> Option<DropReason> {
+        let full = matches!(self.discipline,
+            QueueDiscipline::DropTail { capacity } if self.queued_total >= capacity);
+        if self.dark {
+            Some(DropReason::GatewayOutage)
+        } else if full {
+            Some(DropReason::BufferFull)
+        } else {
+            None
+        }
+    }
+}
+
 /// Incrementally builds a [`Topology`]; `build` freezes it and
 /// precomputes routes.
 ///
@@ -891,6 +939,14 @@ impl Topology {
         self.outcomes.iter().filter(|o| o.is_none()).count()
     }
 
+    /// Opens the outcome entry of the next injected frame; returns its
+    /// token.
+    fn open_token(&mut self) -> usize {
+        let token = self.injected();
+        self.outcomes.push_back(None);
+        token
+    }
+
     /// Records the terminal outcome of a token-carrying frame.
     fn settle(&mut self, token: Option<usize>, outcome: NetOutcome) {
         if let Some(t) = token {
@@ -958,14 +1014,19 @@ impl Topology {
     ) {
         let Transit { dest, token, .. } = transit;
         if self.segments[segment].sinks.contains(&dest) {
-            self.settle(token, NetOutcome::Delivered(at));
-            self.sink_delivered[dest] += 1;
+            self.reach_sink(at, transit);
             return;
         }
         match self.next_hop[segment][dest] {
             Some((gw, port)) => self.gateway_ingress(gw, port, at, transit, spawn),
             None => self.drop_frame(at, token, DropReason::Unroutable, None, Some(segment)),
         }
+    }
+
+    /// The frame is complete at `at` on its destination sink's segment.
+    fn reach_sink(&mut self, at: SimTime, transit: Transit) {
+        self.settle(transit.token, NetOutcome::Delivered(at));
+        self.sink_delivered[transit.dest] += 1;
     }
 
     /// A frame reaches gateway `gw` at `at`, bound for egress `port`.
@@ -977,25 +1038,31 @@ impl Topology {
         transit: Transit,
         spawn: &mut Vec<Box<dyn Event<Topology>>>,
     ) {
-        let token = transit.token;
         let node = &mut self.gateways[gw];
-        if node.dark {
-            node.load.dropped_outage += 1;
-            self.drop_frame(at, token, DropReason::GatewayOutage, Some(gw), None);
+        if let Some(reason) = node.refusal() {
+            match reason {
+                DropReason::GatewayOutage => node.load.dropped_outage += 1,
+                _ => node.load.dropped_full += 1,
+            }
+            self.drop_frame(at, transit.token, reason, Some(gw), None);
             return;
         }
-        match node.discipline {
-            QueueDiscipline::DropTail { capacity } => {
-                if node.queued_total >= capacity {
-                    node.load.dropped_full += 1;
-                    self.drop_frame(at, token, DropReason::BufferFull, Some(gw), None);
-                    return;
-                }
-            }
-            QueueDiscipline::Pfc { quota } => {
-                if node.ports[port].queue >= quota {
-                    node.load.paused += 1;
-                }
+        self.enqueue(gw, port, at);
+        spawn.push(Box::new(PortService {
+            gw,
+            port,
+            release: self.release(gw, at),
+            transit,
+        }));
+    }
+
+    /// Buffers a frame that gateway `gw` admitted at `at` on `port`: the
+    /// PFC pause count, the queue counts and their peak.
+    fn enqueue(&mut self, gw: usize, port: usize, at: SimTime) {
+        let node = &mut self.gateways[gw];
+        if let QueueDiscipline::Pfc { quota } = node.discipline {
+            if node.ports[port].queue >= quota {
+                node.load.paused += 1;
             }
         }
         node.queued_total += 1;
@@ -1005,13 +1072,52 @@ impl Topology {
             node.load.peak_queue = node.queued_total;
             node.load.peak_at = at;
         }
-        let release = at + node.delay;
-        spawn.push(Box::new(PortService {
-            gw,
-            port,
-            release,
-            transit,
-        }));
+    }
+
+    /// When a frame reaching gateway `gw` at `at` is released toward its
+    /// egress: after the gateway's store-and-forward delay.
+    fn release(&self, gw: usize, at: SimTime) -> SimTime {
+        at + self.gateways[gw].delay
+    }
+
+    /// The closed-form recurrence for a frame of `bits` released onto
+    /// `egress` at `release`: `start = max(release, busy_until)`, then
+    /// its end of frame `start + wire` and the wire's next free instant
+    /// `start + slot`, both durations the count times the segment's bit
+    /// time. Returns `(delivered, busy_until)`.
+    fn egress_times(&self, egress: usize, release: SimTime, bits: usize) -> (SimTime, SimTime) {
+        let seg = &self.segments[egress];
+        let start = release.max(seg.busy_until);
+        let (wire, slot) = wire_and_slot(bits, seg.bitrate);
+        (start + wire, start + slot)
+    }
+
+    /// The head-of-line frame leaves `gw`'s `port` buffer.
+    fn dequeue(&mut self, gw: usize, port: usize) {
+        let node = &mut self.gateways[gw];
+        node.queued_total -= 1;
+        node.ports[port].queue -= 1;
+    }
+
+    /// The head-of-line frame of `gw`'s `port` is complete on its egress.
+    fn forward(&mut self, gw: usize, port: usize) {
+        self.dequeue(gw, port);
+        self.gateways[gw].load.forwarded += 1;
+    }
+
+    /// `(gateway, port, egress)` of a frame's route from `segment` to
+    /// sink `dest` when it is one gateway hop that nothing drops at this
+    /// instant: both segments are up, the gateway is lit and has room,
+    /// and the port's egress segment hosts the sink.
+    fn clear_hop(&self, segment: usize, dest: usize) -> Option<(usize, usize, usize)> {
+        let (gw, port) = self.next_hop[segment][dest]?;
+        let node = &self.gateways[gw];
+        let egress = node.ports[port].egress;
+        let clear = !self.segments[segment].down
+            && node.refusal().is_none()
+            && !self.segments[egress].down
+            && self.segments[egress].sinks.contains(&dest);
+        clear.then_some((gw, port, egress))
     }
 }
 
@@ -1088,8 +1194,7 @@ impl Event<Topology> for PortService {
     ) {
         let egress = net.gateways[self.gw].ports[self.port].egress;
         if net.segments[egress].down {
-            net.gateways[self.gw].queued_total -= 1;
-            net.gateways[self.gw].ports[self.port].queue -= 1;
+            net.dequeue(self.gw, self.port);
             net.gateways[self.gw].load.dropped_bus_off += 1;
             net.drop_frame(
                 self.release,
@@ -1100,12 +1205,10 @@ impl Event<Topology> for PortService {
             );
             return;
         }
-        let seg = &mut net.segments[egress];
-        let start = self.release.max(seg.busy_until);
-        let (wire, slot) = wire_and_slot(self.transit.bits, seg.bitrate);
-        seg.busy_until = start + slot;
+        let (delivered, busy_until) = net.egress_times(egress, self.release, self.transit.bits);
+        net.segments[egress].busy_until = busy_until;
         spawn.push(Box::new(DeliverFrame {
-            delivered: start + wire,
+            delivered,
             gw: self.gw,
             port: self.port,
             segment: egress,
@@ -1134,9 +1237,7 @@ impl Event<Topology> for DeliverFrame {
         net: &mut Topology,
         spawn: &mut Vec<Box<dyn Event<Topology>>>,
     ) {
-        net.gateways[self.gw].queued_total -= 1;
-        net.gateways[self.gw].ports[self.port].queue -= 1;
-        net.gateways[self.gw].load.forwarded += 1;
+        net.forward(self.gw, self.port);
         net.segment_arrival(self.delivered, self.segment, self.transit, spawn);
     }
 }
@@ -1351,8 +1452,7 @@ impl NetSim {
         dest: SinkId,
         bits: usize,
     ) -> FrameToken {
-        let token = self.topology.injected();
-        self.topology.outcomes.push_back(None);
+        let token = self.topology.open_token();
         self.sched.schedule(Box::new(FrameArrival {
             at,
             segment: segment.0,
@@ -1507,6 +1607,13 @@ impl FleetNet {
     /// backbone addressed to `shard`'s board, and runs until its
     /// terminal outcome. The frame's wire length is counted once per
     /// call; the outcome is released from the topology once returned.
+    ///
+    /// A hop that no pending event can interleave with runs in place
+    /// (see the module doc), and one that can runs through the
+    /// scheduler. Both execute the same three steps, counted in
+    /// [`NetSim::executed`], and leave the clock at the same instant.
+    /// A `shard` past the last board is lost as
+    /// [`DropReason::Unroutable`], with a drop-log record.
     pub fn deliver(&mut self, shard: usize, arrival: SimTime, frame: CanFrame) -> NetOutcome {
         self.deliver_counted(shard, arrival, frame_bit_count(&frame))
     }
@@ -1521,12 +1628,50 @@ impl FleetNet {
         bits: usize,
     ) -> NetOutcome {
         self.sim.run_until(arrival);
-        let token = self
-            .sim
-            .inject_counted(arrival, self.backbone, self.boards[shard], bits);
+        let Some(&dest) = self.boards.get(shard) else {
+            let topology = &mut self.sim.topology;
+            let token = topology.open_token();
+            let reason = DropReason::Unroutable;
+            topology.drop_frame(arrival, Some(token), reason, None, Some(self.backbone.0));
+            topology.release_resolved();
+            return NetOutcome::Dropped(reason);
+        };
+        if let Some(delivered) = self.hop_in_place(arrival, dest.0, bits) {
+            return NetOutcome::Delivered(delivered);
+        }
+        let token = self.sim.inject_counted(arrival, self.backbone, dest, bits);
         let outcome = self.sim.resolve(token);
         self.sim.topology.release_resolved();
         outcome
+    }
+
+    /// Runs a frame's gateway hop from the backbone to sink `dest` in
+    /// place, when its route is clear and no pending event fires before
+    /// the hop's end: the transitions of its `FrameArrival`,
+    /// `PortService` and `DeliverFrame` events, in their order, with the
+    /// clock left where the third would leave it. Returns the delivery
+    /// time, or `None`, having changed nothing, when the hop must run
+    /// through the scheduler.
+    fn hop_in_place(&mut self, at: SimTime, dest: usize, bits: usize) -> Option<SimTime> {
+        let NetSim { topology, sched } = &mut self.sim;
+        let (gw, port, egress) = topology.clear_hop(self.backbone.0, dest)?;
+        let (delivered, busy_until) = topology.egress_times(egress, topology.release(gw, at), bits);
+        let done = sched.now().max(delivered);
+        if sched.next_time().is_some_and(|t| t <= done) {
+            return None;
+        }
+        let transit = Transit {
+            dest,
+            bits,
+            token: Some(topology.open_token()),
+        };
+        topology.enqueue(gw, port, at);
+        topology.segments[egress].busy_until = busy_until;
+        topology.forward(gw, port);
+        topology.reach_sink(delivered, transit);
+        topology.release_resolved();
+        sched.fired_in_place(done, 3);
+        Some(delivered)
     }
 
     /// Drains any remaining (fault) events so end-of-run counters are
@@ -1904,6 +2049,43 @@ mod tests {
         let loads = sim.topology().gateway_loads();
         assert_eq!(loads[0].forwarded, 20);
         assert_eq!(loads[1].forwarded, 20);
+    }
+
+    #[test]
+    fn out_of_range_board_is_an_accounted_unroutable_drop() {
+        let mut net = FleetNet::single_backbone(
+            2,
+            Bitrate::HIGH_SPEED_1M,
+            SimTime::from_micros(20),
+            &NetConfig::default(),
+        );
+        let at = SimTime::from_micros(100);
+        for (token, shard) in [2, usize::MAX].into_iter().enumerate() {
+            assert_eq!(
+                net.deliver(shard, at, frame(0x42)),
+                NetOutcome::Dropped(DropReason::Unroutable)
+            );
+            assert_eq!(
+                net.drop_log()[token],
+                DropRecord {
+                    time: at,
+                    token: Some(FrameToken(token)),
+                    reason: DropReason::Unroutable,
+                    gateway: None,
+                    segment: Some(SegmentId(0)),
+                }
+            );
+        }
+        let topo = net.sim().topology();
+        assert_eq!((topo.injected(), topo.in_flight()), (2, 0));
+        assert_eq!(topo.sinks_delivered(), &[0, 0]);
+        assert!(net.gateway_loads().iter().all(|l| l.forwarded == 0));
+        // The boards that exist still deliver.
+        assert!(matches!(
+            net.deliver(1, at, frame(0x42)),
+            NetOutcome::Delivered(_)
+        ));
+        assert_eq!(net.drop_log().len(), 2);
     }
 
     #[test]

@@ -204,7 +204,7 @@ impl Zcu104Board {
             Completion::Poll => Wait::Poll,
             Completion::Interrupt => {
                 let line = accel_irq_line(idx).ok_or(SocError::NoIrqLine(idx))?;
-                self.gic.set_enabled(line, true);
+                self.gic.set_enabled(line, true)?;
                 Wait::Interrupt {
                     gic: &mut self.gic,
                     line,

@@ -112,7 +112,8 @@ pub enum Wait<'g> {
 /// Propagates bus/peripheral errors; returns [`SocError::PollTimeout`]
 /// when the done bit never rises within [`MAX_POLLS`], when the
 /// interrupt line is masked, or when the done bit is not set once the
-/// interrupt fires (a wedged datapath).
+/// interrupt fires (a wedged datapath), and [`SocError::NoSuchIrqLine`]
+/// when the interrupt line is past the controller's last.
 pub fn run_inference(
     bus: &mut AxiInterconnect,
     cpu: &CpuModel,
@@ -165,13 +166,13 @@ pub fn run_inference(
             // The datapath completes and raises its done line; a masked
             // line never wakes the blocked driver.
             *now += compute;
-            gic.raise(line);
+            gic.raise(line)?;
             if !gic.is_enabled(line) {
                 return Err(SocError::PollTimeout);
             }
             // Interrupt entry, then acknowledge our line.
             *now += cpu.irq_entry;
-            gic.ack(line);
+            gic.ack(line)?;
             // One status read confirms done (no spin).
             *now += cpu.mmio_read;
             if bus.read(status, *now)? & STATUS_DONE == 0 {
@@ -202,7 +203,7 @@ pub fn run_inference(
 mod tests {
     use super::*;
     use crate::accel::{pack_features, AccelPeripheral};
-    use crate::interrupt::{IRQ_ACCEL0, IRQ_CAN0};
+    use crate::interrupt::{IRQ_ACCEL0, IRQ_CAN0, IRQ_LINES};
     use canids_dataflow::ip::{AcceleratorIp, CompileConfig};
     use canids_qnn::prelude::*;
 
@@ -290,7 +291,7 @@ mod tests {
         let (mut bus, base, ip) = setup();
         let cpu = CpuModel::zynqmp_a53_linux();
         let mut gic = InterruptController::new();
-        gic.set_enabled(IRQ_ACCEL0, true);
+        gic.set_enabled(IRQ_ACCEL0, true).unwrap();
         let latency = SimTime::from_secs_f64(ip.latency_secs());
         let mut now = SimTime::ZERO;
         for seed in 0u64..8 {
@@ -320,9 +321,9 @@ mod tests {
         let (mut bus, base, ip) = setup();
         let cpu = CpuModel::zynqmp_a53_linux();
         let mut gic = InterruptController::new();
-        gic.set_enabled(IRQ_ACCEL0, true);
-        gic.set_enabled(IRQ_CAN0, true);
-        gic.raise(IRQ_CAN0);
+        gic.set_enabled(IRQ_ACCEL0, true).unwrap();
+        gic.set_enabled(IRQ_CAN0, true).unwrap();
+        gic.raise(IRQ_CAN0).unwrap();
         let words = pack_features(&[1.0f32; 75]);
         let mut now = SimTime::ZERO;
         let wait = Wait::Interrupt {
@@ -357,6 +358,23 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_irq_line_is_an_error() {
+        let (mut bus, base, ip) = setup();
+        let cpu = CpuModel::zynqmp_a53_linux();
+        let mut gic = InterruptController::new();
+        let words = pack_features(&[0.0f32; 75]);
+        let mut now = SimTime::ZERO;
+        let wait = Wait::Interrupt {
+            gic: &mut gic,
+            line: IRQ_LINES,
+            compute: SimTime::from_secs_f64(ip.latency_secs()),
+        };
+        let err = run_inference(&mut bus, &cpu, &mut now, base, &words, wait).unwrap_err();
+        assert_eq!(err, SocError::NoSuchIrqLine(IRQ_LINES));
+        assert_eq!(gic, InterruptController::new());
+    }
+
+    #[test]
     fn irq_completion_costs_more_than_polling_under_linux() {
         // poll_interval-grained spinning beats a 9 us interrupt entry for
         // a microsecond-scale compute — the quantitative reason the
@@ -367,7 +385,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let polled = run_inference(&mut bus, &cpu, &mut now, base, &words, Wait::Poll).unwrap();
         let mut gic = InterruptController::new();
-        gic.set_enabled(IRQ_ACCEL0, true);
+        gic.set_enabled(IRQ_ACCEL0, true).unwrap();
         let wait = Wait::Interrupt {
             gic: &mut gic,
             line: IRQ_ACCEL0,

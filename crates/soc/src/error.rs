@@ -27,6 +27,9 @@ pub enum SocError {
     /// An interrupt-driven call on an accelerator past the last line of
     /// the interrupt fabric (see [`crate::interrupt::accel_irq_line`]).
     NoIrqLine(usize),
+    /// An interrupt line past the controller's last
+    /// ([`crate::interrupt::IRQ_LINES`]).
+    NoSuchIrqLine(u32),
     /// Started an inference while the IP was still busy.
     DeviceBusy,
     /// The feature vector length does not match the IP input width.
@@ -52,6 +55,11 @@ impl fmt::Display for SocError {
             }
             SocError::NoSuchAccelerator(i) => write!(f, "accelerator {i} not attached"),
             SocError::NoIrqLine(i) => write!(f, "accelerator {i} has no interrupt line"),
+            SocError::NoSuchIrqLine(l) => write!(
+                f,
+                "interrupt line {l} is past the controller's last line {}",
+                crate::interrupt::IRQ_LINES - 1
+            ),
             SocError::DeviceBusy => write!(f, "accelerator busy"),
             SocError::InputDimension { expected, actual } => {
                 write!(f, "input has {actual} features, IP expects {expected}")

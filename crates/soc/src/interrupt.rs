@@ -4,7 +4,10 @@
 //! accelerators' done lines), per-line enables, and a claim/ack cycle.
 //! The controller models 256 SPI lines; the PL-to-PS fabric routes one
 //! completion line per accelerator from line 121 on, so the first 135
-//! accelerators have one (see [`accel_irq_line`]).
+//! accelerators have one (see [`accel_irq_line`]). A line past the last
+//! is refused with [`SocError::NoSuchIrqLine`].
+
+use crate::error::SocError;
 
 /// Interrupt line assigned to CAN0 RX (mirrors the ZynqMP GIC SPI).
 pub const IRQ_CAN0: u32 = 55;
@@ -30,9 +33,14 @@ pub struct InterruptController {
     enabled: [u128; 2],
 }
 
-fn split(line: u32) -> (usize, u128) {
-    assert!(line < IRQ_LINES, "line out of range");
-    ((line / 128) as usize, 1u128 << (line % 128))
+/// The word and bit of `line`, or [`SocError::NoSuchIrqLine`] past the
+/// controller's last line.
+fn split(line: u32) -> Result<(usize, u128), SocError> {
+    if line < IRQ_LINES {
+        Ok(((line / 128) as usize, 1u128 << (line % 128)))
+    } else {
+        Err(SocError::NoSuchIrqLine(line))
+    }
 }
 
 impl InterruptController {
@@ -43,34 +51,35 @@ impl InterruptController {
 
     /// Enables or disables a line.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `line >= 256`.
-    pub fn set_enabled(&mut self, line: u32, enabled: bool) {
-        let (w, bit) = split(line);
+    /// [`SocError::NoSuchIrqLine`] when `line >= 256`; the controller is
+    /// left unchanged.
+    pub fn set_enabled(&mut self, line: u32, enabled: bool) -> Result<(), SocError> {
+        let (w, bit) = split(line)?;
         if enabled {
             self.enabled[w] |= bit;
         } else {
             self.enabled[w] &= !bit;
         }
+        Ok(())
     }
 
     /// Whether a line is enabled.
     pub fn is_enabled(&self, line: u32) -> bool {
-        line < IRQ_LINES && {
-            let (w, bit) = split(line);
-            self.enabled[w] & bit != 0
-        }
+        split(line).is_ok_and(|(w, bit)| self.enabled[w] & bit != 0)
     }
 
     /// Raises a line (edge from a peripheral).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `line >= 256`.
-    pub fn raise(&mut self, line: u32) {
-        let (w, bit) = split(line);
+    /// [`SocError::NoSuchIrqLine`] when `line >= 256`; the controller is
+    /// left unchanged.
+    pub fn raise(&mut self, line: u32) -> Result<(), SocError> {
+        let (w, bit) = split(line)?;
         self.pending[w] |= bit;
+        Ok(())
     }
 
     /// Highest-priority (lowest-numbered) pending *and enabled* line.
@@ -86,20 +95,19 @@ impl InterruptController {
 
     /// Acknowledges (clears) a pending line.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `line >= 256`.
-    pub fn ack(&mut self, line: u32) {
-        let (w, bit) = split(line);
+    /// [`SocError::NoSuchIrqLine`] when `line >= 256`; the controller is
+    /// left unchanged.
+    pub fn ack(&mut self, line: u32) -> Result<(), SocError> {
+        let (w, bit) = split(line)?;
         self.pending[w] &= !bit;
+        Ok(())
     }
 
     /// Whether a line is pending (regardless of enable).
     pub fn is_pending(&self, line: u32) -> bool {
-        line < IRQ_LINES && {
-            let (w, bit) = split(line);
-            self.pending[w] & bit != 0
-        }
+        split(line).is_ok_and(|(w, bit)| self.pending[w] & bit != 0)
     }
 }
 
@@ -110,9 +118,9 @@ mod tests {
     #[test]
     fn disabled_lines_are_not_claimed() {
         let mut gic = InterruptController::new();
-        gic.raise(IRQ_CAN0);
+        gic.raise(IRQ_CAN0).unwrap();
         assert_eq!(gic.claim(), None);
-        gic.set_enabled(IRQ_CAN0, true);
+        gic.set_enabled(IRQ_CAN0, true).unwrap();
         assert_eq!(gic.claim(), Some(IRQ_CAN0));
         assert!(gic.is_enabled(IRQ_CAN0));
     }
@@ -120,21 +128,21 @@ mod tests {
     #[test]
     fn claim_returns_lowest_line() {
         let mut gic = InterruptController::new();
-        gic.set_enabled(IRQ_CAN0, true);
-        gic.set_enabled(IRQ_ACCEL0, true);
-        gic.raise(IRQ_ACCEL0);
-        gic.raise(IRQ_CAN0);
+        gic.set_enabled(IRQ_CAN0, true).unwrap();
+        gic.set_enabled(IRQ_ACCEL0, true).unwrap();
+        gic.raise(IRQ_ACCEL0).unwrap();
+        gic.raise(IRQ_CAN0).unwrap();
         assert_eq!(gic.claim(), Some(IRQ_CAN0));
-        gic.ack(IRQ_CAN0);
+        gic.ack(IRQ_CAN0).unwrap();
         assert_eq!(gic.claim(), Some(IRQ_ACCEL0));
-        gic.ack(IRQ_ACCEL0);
+        gic.ack(IRQ_ACCEL0).unwrap();
         assert_eq!(gic.claim(), None);
     }
 
     #[test]
     fn pending_is_tracked_independently_of_enable() {
         let mut gic = InterruptController::new();
-        gic.raise(3);
+        gic.raise(3).unwrap();
         assert!(gic.is_pending(3));
         assert!(!gic.is_pending(4));
         assert_eq!(gic.claim(), None);
@@ -147,10 +155,10 @@ mod tests {
         let mut gic = InterruptController::new();
         let line = accel_irq_line(7).unwrap();
         assert_eq!(line, 128);
-        gic.set_enabled(line, true);
-        gic.raise(line);
+        gic.set_enabled(line, true).unwrap();
+        gic.raise(line).unwrap();
         assert_eq!(gic.claim(), Some(line));
-        gic.ack(line);
+        gic.ack(line).unwrap();
         assert_eq!(gic.claim(), None);
         assert!(!gic.is_pending(line));
     }
@@ -166,9 +174,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "line out of range")]
-    fn out_of_range_line_panics() {
+    fn out_of_range_lines_are_refused_and_change_nothing() {
         let mut gic = InterruptController::new();
-        gic.raise(256);
+        gic.set_enabled(IRQ_CAN0, true).unwrap();
+        gic.raise(IRQ_ACCEL0).unwrap();
+        let before = gic.clone();
+        for line in [IRQ_LINES, IRQ_LINES + 1, u32::MAX] {
+            let refused = Err(SocError::NoSuchIrqLine(line));
+            assert_eq!(gic.set_enabled(line, true), refused);
+            assert_eq!(gic.set_enabled(line, false), refused);
+            assert_eq!(gic.raise(line), refused);
+            assert_eq!(gic.ack(line), refused);
+            assert!(!gic.is_enabled(line) && !gic.is_pending(line));
+        }
+        assert_eq!(gic, before);
+        // The last line is still a line.
+        assert_eq!(gic.raise(IRQ_LINES - 1), Ok(()));
     }
 }

@@ -9,14 +9,18 @@
 //! 3. The wire count a frame carries through the fleet network is its
 //!    own, at every board: each gateway hop equals the closed-form
 //!    `SegmentForwarder` for arbitrary frames.
+//! 4. A fleet hop run in place is the event path's exact execution: a
+//!    `FleetNet` and a bare `NetSim` built to the same layout agree on
+//!    every hop's outcome, the clock and the step count, with and without
+//!    faults that force hops back through the scheduler.
 
 use canids_can::frame::{CanFrame, CanId, Dlc};
 use canids_can::gateway::SegmentForwarder;
 use canids_can::time::SimTime;
 use canids_can::timing::Bitrate;
 use canids_core::net::{
-    Event, EventTime, Fault, FleetNet, NetConfig, NetOutcome, NetSim, QueueDiscipline, Scheduler,
-    SinkId, Topology,
+    Event, EventTime, Fault, FleetNet, GatewayId, NetConfig, NetOutcome, NetSim, QueueDiscipline,
+    Scheduler, SegmentId, SinkId, Topology,
 };
 use proptest::prelude::*;
 
@@ -265,5 +269,117 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// --------------------------------------------------------------------
+// 4. In-place hops against the event path
+// --------------------------------------------------------------------
+
+/// A fault on the fleet layout, boards taken modulo the fleet's size,
+/// times in µs.
+fn arb_fleet_fault() -> impl Strategy<Value = (u8, usize, u64, u64, u64)> {
+    // (kind, board, start, length, babble gap); kind 0 is a gateway
+    // outage, 1 a leaf bus-off, 2 a backbone bus-off, 3 a babbling idiot.
+    (0u8..4, 0usize..6, 0u64..12_000, 1u64..4_000, 40u64..400)
+}
+
+fn fleet_fault((kind, board, start, len, gap): (u8, usize, u64, u64, u64), boards: usize) -> Fault {
+    let board = board % boards;
+    let (start, end) = (
+        SimTime::from_micros(start),
+        SimTime::from_micros(start + len),
+    );
+    match kind {
+        0 => Fault::GatewayOutage {
+            gateway: GatewayId(board),
+            start,
+            end,
+        },
+        1 | 2 => Fault::BusOff {
+            segment: SegmentId(if kind == 1 { 1 + board } else { 0 }),
+            start,
+            end,
+        },
+        _ => Fault::BabblingIdiot {
+            segment: SegmentId(0),
+            dest: SinkId(board),
+            start,
+            stop: end,
+            gap: SimTime::from_micros(gap),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn in_place_hops_match_the_event_path(
+        boards in 1usize..=6,
+        fast in any::<bool>(),
+        delay_us in 0u64..40,
+        discipline in prop_oneof![
+            (1usize..6).prop_map(|capacity| QueueDiscipline::DropTail { capacity }),
+            Just(QueueDiscipline::default()),
+            (0usize..4).prop_map(|quota| QueueDiscipline::Pfc { quota }),
+        ],
+        faults in proptest::collection::vec(arb_fleet_fault(), 0..4),
+        // Back to back (the frames queue on every leaf) to well past a
+        // frame slot.
+        frames in proptest::collection::vec((arb_frame(), 0u64..400), 1..60),
+    ) {
+        let bitrate = if fast { Bitrate::HIGH_SPEED_1M } else { Bitrate::HIGH_SPEED_500K };
+        let delay = SimTime::from_micros(delay_us);
+        let config = NetConfig {
+            discipline,
+            faults: faults.into_iter().map(|f| fleet_fault(f, boards)).collect(),
+        };
+        let mut fleet = FleetNet::single_backbone(boards, bitrate, delay, &config);
+
+        // The same layout as a bare simulation: segment 0 is the
+        // backbone; board `b` owns gateway `b`, segment `1 + b` and sink
+        // `b`. Every hop runs through its scheduler.
+        let mut b = Topology::builder();
+        let backbone = b.segment(bitrate);
+        let sinks: Vec<SinkId> = (0..boards)
+            .map(|_| {
+                let gw = b.gateway(backbone, delay, discipline);
+                let leaf = b.segment(bitrate);
+                b.port(gw, leaf);
+                b.sink(leaf)
+            })
+            .collect();
+        let mut sim = NetSim::new(b.build());
+        for &fault in &config.faults {
+            sim.apply(fault);
+        }
+
+        let mut arrival = SimTime::ZERO;
+        for (i, (frame, gap_us)) in frames.iter().enumerate() {
+            arrival += SimTime::from_micros(*gap_us);
+            for (board, &sink) in sinks.iter().enumerate() {
+                let hop = fleet.deliver(board, arrival, *frame);
+                sim.run_until(arrival);
+                let token = sim.inject(arrival, backbone, sink, *frame);
+                let expect = sim.resolve(token);
+                prop_assert_eq!(
+                    (hop, fleet.sim().now(), fleet.sim().executed()),
+                    (expect, sim.now(), sim.executed()),
+                    "frame {} diverged on board {}", i, board
+                );
+            }
+        }
+        fleet.finish();
+        sim.run();
+
+        let (got, want) = (fleet.sim().topology(), sim.topology());
+        prop_assert_eq!(got.gateway_loads(), want.gateway_loads());
+        prop_assert_eq!(got.drop_log(), want.drop_log());
+        prop_assert_eq!(got.sinks_delivered(), want.sinks_delivered());
+        prop_assert_eq!(got.injected(), want.injected());
+        prop_assert_eq!(got.flood_injected(), want.flood_injected());
+        prop_assert_eq!(fleet.sim().executed(), sim.executed());
+        prop_assert_eq!(fleet.sim().now(), sim.now());
     }
 }
