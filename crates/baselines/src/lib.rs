@@ -1,13 +1,12 @@
-//! Literature-baseline reimplementations and platform models.
+//! Literature baselines and platform models.
 //!
 //! The paper compares its 4-bit QMLP against six published CAN IDSs
 //! (Table I accuracy, Table II latency). This crate provides:
 //!
 //! * [`literature`] — the published rows, verbatim (the paper compares
 //!   against reported numbers, and so do we),
-//! * [`models`] — architecture-level reimplementations of the neural
-//!   baselines (DCNN, GRU, MLIDS-LSTM, TCAN, NovelADS) built on the
-//!   [`nn`] kernels: real forward passes and exact MAC counts,
+//! * [`models`] — the layer shapes and exact MAC counts of the neural
+//!   baselines (DCNN, GRU, MLIDS-LSTM, TCAN, NovelADS),
 //! * [`platform`] — analytic Jetson/GPU/Raspberry-Pi execution models
 //!   (spec-sheet compute rates and power, calibrated dispatch),
 //! * [`workload`] — the model↔platform pairings that regenerate the
@@ -33,7 +32,6 @@
 pub mod literature;
 pub mod models;
 pub mod mth;
-pub mod nn;
 pub mod platform;
 pub mod workload;
 

@@ -5,17 +5,15 @@
 //! milliseconds, so the harness can produce *measured* rows on the same
 //! synthetic captures the QMLP uses.
 
-use serde::{Deserialize, Serialize};
-
 /// A binary CART decision tree (Gini impurity, axis-aligned splits).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     max_depth: usize,
     min_samples: usize,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         class: usize,
@@ -184,7 +182,7 @@ impl DecisionTree {
 }
 
 /// Brute-force k-nearest-neighbour classifier on a training subsample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Knn {
     k: usize,
     xs: Vec<Vec<f32>>,
@@ -237,7 +235,7 @@ impl Knn {
 }
 
 /// The combined tree+kNN detector (majority with the tree breaking ties).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MthIds {
     tree: DecisionTree,
     knn: Knn,

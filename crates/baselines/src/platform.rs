@@ -9,10 +9,9 @@
 //! rows; the calibration is recorded in EXPERIMENTS.md.
 
 use canids_can::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// An inference platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Marketing name as quoted by the papers.
     pub name: &'static str,

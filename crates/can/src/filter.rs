@@ -5,8 +5,6 @@
 //! ECU typically runs with a pass-all filter so the detection model sees
 //! every frame on the bus.
 
-use serde::{Deserialize, Serialize};
-
 use crate::frame::{CanFrame, CanId};
 
 /// A single mask/value acceptance filter.
@@ -25,7 +23,7 @@ use crate::frame::{CanFrame, CanId};
 /// assert!(!filter.accepts(&g));
 /// # Ok::<(), canids_can::FrameError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AcceptanceFilter {
     mask: u32,
     value: u32,
@@ -85,7 +83,7 @@ impl AcceptanceFilter {
 
 /// A bank of filters; a frame is accepted when *any* filter matches, or
 /// when the bank is empty (hardware reset default: no filtering).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FilterBank {
     filters: Vec<AcceptanceFilter>,
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::FrameError;
 
 /// Maximum value of an 11-bit (base/standard) identifier.
@@ -28,7 +26,7 @@ pub const MAX_EXTENDED_ID: u32 = 0x1FFF_FFFF;
 /// assert!(engine.is_standard());
 /// # Ok::<(), canids_can::FrameError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CanId {
     /// 11-bit identifier (CAN 2.0A).
     Standard(u16),
@@ -136,7 +134,7 @@ impl fmt::Display for CanId {
 }
 
 /// A validated data length code (0..=8 for classic CAN).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Dlc(u8);
 
 impl Dlc {
@@ -227,7 +225,7 @@ impl Default for Dlc {
 /// assert_eq!(frame.data(), &[0x01, 0x45]);
 /// # Ok::<(), canids_can::FrameError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CanFrame {
     id: CanId,
     dlc: Dlc,

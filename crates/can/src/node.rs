@@ -3,8 +3,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::arbitration::ArbitrationField;
 use crate::error::CanError;
 use crate::filter::FilterBank;
@@ -12,7 +10,7 @@ use crate::frame::CanFrame;
 use crate::time::SimTime;
 
 /// Error-confinement state (ISO 11898-1 §12.1.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorState {
     /// Normal operation; sends active (dominant) error flags.
     ErrorActive,
@@ -23,7 +21,7 @@ pub enum ErrorState {
 }
 
 /// Static controller configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Hardware receive FIFO depth in frames (Xilinx CANPS: 64).
     pub rx_fifo_depth: usize,
@@ -48,7 +46,7 @@ impl Default for ControllerConfig {
 }
 
 /// Running counters exposed for diagnostics and the benchmark harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Frames successfully transmitted.
     pub tx_frames: u64,
@@ -187,11 +185,6 @@ impl CanController {
             .min_by(|(_, a), (_, b)| ArbitrationField::of(a).cmp(&ArbitrationField::of(b)))
             .map(|(i, _)| i)?;
         Some(self.tx_queue.swap_remove(idx))
-    }
-
-    /// Number of frames waiting for transmission.
-    pub fn tx_pending(&self) -> usize {
-        self.tx_queue.len()
     }
 
     /// Called by the bus when this node's frame completed successfully.

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in (or span of) simulated time with nanosecond resolution.
 ///
 /// `SimTime` is used both as an absolute timestamp and as a duration; the
@@ -25,9 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_nanos(), 100_500);
 /// assert!((t.as_micros_f64() - 100.5).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

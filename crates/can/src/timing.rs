@@ -14,8 +14,6 @@
 //! `encode_frame(f).len()` for standard, extended and remote frames of
 //! every length, the stuffing-heaviest included.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bits::stuff_bit_count;
 use crate::crc::crc15_packed;
 use crate::error::FrameError;
@@ -46,7 +44,7 @@ const TAIL_BITS: usize = 10;
 /// assert_eq!(Bitrate::HIGH_SPEED_1M.bits_per_sec(), 1_000_000);
 /// assert_eq!(Bitrate::HIGH_SPEED_1M.bit_time().as_nanos(), 1_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Bitrate(u32);
 
 impl Bitrate {
@@ -99,7 +97,7 @@ impl Default for Bitrate {
 ///            40_000_000 as usize);
 /// assert!(bt.sample_point() > 0.7 && bt.sample_point() < 0.95);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitTiming {
     prescaler: u16,
     prop_seg: u8,

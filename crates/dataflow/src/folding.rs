@@ -8,13 +8,11 @@
 //! auto-folder picks the cheapest configuration meeting a throughput
 //! target (the paper needs line-rate: ≳8.3 kframe/s).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DataflowError;
 use crate::graph::DataflowGraph;
 
 /// Parallelism of one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerFolding {
     /// Processing elements (must divide the output dimension).
     pub pe: usize,
@@ -41,7 +39,7 @@ impl LayerFolding {
 
 /// Folding for the whole pipeline (one entry per stage, label-select
 /// included as the last entry).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldingConfig {
     /// Per-stage parallelism.
     pub layers: Vec<LayerFolding>,

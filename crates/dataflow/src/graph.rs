@@ -12,12 +12,11 @@
 //! footprints and (after folding) cycle counts.
 
 use canids_qnn::export::{IntegerMlp, BIAS_SHIFT};
-use serde::{Deserialize, Serialize};
 
 use crate::error::DataflowError;
 
 /// Integer matrix-vector product with MultiThreshold activation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MvtuNode {
     /// Input vector length (matrix width, `MW`).
     pub in_dim: usize,
@@ -122,7 +121,7 @@ impl MvtuNode {
 }
 
 /// Final classifier stage: integer scores + argmax.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabelSelectNode {
     /// Input vector length.
     pub in_dim: usize,
@@ -183,7 +182,7 @@ impl LabelSelectNode {
 }
 
 /// The compiled pipeline: MVTUs followed by a label-select stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataflowGraph {
     /// The matrix-vector-threshold stages, in dataflow order.
     pub mvtus: Vec<MvtuNode>,

@@ -21,7 +21,6 @@ use std::sync::Arc;
 
 use canids_qnn::export::IntegerMlp;
 use canids_qnn::kernel::{ClassMemo, PackedMlp, PackedScratch, MAX_INPUT_BITS};
-use serde::Serialize;
 
 use crate::error::DataflowError;
 use crate::folding::{auto_fold, FoldingConfig, FoldingGoal};
@@ -67,7 +66,7 @@ impl Default for CompileConfig {
 }
 
 /// Access mode of a register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegAccess {
     /// Read-only.
     ReadOnly,
@@ -78,7 +77,7 @@ pub enum RegAccess {
 }
 
 /// One AXI-Lite register.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Register {
     /// Register name.
     pub name: &'static str,
@@ -90,7 +89,7 @@ pub struct Register {
 
 /// The AXI-Lite register map the driver programs against (the layout the
 /// FINN stitched-IP wrapper exposes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterMap {
     /// Registers, ascending by offset.
     pub registers: Vec<Register>,

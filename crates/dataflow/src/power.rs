@@ -8,13 +8,11 @@
 //! power (see `canids-soc::power_rails` for the PS side and the
 //! calibration note in EXPERIMENTS.md).
 
-use serde::{Deserialize, Serialize};
-
 use crate::resources::ResourceEstimate;
 
 /// Dynamic power coefficients in watts per resource per Hz of clock at
 /// 100 % toggle activity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCoefficients {
     /// Watts per LUT·Hz.
     pub per_lut_hz: f64,
@@ -50,7 +48,7 @@ impl Default for PowerCoefficients {
 }
 
 /// A PL power estimate in watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerEstimate {
     /// Activity-dependent power.
     pub dynamic_w: f64,

@@ -12,8 +12,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::folding::FoldingConfig;
 use crate::graph::DataflowGraph;
 
@@ -24,7 +22,7 @@ pub const LUTRAM_CUTOFF_BITS: usize = 8 * 1024;
 pub const BRAM36_BITS: usize = 36 * 1024;
 
 /// An FPGA resource vector.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceEstimate {
     /// Look-up tables.
     pub lut: u64,
@@ -65,7 +63,7 @@ impl fmt::Display for ResourceEstimate {
 }
 
 /// A target FPGA device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Device {
     /// Marketing/board name.
     pub name: &'static str,
@@ -198,7 +196,7 @@ impl Device {
 }
 
 /// Per-resource utilisation fractions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Utilization {
     /// LUT fraction.
     pub lut: f64,

@@ -46,15 +46,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Mean per-frame latency in cycles.
-    pub fn mean_latency_cycles(&self) -> f64 {
-        if self.frame_latencies.is_empty() {
-            0.0
-        } else {
-            self.frame_latencies.iter().sum::<u64>() as f64 / self.frame_latencies.len() as f64
-        }
-    }
-
     /// Sustained throughput in frames/second at `clock_hz`.
     pub fn throughput_fps(&self, clock_hz: u64) -> f64 {
         if self.total_cycles == 0 {

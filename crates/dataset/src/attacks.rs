@@ -21,13 +21,12 @@ use canids_can::frame::{CanFrame, CanId};
 use canids_can::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::record::Label;
 use crate::vehicle::{VehicleModel, VehicleSource};
 
 /// Which attack the injector mounts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackKind {
     /// Bus flood with the highest-priority identifier.
     Dos,
@@ -83,7 +82,7 @@ impl AttackKind {
 }
 
 /// On/off gating of the injection within the capture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BurstSchedule {
     /// Inject for the whole capture.
     Continuous,
@@ -155,7 +154,7 @@ impl BurstSchedule {
 }
 
 /// Full attack description: kind, injection period and burst gating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackProfile {
     /// Attack kind.
     pub kind: AttackKind,

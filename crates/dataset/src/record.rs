@@ -4,10 +4,9 @@ use std::fmt;
 
 use canids_can::frame::CanFrame;
 use canids_can::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth class of a frame, matching the Car Hacking dataset labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Label {
     /// Legitimate vehicle traffic (`R` rows in the published CSVs).
     Normal,
@@ -73,7 +72,7 @@ impl fmt::Display for Label {
 }
 
 /// One captured frame with its end-of-frame bus timestamp and ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabeledFrame {
     /// Bus time at which the frame completed.
     pub timestamp: SimTime,

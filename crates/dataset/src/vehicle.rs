@@ -20,10 +20,9 @@ use canids_can::frame::{CanFrame, CanId};
 use canids_can::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A payload byte idiom within a periodic message.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Signal {
     /// A counter in the low bits of `byte`, incremented each transmission
     /// modulo `modulus` (the classic automotive alive counter).
@@ -64,7 +63,7 @@ pub enum Signal {
 }
 
 /// Static description of one periodic message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MessageSpec {
     /// 11-bit identifier.
     pub id: u16,
@@ -114,7 +113,7 @@ impl MessageSpec {
 /// let rate = model.aggregate_rate_hz();
 /// assert!(rate > 500.0 && rate < 2500.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VehicleModel {
     specs: Vec<MessageSpec>,
 }

@@ -22,8 +22,6 @@
 //! `f64` reference, so [`IntegerMlp::infer`] is bit-exact with the
 //! [`reference_forward_f64`] semantics by construction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::QnnError;
 use crate::mlp::QuantMlp;
 
@@ -32,7 +30,7 @@ use crate::mlp::QuantMlp;
 pub const BIAS_SHIFT: u32 = 16;
 
 /// One streamlined hidden layer: integer weights + MultiThreshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntBlock {
     /// Input dimension.
     pub in_dim: usize,
@@ -103,7 +101,7 @@ pub(crate) fn acc_bounds(
 }
 
 /// The streamlined output layer: integer weights plus fixed-point bias.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntOutput {
     /// Input dimension.
     pub in_dim: usize,
@@ -153,7 +151,7 @@ pub struct IntPrediction {
 /// assert!(pred.class < 2);
 /// # Ok::<(), canids_qnn::QnnError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntegerMlp {
     /// Streamlined hidden layers.
     pub blocks: Vec<IntBlock>,

@@ -37,7 +37,6 @@ pub struct QuantLinear {
     /// Quantised weights from the latest forward (used by backward and
     /// inspection).
     wq: Matrix,
-    last_scale: f32,
     cache_x: Option<Matrix>,
 }
 
@@ -58,7 +57,6 @@ impl QuantLinear {
             bias,
             quantizer: WeightQuantizer::new(bits),
             wq: Matrix::zeros(out_dim, in_dim),
-            last_scale: 1.0,
             cache_x: None,
         }
     }
@@ -88,11 +86,6 @@ impl QuantLinear {
         &self.bias
     }
 
-    /// Weight scale from the most recent forward/quantisation.
-    pub fn weight_scale(&self) -> f32 {
-        self.last_scale
-    }
-
     /// Quantises the current weights and returns `(codes, scale)` where
     /// `weight ≈ code * scale`; the form consumed by the hardware export.
     pub fn int_weights(&self) -> (Vec<i32>, f32) {
@@ -112,8 +105,7 @@ impl QuantLinear {
     /// training and evaluation share one float summation order. In
     /// training mode the input is also cached for the backward pass.
     pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        self.last_scale = self
-            .quantizer
+        self.quantizer
             .fake_quantize(&self.weight.data, self.wq.as_mut_slice());
         if train {
             self.cache_x = Some(x.clone());

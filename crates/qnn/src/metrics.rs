@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A binary confusion matrix with the attack class as "positive".
 ///
 /// # Example
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cm.fnr(), 0.5);
 /// assert_eq!(cm.precision(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Attacks classified as attacks.
     pub tp: u64,

@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::QnnError;
 use crate::layers::{BatchNorm1d, QuantLinear, QuantReLU};
@@ -17,7 +16,7 @@ use crate::quant::BitWidth;
 use crate::tensor::Matrix;
 
 /// Topology and quantisation configuration of a [`QuantMlp`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlpConfig {
     /// Input feature dimension (75 for the paper's frame encoding).
     pub input_dim: usize,

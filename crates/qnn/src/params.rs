@@ -1,12 +1,10 @@
 //! Trainable parameter storage.
 
-use serde::{Deserialize, Serialize};
-
 /// A flat trainable tensor with its gradient accumulator.
 ///
 /// Layers own their `ParamTensor`s; the optimiser receives mutable views
 /// in a stable order each step (see [`crate::optim`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamTensor {
     /// Parameter values.
     pub data: Vec<f32>,

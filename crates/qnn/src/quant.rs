@@ -12,8 +12,6 @@
 //! gradients pass through unchanged, activation gradients are clipped to
 //! the active range.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::QnnError;
 
 /// A validated quantisation bit-width in `1..=16`.
@@ -29,7 +27,7 @@ use crate::error::QnnError;
 /// assert_eq!(w4.unsigned_max(), 15);  // activation levels
 /// # Ok::<(), canids_qnn::QnnError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BitWidth(u8);
 
 impl BitWidth {
@@ -89,7 +87,7 @@ impl std::fmt::Display for BitWidth {
 }
 
 /// Symmetric per-tensor weight quantizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightQuantizer {
     bits: BitWidth,
 }
@@ -139,7 +137,7 @@ impl WeightQuantizer {
 }
 
 /// Unsigned activation quantizer with EMA max-statistics calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActQuantizer {
     bits: BitWidth,
     running_max: f32,

@@ -8,10 +8,9 @@
 //! calibration documented in EXPERIMENTS.md.
 
 use canids_can::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Per-operation software costs for a Linux userspace driver on the PS.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// Number of application cores (ZU7EV: quad A53).
     pub cores: usize,

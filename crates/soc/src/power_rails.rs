@@ -11,10 +11,9 @@
 
 use canids_dataflow::power::PowerEstimate;
 use canids_qnn::tensor::pinned_sum_f64;
-use serde::{Deserialize, Serialize};
 
 /// One named supply rail with its current power draw model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rail {
     /// Rail name as the PMBus controller reports it.
     pub name: String,
@@ -33,7 +32,7 @@ impl Rail {
 
 /// The board-level power model: PS rails plus the PL estimate from the
 /// dataflow compiler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoardPowerModel {
     /// Processing-system rails (Linux idle ≈ their idle sum).
     pub rails: Vec<Rail>,
