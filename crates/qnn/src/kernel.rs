@@ -7,14 +7,17 @@
 //! * the input is one frame bitmask (`u128`, bit `i` = input `i`), the
 //!   packed form a frame encoder writes straight from the frame. The
 //!   first layer adds the weight column of each set bit;
-//! * hidden and output layers store their weights column-major and skip
-//!   zero activations, testing each activation once per input for layers
-//!   up to 64 lanes wide (once per 64-lane block beyond);
-//! * weight codes are `i8`; accumulators, activations and thresholds run
-//!   on `i16` lanes when the width proof allows and on `i32` lanes
-//!   otherwise ([`PackedMlp::acc_bits`]). A layer's lanes are padded to
-//!   a multiple of 16 and accumulated up to 64 at a time in a local
-//!   array;
+//! * hidden and output layers store their weights column-major. Per
+//!   block of lanes they gather a `u64` mask of the nonzero input
+//!   levels, 64 inputs at a time, and walk its set bits as the first
+//!   layer walks the frame's, so a zero activation costs no branch;
+//! * weight codes are proven to fit `i8` and stored at lane width;
+//!   accumulators, activations and thresholds run on `i16` lanes when
+//!   the width proof allows and on `i32` lanes otherwise
+//!   ([`PackedMlp::acc_bits`]), so no add or multiply widens a code. A
+//!   layer's lanes are padded to a multiple of 16 and cut into blocks of
+//!   64 lanes while 64 remain, then 32, then 16, each accumulated in a
+//!   fixed-size local array;
 //! * thresholds are clamped into `[lo, hi + 1]` of the layer's proven
 //!   accumulator range (FINN's `RoundAndClipThresholds`) and counted
 //!   level by level, branch-free across a level's lanes; the count stops
@@ -67,6 +70,9 @@ const TILE: usize = 16;
 /// Most output lanes one pass over a layer's inputs accumulates: the
 /// size of the kernel's local accumulator array.
 const BLOCK: usize = 64;
+
+/// Inputs one nonzero-level mask covers.
+const CHUNK: usize = 64;
 
 /// Packs binary input levels into a frame bitmask, bit `i` = `x[i]`.
 ///
@@ -124,6 +130,13 @@ trait Lane:
     /// The activation buffer of this width in `scratch`, and the class
     /// scores.
     fn buffers(scratch: &mut PackedScratch) -> (&mut Vec<Self>, &mut Vec<i64>);
+
+    /// Bit `i` set when `levels[i]` is nonzero, for at most [`CHUNK`]
+    /// activation levels, each in `0..=MAX`. The levels are read a `u64`
+    /// word of lanes at a time: adding `MAX` to a lane sets its top bit
+    /// exactly when the level is nonzero and carries into no other lane,
+    /// and one multiply gathers the word's top bits.
+    fn nonzero(levels: &[Self]) -> u64;
 }
 
 impl Lane for i16 {
@@ -132,6 +145,24 @@ impl Lane for i16 {
 
     fn buffers(scratch: &mut PackedScratch) -> (&mut Vec<i16>, &mut Vec<i64>) {
         (&mut scratch.act16, &mut scratch.scores)
+    }
+
+    fn nonzero(levels: &[i16]) -> u64 {
+        let (words, tail) = levels.as_chunks::<4>();
+        let mut mask = 0;
+        for (k, word) in words.iter().enumerate() {
+            let word = word
+                .iter()
+                .rev()
+                .fold(0, |w, &l| (w << 16) | u64::from(l.cast_unsigned()));
+            let tops = (word + 0x7FFF_7FFF_7FFF_7FFF) & 0x8000_8000_8000_8000;
+            // Bits 15, 31, 47 and 63 to 60..64.
+            mask |= (tops.wrapping_mul(0x2000_4000_8001) >> 60) << (4 * k);
+        }
+        for (i, &l) in tail.iter().enumerate() {
+            mask |= u64::from(l != 0) << (4 * words.len() + i);
+        }
+        mask
     }
 }
 
@@ -142,14 +173,31 @@ impl Lane for i32 {
     fn buffers(scratch: &mut PackedScratch) -> (&mut Vec<i32>, &mut Vec<i64>) {
         (&mut scratch.act32, &mut scratch.scores)
     }
+
+    fn nonzero(levels: &[i32]) -> u64 {
+        let (words, tail) = levels.as_chunks::<2>();
+        let mut mask = 0;
+        for (k, &[first, second]) in words.iter().enumerate() {
+            let word = u64::from(first.cast_unsigned()) | (u64::from(second.cast_unsigned()) << 32);
+            let tops = (word + 0x7FFF_FFFF_7FFF_FFFF) & 0x8000_0000_8000_0000;
+            // Bits 31 and 63 to 62..64.
+            mask |= (tops.wrapping_mul(0x8000_0001) >> 62) << (2 * k);
+        }
+        for (i, &l) in tail.iter().enumerate() {
+            mask |= u64::from(l != 0) << (2 * words.len() + i);
+        }
+        mask
+    }
 }
 
 /// Accumulates one block of `W` lanes over a layer's input: the set
 /// bits of `bits` for the first layer (`act` is `None`), the previous
-/// layer's activation levels otherwise, testing each level once.
-/// `codes` holds the block's column of `W` codes per input.
+/// layer's activation levels otherwise. Those are walked [`CHUNK`] at a
+/// time through their [`Lane::nonzero`] mask, so a zero level costs
+/// neither a multiply-add nor a branch. `codes` holds the block's column
+/// of `W` codes per input.
 #[inline(always)]
-fn accumulate<L: Lane, const W: usize>(codes: &[i8], bits: u128, act: Option<&[L]>) -> [L; W] {
+fn accumulate<L: Lane, const W: usize>(codes: &[L], bits: u128, act: Option<&[L]>) -> [L; W] {
     let (columns, _) = codes.as_chunks::<W>();
     let mut acc = [L::default(); W];
     match act {
@@ -160,16 +208,22 @@ fn accumulate<L: Lane, const W: usize>(codes: &[i8], bits: u128, act: Option<&[L
                 rest &= rest - 1;
                 // The set-bit column add.
                 for (a, &w) in acc.iter_mut().zip(&columns[i]) {
-                    *a += L::from(w);
+                    *a += w;
                 }
             }
         }
         Some(act) => {
-            for (column, &level) in columns.iter().zip(act) {
-                if level != L::default() {
+            // The previous layer's padding lanes (level 0) have no column.
+            let act = &act[..columns.len()];
+            for (columns, levels) in columns.chunks(CHUNK).zip(act.chunks(CHUNK)) {
+                let mut rest = L::nonzero(levels);
+                while rest != 0 {
+                    let i = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
                     // The level multiply-add.
-                    for (a, &w) in acc.iter_mut().zip(column) {
-                        *a += L::from(w) * level;
+                    let level = levels[i];
+                    for (a, &w) in acc.iter_mut().zip(&columns[i]) {
+                        *a += w * level;
                     }
                 }
             }
@@ -206,7 +260,7 @@ fn count_levels<L: Lane, const W: usize>(acc: &[L; W], thresholds: &[L], out: &m
 /// layer.
 #[inline(always)]
 fn block<L: Lane, const W: usize>(
-    codes: &[i8],
+    codes: &[L],
     bits: u128,
     act: Option<&[L]>,
     thresholds: Option<&[L]>,
@@ -220,16 +274,17 @@ fn block<L: Lane, const W: usize>(
 }
 
 /// One layer on `L` lanes. Its `out_dim` lanes are padded to `width`, a
-/// multiple of [`TILE`], and cut into blocks of at most [`BLOCK`] lanes.
-/// Codes and thresholds are stored block by block; inside a block,
-/// input `i`'s column of codes and level `k`'s row of thresholds are
-/// each contiguous. Padding lanes hold zero codes and the threshold
-/// `hi + 1`, which no accumulator reaches, so their activations are 0.
+/// multiple of [`TILE`], and cut into the blocks of [`blocks`]. Codes
+/// (`i8` values, widened to `L`) and thresholds are stored block by
+/// block; inside a block, input `i`'s column of codes and level `k`'s
+/// row of thresholds are each contiguous. Padding lanes hold zero codes
+/// and the threshold `hi + 1`, which no accumulator reaches, so their
+/// activations are 0.
 #[derive(Debug, Clone, PartialEq)]
 struct LaneLayer<L> {
     in_dim: usize,
     width: usize,
-    codes: Vec<i8>,
+    codes: Vec<L>,
     /// `levels` thresholds per lane (hidden layers; empty for the
     /// output layer).
     thresholds: Vec<L>,
@@ -257,8 +312,8 @@ impl<L: Lane> LaneLayer<L> {
         Ok(LaneLayer {
             in_dim: plan.in_dim,
             width,
-            codes: blocked(plan.in_dim, plan.out_dim, width, 0, |i, j| {
-                codes[j * plan.in_dim + i]
+            codes: blocked(plan.in_dim, plan.out_dim, width, L::default(), |i, j| {
+                L::from(codes[j * plan.in_dim + i])
             }),
             thresholds: blocked(
                 plan.levels,
@@ -280,14 +335,27 @@ impl<L: Lane> LaneLayer<L> {
         let codes = &self.codes[self.in_dim * start..self.in_dim * (start + bw)];
         let thresholds =
             hidden.then(|| &self.thresholds[self.levels * start..self.levels * (start + bw)]);
-        // Block widths are the multiples of TILE up to BLOCK.
+        // `blocks` cuts only 64-, 32- and 16-lane blocks: a 48-lane
+        // body compiled its set-bit add to scalar code.
         match bw {
             16 => block::<L, 16>(codes, bits, act, thresholds, out),
             32 => block::<L, 32>(codes, bits, act, thresholds, out),
-            48 => block::<L, 48>(codes, bits, act, thresholds, out),
             _ => block::<L, BLOCK>(codes, bits, act, thresholds, out),
         }
     }
+}
+
+/// The blocks of a layer `width` lanes wide, a multiple of [`TILE`], as
+/// `(start, lanes)`: [`BLOCK`] lanes while that many remain, then 32,
+/// then 16.
+fn blocks(width: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let rest = width - start;
+        let lanes = [BLOCK, BLOCK / 2, TILE].into_iter().find(|&w| w <= rest)?;
+        start += lanes;
+        Some((start - lanes, lanes))
+    })
 }
 
 /// `rows` values per lane (a layer's codes, `rows = in_dim`, or its
@@ -302,8 +370,7 @@ fn blocked<T: Copy>(
     at: impl Fn(usize, usize) -> T,
 ) -> Vec<T> {
     let mut out = vec![pad; rows * width];
-    for start in (0..width).step_by(BLOCK) {
-        let bw = (width - start).min(BLOCK);
+    for (start, bw) in blocks(width) {
         for i in 0..rows {
             for j in start..(start + bw).min(out_dim) {
                 out[rows * start + i * bw + (j - start)] = at(i, j);
@@ -369,8 +436,7 @@ impl<L: Lane> LaneMlp<L> {
         let mut input: Option<&[L]> = None;
         for layer in &self.hidden {
             let (act, tail) = std::mem::take(&mut rest).split_at_mut(layer.width);
-            for start in (0..layer.width).step_by(BLOCK) {
-                let bw = (layer.width - start).min(BLOCK);
+            for (start, bw) in blocks(layer.width) {
                 layer.run_block(start, bits, input, true, &mut act[start..start + bw]);
             }
             input = Some(act);
@@ -378,8 +444,7 @@ impl<L: Lane> LaneMlp<L> {
         }
         scores.clear();
         let output = &self.output;
-        for start in (0..output.width).step_by(BLOCK) {
-            let bw = (output.width - start).min(BLOCK);
+        for (start, bw) in blocks(output.width) {
             let mut acc = [L::default(); BLOCK];
             output.run_block(start, bits, input, false, &mut acc[..bw]);
             scores.extend(

@@ -2,10 +2,12 @@
 //! value: random binary-input models at every bit-width from 1 to 8,
 //! input and layer widths up to 128, codes pinned at ±max, constant
 //! neurons with the `i64::MIN`/`i64::MAX` sentinel thresholds, and tied
-//! class scores; the lane-width proof, on random models and on
-//! hand-built models at the edge of `i16`; and the class memo in front
-//! of the kernel, which must return the kernel's class and scores
-//! through repeats and slot collisions.
+//! class scores; hand-built models whose only nonzero activations sit
+//! at the edges of the 64-input chunks the kernel walks, on both lane
+//! widths; the lane-width proof, on random models and on hand-built
+//! models at the edge of `i16`; and the class memo in front of the
+//! kernel, which must return the kernel's class and scores through
+//! repeats and slot collisions.
 
 use canids_qnn::export::{IntBlock, IntOutput, IntegerMlp};
 use canids_qnn::kernel::{
@@ -395,5 +397,57 @@ fn paper_models_take_their_predicted_lane_width() {
         let kernel = PackedMlp::new(&model).expect("representable");
         assert_eq!(kernel.acc_bits(), bits);
         assert_kernel_matches(&model, &inputs(u64::from(bits), model.input_dim(), 64));
+    }
+}
+
+/// The hidden lanes of [`chunk_edge_model`] that fire: the first and
+/// last lane of each of the output layer's two 64-input chunks.
+const CHUNK_EDGES: [usize; 4] = [0, 63, 64, 127];
+
+/// Three binary inputs → 128 constant neurons at `levels` → 2 classes.
+/// The neurons at [`CHUNK_EDGES`] hold levels `levels`, 1, 2 and
+/// `levels` (`i64::MIN` thresholds up to it, `i64::MAX` after); every
+/// other neuron holds 0. Class 0 weighs the first chunk `+max` and the
+/// second `-max`, class 1 the reverse, so a walk that reads one chunk's
+/// columns for the other's gets other scores.
+fn chunk_edge_model(levels: u32, max: i32, bits: u8) -> IntegerMlp {
+    let width = 128;
+    let held = |j: usize| match CHUNK_EDGES.iter().position(|&e| e == j) {
+        Some(p) => [levels, 1, 2, levels][p],
+        None => 0,
+    };
+    let thresholds = (0..width)
+        .flat_map(|j| (0..levels).map(move |k| if k < held(j) { i64::MIN } else { i64::MAX }))
+        .collect();
+    let first = |j: usize| if j < 64 { max } else { -max };
+    IntegerMlp {
+        blocks: vec![IntBlock {
+            in_dim: 3,
+            out_dim: width,
+            weights: vec![1; 3 * width],
+            thresholds,
+            levels,
+        }],
+        output: IntOutput {
+            in_dim: width,
+            out_dim: 2,
+            weights: (0..width)
+                .map(first)
+                .chain((0..width).map(|j| -first(j)))
+                .collect(),
+            bias_q: vec![0, 0],
+        },
+        input_levels: 1,
+        weight_bits: bits,
+        act_bits: bits,
+    }
+}
+
+#[test]
+fn the_walk_reads_each_chunks_own_columns() {
+    for (levels, max, bits, lanes) in [(15, 7, 4, 16), (255, 127, 8, 32)] {
+        let model = chunk_edge_model(levels, max, bits);
+        assert_eq!(predicted_acc_bits(&model), lanes, "{bits}-bit");
+        assert_kernel_matches(&model, &inputs(u64::from(bits), 3, 6));
     }
 }
