@@ -1,6 +1,7 @@
 //! Criterion bench for the Fig. 1 / throughput substrate: frame encoding
 //! against the allocation-free wire-length count that paces every
-//! replay, saturated-bus simulation speed, the streaming
+//! replay (on one repeated frame and over the frames of two captures),
+//! saturated-bus simulation speed, the streaming
 //! (frame-at-a-time) serving path the line-rate harness drives,
 //! whole software replays through that harness: a DoS capture, whose
 //! repeated flood frame the class memo answers, and a fuzzy capture,
@@ -108,6 +109,28 @@ fn bench_fig1(c: &mut Criterion) {
         b.iter(|| {
             let report = harness.replay(black_box(&fuzzy), &config).unwrap();
             black_box(report.serviced)
+        })
+    });
+    // The wire count over distinct frames, as a replay meets them: one
+    // pass over both captures (vehicle traffic, the flood frame and random
+    // fuzzed frames), where the two `frame_bit_count` rows above repeat
+    // one frame. All three rows are loops of independent counts, which
+    // the core overlaps, so they understate what a count costs between
+    // the other work of a replay (perfbench's `dataset.pace_ns_per_frame`
+    // reads it there). Divide by the two captures' frame count for a
+    // per-frame cost.
+    let frames: Vec<CanFrame> = capture
+        .records()
+        .iter()
+        .chain(fuzzy.records())
+        .map(|rec| rec.frame)
+        .collect();
+    group.bench_function("frame_bit_count_capture", |b| {
+        b.iter(|| {
+            black_box(&frames)
+                .iter()
+                .map(frame_bit_count)
+                .sum::<usize>()
         })
     });
     // The fleet transport's gateway hops: the DoS capture paced at 1 Mb/s

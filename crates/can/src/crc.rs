@@ -66,20 +66,39 @@ const CRC15_BYTE_TABLE: [u16; 256] = {
     table
 };
 
-/// CRC-15 of the `len` low bits of `bits`, most significant first — the
-/// value [`crc15`] returns for that bit sequence, computed a byte at a
-/// time from a 256-entry table.
-///
-/// A zero register ignores leading zero bits, so the sequence is read as
-/// whole bytes left-padded with zeros.
-pub(crate) fn crc15_packed(bits: u128, len: usize) -> u16 {
-    let bytes = bits.to_be_bytes();
-    let mut crc = 0u16;
-    for &byte in &bytes[bytes.len() - len.div_ceil(8)..] {
-        let row = usize::from(crc >> 7) ^ usize::from(byte);
-        crc = ((crc << 8) & CRC15_MASK) ^ CRC15_BYTE_TABLE[row];
+/// Row `k`, column `b`: the register after shifting in byte `b` and then
+/// `k` zero bytes from a zero register. Row 0 is [`CRC15_BYTE_TABLE`];
+/// each later row shifts one more zero byte through the previous one.
+const CRC15_POSITION_TABLE: [[u16; 256]; 16] = {
+    let mut table = [CRC15_BYTE_TABLE; 16];
+    let mut zeros = 1;
+    while zeros < 16 {
+        let mut byte = 0;
+        while byte < 256 {
+            let crc = table[zeros - 1][byte];
+            table[zeros][byte] = ((crc << 8) & CRC15_MASK) ^ CRC15_BYTE_TABLE[(crc >> 7) as usize];
+            byte += 1;
+        }
+        zeros += 1;
     }
-    crc
+    table
+};
+
+/// CRC-15 of `bits`, most significant first — the value [`crc15`]
+/// returns for that 128-bit sequence, and so for any shorter sequence
+/// in its low bits, since a zero register ignores leading zero bits.
+///
+/// CRC-15 is linear over GF(2), so the CRC of the word is the XOR of
+/// its bytes' CRCs, each byte followed by the zero bytes after it: one
+/// independent lookup per byte in a `const` table, with no register
+/// carried from byte to byte.
+pub(crate) fn crc15_packed(bits: u128) -> u16 {
+    // The last byte is followed by no zero bytes, the first by fifteen.
+    CRC15_POSITION_TABLE
+        .iter()
+        .rev()
+        .zip(bits.to_be_bytes())
+        .fold(0, |crc, (row, byte)| crc ^ row[usize::from(byte)])
 }
 
 /// Incremental CRC-15 register, for streaming encoders.
@@ -201,7 +220,22 @@ mod tests {
                     .checked_shr(u32::try_from(128 - len).unwrap())
                     .unwrap_or(0);
                 let seq: Vec<bool> = (0..len).rev().map(|i| (word >> i) & 1 == 1).collect();
-                assert_eq!(crc15_packed(word, len), crc15(&seq), "len {len}");
+                assert_eq!(crc15_packed(word), crc15(&seq), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn position_table_matches_the_bit_serial_register_for_every_byte_at_every_position() {
+        for position in 0..16 {
+            for byte in 0..=255u8 {
+                let word = u128::from(byte) << (8 * (15 - position));
+                let seq: Vec<bool> = (0..128).rev().map(|i| (word >> i) & 1 == 1).collect();
+                assert_eq!(
+                    crc15_packed(word),
+                    crc15(&seq),
+                    "byte {byte:#04x} at position {position}"
+                );
             }
         }
     }

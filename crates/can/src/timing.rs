@@ -8,11 +8,12 @@
 //! [`max_frame_rate`].
 //!
 //! [`frame_bit_count`] counts that length without building the bit
-//! sequence: it packs the frame's fields into one integer, runs CRC-15 and
-//! the stuffing rule over it a byte at a time from two `const` tables, and
-//! adds the unstuffed tail. Its tests hold it equal to
-//! `encode_frame(f).len()` for standard, extended and remote frames of
-//! every length, the stuffing-heaviest included.
+//! sequence: it packs the frame's fields into one integer, takes CRC-15 as
+//! the XOR of one independent lookup per byte in a `const` table, runs the
+//! stuffing rule over the result a byte at a time as an automaton from a
+//! second `const` table, and adds the unstuffed tail. Its tests hold it
+//! equal to `encode_frame(f).len()` for standard, extended and remote
+//! frames of every length, the stuffing-heaviest included.
 
 use crate::bits::stuff_bit_count;
 use crate::crc::crc15_packed;
@@ -179,10 +180,12 @@ impl Default for BitTiming {
 /// Number of on-wire bits for a frame (SOF..EOF, including stuff bits).
 ///
 /// Allocation-free: the fields from SOF through the data (at most 103
-/// bits) are packed into a `u128`, most significant first. CRC-15 runs
-/// over them a byte at a time, and its 15 bits are appended. A 10-state
-/// automaton then counts the stuff bits a byte at a time, and the 10
-/// unstuffed tail bits are added. The result equals
+/// bits) are packed into a `u128`, most significant first, the data field
+/// from one big-endian read of the padded payload. CRC-15 is the XOR of
+/// one table lookup per byte of that word, with no register carried from
+/// byte to byte, and its 15 bits are appended. A 10-state automaton then
+/// counts the stuff bits a byte at a time, and the 10 unstuffed tail bits
+/// are added. The result equals
 /// [`encode_frame(frame).len()`](crate::bits::encode_frame) for every
 /// frame, which the codec's property tests check.
 ///
@@ -213,13 +216,17 @@ pub fn frame_bit_count(frame: &CanFrame) -> usize {
     };
     bits = bits << 4 | u128::from(frame.dlc().value());
     len += 4;
-    if !frame.is_remote() {
-        for &byte in frame.data() {
-            bits = bits << 8 | u128::from(byte);
-            len += 8;
-        }
-    }
-    bits = bits << 15 | u128::from(crc15_packed(bits, len));
+    // A remote frame has no data field, whatever its DLC.
+    let data_bits = if frame.is_remote() {
+        0
+    } else {
+        8 * frame.dlc().byte_len()
+    };
+    // The payload's first `data_bits` bits, most significant first.
+    let data = u128::from(u64::from_be_bytes(*frame.data_padded())) >> (64 - data_bits);
+    bits = bits << data_bits | data;
+    len += data_bits;
+    bits = bits << 15 | u128::from(crc15_packed(bits));
     len += 15;
     len + stuff_bit_count(bits, len) + TAIL_BITS
 }
@@ -286,20 +293,18 @@ pub fn max_frame_rate(rate: Bitrate, payload_len: usize) -> Result<f64, FrameErr
     // Deterministic pseudo-random payload sample for the average.
     let mut state = 0x9E37_79B9u32;
     let mut total_bits = 0usize;
-    const SAMPLES: usize = 64;
+    const SAMPLES: u16 = 64;
     for i in 0..SAMPLES {
         let mut payload = [0u8; 8];
         for byte in payload.iter_mut().take(payload_len) {
             state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             *byte = (state >> 24) as u8;
         }
-        let id = CanId::Standard(
-            (0x100 + (u16::try_from(i).expect("SAMPLES < 64") * 13) % 0x400) & 0x7FF,
-        );
-        let frame = CanFrame::new(id, &payload[..payload_len]).expect("payload_len validated <= 8");
+        let id = CanId::Standard((0x100 + (i * 13) % 0x400) & 0x7FF);
+        let frame = CanFrame::new(id, &payload[..payload_len])?;
         total_bits += frame_bit_count(&frame) + INTERFRAME_BITS;
     }
-    let mean_bits = total_bits as f64 / SAMPLES as f64;
+    let mean_bits = total_bits as f64 / f64::from(SAMPLES);
     Ok(f64::from(rate.bits_per_sec()) / mean_bits)
 }
 
