@@ -19,10 +19,12 @@
 //!   per-tenant frame order is preserved by construction, and a slow
 //!   tenant holds up only the worker serving it. The pool size
 //!   ([`PopulationConfig::workers`]) is execution-only.
-//! * **One pacing pass** — each tenant's lane returns its frames'
-//!   arrival times beside its report and verdicts, and the admission
-//!   ledger builds the population schedule from them, so no capture is
-//!   paced twice.
+//! * **One pacing pass** — each tenant's lane returns, beside its
+//!   report, one compact record per offered frame: its arrival time,
+//!   its ordinal and, when served, its verdict latency and whether it
+//!   was a confirmed positive. The records are in arrival order, so the
+//!   admission ledger walks the population schedule as a merge of the
+//!   lanes, and no capture is paced twice.
 //! * [`TenantAdmission`] — cross-tenant admission control generalising
 //!   [`crate::serve::AdmissionPolicy::ShedLowestMeasuredValue`] from
 //!   models to tenant streams: when more streams are live than the
@@ -42,6 +44,8 @@
 //! admission ledger (phase 2) is pure integer bookkeeping over the
 //! arrival schedule phase 1 paced.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt::Write as _;
 
 use canids_can::time::SimTime;
@@ -52,7 +56,7 @@ use crate::error::CoreError;
 use crate::report::LatencyStats;
 use crate::serve::{
     offered_rate, ReplayConfig, ServeBackend, ServeHarness, ServeReport, ShardWorkers, ValueScore,
-    Verdict,
+    Verdict, VerdictSink,
 };
 use crate::telemetry::{Probe, Stage, TelemetryReport};
 
@@ -402,7 +406,8 @@ pub struct PopulationReport {
     /// is skipped, so it cannot erase the others' capacity.
     pub sustained_fps: Option<f64>,
     /// Pooled verdict latency over every served frame, on the sim
-    /// clock, merged in tenant-ordinal order then sorted.
+    /// clock, read from the tenants' samples pooled in tenant-ordinal
+    /// order.
     pub latency: LatencyStats,
     /// Cross-tenant admission events in population-clock order.
     pub events: Vec<TenantEvent>,
@@ -558,13 +563,16 @@ impl Population {
     /// Phase 1 replays each tenant independently on the claim-counter
     /// pool — per-tenant results are bit-identical to a plain
     /// [`ServeHarness::replay`] under the tenant's configuration,
-    /// whatever the scheduling — and keeps each frame's arrival time.
-    /// Phase 2 sweeps the staggered population arrival schedule built
-    /// from those times through the cross-tenant admission ledger
-    /// (single-threaded integer bookkeeping), producing the tenant event
-    /// log and the frame-conservation accounting. The merge runs in
-    /// tenant-ordinal order, so the report fingerprint does not depend
-    /// on [`PopulationConfig::workers`].
+    /// whatever the scheduling — and keeps one record per frame (its
+    /// arrival time and, if served, its verdict latency and
+    /// confirmed-positive bit), sorted by arrival. Phase 2 merges the
+    /// lanes' records into the staggered population arrival schedule,
+    /// in `(time, tenant, ordinal)` order, and sweeps it through the
+    /// cross-tenant admission ledger (single-threaded integer
+    /// bookkeeping), producing the tenant event log and the
+    /// frame-conservation accounting. Ties break by tenant ordinal, so
+    /// the report fingerprint does not depend on
+    /// [`PopulationConfig::workers`].
     ///
     /// # Errors
     ///
@@ -612,24 +620,62 @@ impl Population {
         let outcomes = replay_lanes(&factory, &self.tenants, config)?;
 
         // Phase 2: the cross-tenant admission ledger — a single-threaded
-        // sweep over the staggered population arrival schedule.
+        // sweep over the merge of the lanes' staggered arrivals.
         let ledger = Ledger::sweep(&self.tenants, config, &outcomes);
         Ok(ledger.into_report(&self.tenants, config, outcomes))
     }
 }
 
-/// One tenant lane's phase-1 result: its replay report, its verdict
-/// stream, and every frame's arrival time in ordinal order (dropped
-/// frames included).
+/// One tenant lane's phase-1 result: its replay report, and one record
+/// per offered frame (dropped frames included) in `(arrival, ordinal)`
+/// order.
 struct LaneOutcome {
     report: ServeReport,
-    verdicts: Vec<Verdict>,
-    arrivals: Vec<SimTime>,
+    records: Vec<FrameRecord>,
+}
+
+/// One offered frame of a tenant lane, as the admission ledger reads it.
+#[derive(Debug, Clone, Copy, Default)]
+struct FrameRecord {
+    /// Arrival on the lane's own clock.
+    arrival: SimTime,
+    /// Position in the tenant's capture.
+    ordinal: usize,
+    /// The frame's verdict; `None` when the backend dropped it.
+    verdict: Option<LaneVerdict>,
+}
+
+/// What the admission ledger reads of a served frame's verdict.
+#[derive(Debug, Clone, Copy)]
+struct LaneVerdict {
+    /// Completion minus arrival, on the sim clock.
+    latency: SimTime,
+    /// Flagged, and the frame was an attack.
+    confirmed: bool,
+}
+
+/// The lane-local [`VerdictSink`]: one [`FrameRecord`] per frame of the
+/// capture, in ordinal order, each filled with its frame's verdict as
+/// the replay delivers it.
+struct LaneRecords(Vec<FrameRecord>);
+
+impl VerdictSink for LaneRecords {
+    fn verdict(&mut self, v: &Verdict) {
+        if let Some(record) = self.0.get_mut(v.ordinal) {
+            record.verdict = Some(LaneVerdict {
+                latency: v.completed_at.saturating_sub(v.arrival),
+                confirmed: v.flagged && v.truth_attack,
+            });
+        }
+    }
 }
 
 /// Replays every tenant, one lane each, through a fresh backend from
 /// `factory` on the configured worker pool, under the population's
-/// replay template at the tenant's own bitrate. Returns each lane's
+/// replay template at the tenant's own bitrate. Each lane stamps its
+/// records with the arrivals its replay paced and sorts them by
+/// arrival (stably, so ties keep ordinal order) when they are out of
+/// order, as a capture replayed as recorded can be. Returns each lane's
 /// outcome in tenant order whatever the schedule.
 ///
 /// # Errors
@@ -647,17 +693,18 @@ where
     let workers = config.workers.count(tenants.len());
     crate::par::scoped_map_with(tenants, workers, |tenant| {
         let replay = config.replay.clone().with_bitrate(tenant.bitrate);
-        let mut verdicts: Vec<Verdict> = Vec::new();
-        let (report, arrivals) = ServeHarness::new(factory()?).replay_arrivals(
-            &tenant.capture,
-            &replay,
-            &mut verdicts,
-        )?;
-        Ok(LaneOutcome {
-            report,
-            verdicts,
-            arrivals,
-        })
+        let mut sink = LaneRecords(vec![FrameRecord::default(); tenant.capture.len()]);
+        let (report, arrivals) =
+            ServeHarness::new(factory()?).replay_arrivals(&tenant.capture, &replay, &mut sink)?;
+        let mut records = sink.0;
+        for (ordinal, (record, arrival)) in records.iter_mut().zip(arrivals).enumerate() {
+            record.arrival = arrival;
+            record.ordinal = ordinal;
+        }
+        if !records.is_sorted_by_key(|r| r.arrival) {
+            records.sort_by_key(|r| r.arrival);
+        }
+        Ok(LaneOutcome { report, records })
     })
     .into_iter()
     .collect()
@@ -679,18 +726,63 @@ fn slowest_lane_fps<'a>(
     (max_busy_s > 0.0).then(|| serviced as f64 / max_busy_s)
 }
 
-/// The ledger's verdict-index entry for a frame its lane's backend
-/// dropped: a position past the end of every lane's verdicts, so a
-/// lookup by it finds none. (A lane would need over 4 × 10⁹ verdicts,
-/// more than fit in memory, to reach it.)
-const NO_VERDICT: u32 = u32::MAX;
+/// The population arrival schedule: every lane's records on the
+/// population clock (each lane shifted by its stagger offset), merged
+/// in `(time, tenant, ordinal)` order. Each lane is already in
+/// `(arrival, ordinal)` order, so a heap holding every lane's next
+/// record, keyed on `(time, tenant)`, yields the merge one frame at a
+/// time.
+struct Schedule<'a> {
+    lanes: &'a [LaneOutcome],
+    /// Per lane, its stagger offset on the population clock.
+    offsets: Vec<SimTime>,
+    /// Per lane, the position of its next record.
+    next: Vec<usize>,
+    /// Every lane with records left, keyed on its next record's
+    /// `(time, tenant)`.
+    heads: BinaryHeap<Reverse<(SimTime, usize)>>,
+}
 
-/// One offered frame on the population clock.
-#[derive(Debug, Clone, Copy)]
-struct FrameAt {
-    time: SimTime,
-    tenant: usize,
-    ordinal: usize,
+impl<'a> Schedule<'a> {
+    fn new(lanes: &'a [LaneOutcome], stagger: SimTime) -> Self {
+        let offsets: Vec<SimTime> = (0..lanes.len())
+            .map(|k| stagger.mul_u64(k as u64))
+            .collect();
+        let heads = lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(k, lane)| {
+                let first = lane.records.first()?;
+                Some(Reverse((offsets[k] + first.arrival, k)))
+            })
+            .collect();
+        Schedule {
+            lanes,
+            offsets,
+            next: vec![0; lanes.len()],
+            heads,
+        }
+    }
+}
+
+impl<'a> Iterator for Schedule<'a> {
+    /// A frame's population-clock time, its tenant and its record.
+    type Item = (SimTime, usize, &'a FrameRecord);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut head = self.heads.peek_mut()?;
+        let Reverse((time, k)) = *head;
+        let records = &self.lanes[k].records;
+        let record = &records[self.next[k]];
+        self.next[k] += 1;
+        match records.get(self.next[k]) {
+            Some(after) => *head = Reverse((self.offsets[k] + after.arrival, k)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        Some((time, k, record))
+    }
 }
 
 /// The phase-2 admission ledger: per-tenant frame accounting, residency
@@ -728,37 +820,7 @@ impl Ledger {
             }
         };
 
-        // The population arrival schedule: each tenant's frames at the
-        // arrival times its replay paced them at, offset by the tenant's
-        // stagger slot, then interleaved in (time, tenant, ordinal)
-        // order.
-        let mut frames: Vec<FrameAt> =
-            Vec::with_capacity(outcomes.iter().map(|lane| lane.arrivals.len()).sum());
-        for (k, lane) in outcomes.iter().enumerate() {
-            let offset = config.stagger.mul_u64(k as u64);
-            frames.extend(lane.arrivals.iter().enumerate().map(|(o, &t)| FrameAt {
-                time: offset + t,
-                tenant: k,
-                ordinal: o,
-            }));
-        }
-        frames.sort_by_key(|f| (f.time, f.tenant, f.ordinal));
-
-        // Per-tenant index from local frame ordinal to the position of
-        // its verdict in the lane's own `verdicts` (`NO_VERDICT` for a
-        // frame the backend dropped).
-        let mut verdict_at: Vec<Vec<u32>> = Vec::with_capacity(n);
-        for (k, lane) in outcomes.iter().enumerate() {
-            let mut table = vec![NO_VERDICT; tenants[k].capture.len()];
-            for (pos, v) in lane.verdicts.iter().enumerate() {
-                if let (Some(slot), Ok(pos)) = (table.get_mut(v.ordinal), u32::try_from(pos)) {
-                    *slot = pos;
-                }
-            }
-            verdict_at.push(table);
-        }
-
-        let total: Vec<usize> = tenants.iter().map(|t| t.capture.len()).collect();
+        let total: Vec<usize> = outcomes.iter().map(|lane| lane.records.len()).collect();
         let mut ledger = Ledger {
             serviced: vec![0; n],
             dropped: vec![0; n],
@@ -768,8 +830,8 @@ impl Ledger {
             windows: vec![Vec::new(); n],
             events: Vec::new(),
             offered: total.clone(),
-            first_arrival: frames.first().map_or(SimTime::ZERO, |f| f.time),
-            last_arrival: frames.last().map_or(SimTime::ZERO, |f| f.time),
+            first_arrival: SimTime::ZERO,
+            last_arrival: SimTime::ZERO,
         };
 
         let mut started = vec![false; n];
@@ -784,14 +846,18 @@ impl Ledger {
         let mut value = ValueScore::new(window, n);
         let rank = |t: usize, value: &ValueScore| value.rank(t, tenants[t].priority);
 
-        for f in &frames {
-            let k = f.tenant;
+        let mut schedule = Schedule::new(outcomes, config.stagger).peekable();
+        if let Some(&(first, _, _)) = schedule.peek() {
+            ledger.first_arrival = first;
+        }
+        for (time, k, record) in schedule {
+            ledger.last_arrival = time;
             if !started[k] {
                 started[k] = true;
                 if admitted_count < capacity {
                     admitted[k] = true;
                     admitted_count += 1;
-                    open[k] = Some(f.time);
+                    open[k] = Some(time);
                 } else {
                     // Pool full: shed the lowest-value stream — the
                     // newcomer competes on equal terms and may lose.
@@ -800,29 +866,29 @@ impl Ledger {
                         .min_by_key(|&t| rank(t, &value))
                         .unwrap_or(k);
                     ledger.events.push(TenantEvent {
-                        time: f.time,
+                        time,
                         tenant: victim,
                         action: TenantAction::Shed,
                     });
                     if victim != k {
                         admitted[victim] = false;
                         if let Some(o) = open[victim].take() {
-                            ledger.windows[victim].push((o, f.time));
+                            ledger.windows[victim].push((o, time));
                         }
                         admitted[k] = true;
-                        open[k] = Some(f.time);
+                        open[k] = Some(time);
                     }
                 }
             }
             if admitted[k] {
-                value.expire(k, f.ordinal);
-                match outcomes[k].verdicts.get(verdict_at[k][f.ordinal] as usize) {
+                value.expire(k, record.ordinal);
+                match record.verdict {
                     Some(v) => {
                         ledger.serviced[k] += 1;
-                        ledger.latencies[k].push(v.completed_at.saturating_sub(v.arrival));
-                        if v.flagged && v.truth_attack {
+                        ledger.latencies[k].push(v.latency);
+                        if v.confirmed {
                             ledger.confirmed[k] += 1;
-                            value.record(k, f.ordinal);
+                            value.record(k, record.ordinal);
                         }
                     }
                     None => ledger.dropped[k] += 1,
@@ -837,7 +903,7 @@ impl Ledger {
                 admitted[k] = false;
                 admitted_count -= 1;
                 if let Some(o) = open[k].take() {
-                    ledger.windows[k].push((o, f.time));
+                    ledger.windows[k].push((o, time));
                 }
                 let pick = (0..n)
                     .filter(|&t| started[t] && !admitted[t] && processed[t] < total[t])
@@ -845,9 +911,9 @@ impl Ledger {
                 if let Some(c) = pick {
                     admitted[c] = true;
                     admitted_count += 1;
-                    open[c] = Some(f.time);
+                    open[c] = Some(time);
                     ledger.events.push(TenantEvent {
-                        time: f.time,
+                        time,
                         tenant: c,
                         action: TenantAction::Readmit,
                     });
@@ -866,7 +932,7 @@ impl Ledger {
         outcomes: Vec<LaneOutcome>,
     ) -> PopulationReport {
         let mut tenant_reports = Vec::with_capacity(tenants.len());
-        let mut pooled: Vec<SimTime> = Vec::new();
+        let mut pooled: Vec<SimTime> = Vec::with_capacity(self.serviced.iter().sum());
         for (k, lane) in outcomes.into_iter().enumerate() {
             let lats = std::mem::take(&mut self.latencies[k]);
             pooled.extend(&lats);
@@ -931,9 +997,8 @@ impl Ledger {
             merged
         });
 
-        pooled.sort_unstable();
         PopulationReport {
-            latency: LatencyStats::from_sorted(&pooled),
+            latency: LatencyStats::from_unsorted(pooled),
             tenants: tenant_reports,
             offered,
             serviced,

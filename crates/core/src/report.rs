@@ -39,14 +39,19 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
+    /// The zero-based index quantile `q` reads among `n > 0` sorted
+    /// samples (see the type docs for the exact rule).
+    fn rank(n: usize, q: f64) -> usize {
+        (((n - 1) as f64 * q).round() as usize).min(n - 1)
+    }
+
     /// Nearest-rank percentile over **sorted** samples (see the type
     /// docs for the exact rule). Empty input reads as zero.
     pub fn percentile(sorted: &[SimTime], q: f64) -> SimTime {
         if sorted.is_empty() {
             return SimTime::ZERO;
         }
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
+        sorted[Self::rank(sorted.len(), q)]
     }
 
     /// Summarises a **sorted** sample vector.
@@ -58,10 +63,26 @@ impl LatencyStats {
         }
     }
 
-    /// Sorts the samples, then summarises them.
+    /// Summarises samples in any order: the same nearest-rank elements
+    /// [`from_sorted`](Self::from_sorted) reads, selected in place
+    /// rather than sorted. p99 is selected first, p50 among the samples
+    /// below it and the max among those above it. Samples already in
+    /// order (a constant service time, say) are read as they are.
     pub fn from_unsorted(mut samples: Vec<SimTime>) -> Self {
-        samples.sort_unstable();
-        Self::from_sorted(&samples)
+        if samples.is_sorted() {
+            return Self::from_sorted(&samples);
+        }
+        // Unsorted, so at least two samples.
+        let n = samples.len();
+        let (at50, at99) = (Self::rank(n, 0.50), Self::rank(n, 0.99));
+        let (below, &mut p99, above) = samples.select_nth_unstable(at99);
+        let max = above.iter().copied().max().unwrap_or(p99);
+        let p50 = if at50 < at99 {
+            *below.select_nth_unstable(at50).1
+        } else {
+            p99
+        };
+        LatencyStats { p50, p99, max }
     }
 }
 
@@ -191,6 +212,7 @@ pub fn pct_of(part: u64, whole: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn renders_aligned_columns() {
@@ -294,5 +316,58 @@ mod tests {
             LatencyStats::from_unsorted(shuffled),
             LatencyStats::from_sorted(&sorted)
         );
+    }
+
+    /// What sorting the samples and reading them gives.
+    fn by_sorting(samples: &[SimTime]) -> LatencyStats {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        LatencyStats::from_sorted(&sorted)
+    }
+
+    #[test]
+    fn selection_matches_sorting_on_every_short_input() {
+        // Every vector of up to five samples over three values, so n = 1
+        // and n = 2, where p50 and p99 read the same index, are covered
+        // in every order.
+        for n in 0..=5u32 {
+            for code in 0..3u64.pow(n) {
+                let samples: Vec<SimTime> = (0..n)
+                    .map(|i| SimTime::from_nanos(code / 3u64.pow(i) % 3))
+                    .collect();
+                assert_eq!(
+                    LatencyStats::from_unsorted(samples.clone()),
+                    by_sorting(&samples),
+                    "{samples:?}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // Selection reads the elements sorting reads, for lengths 0-300
+        // over a wide range or a few distinct values, in the drawn order,
+        // presorted, reversed or all equal.
+        #[test]
+        fn selection_matches_sorting(
+            drawn in proptest::collection::vec(0u64..1_000_000, 0..=300),
+            distinct in prop_oneof![Just(1u64), Just(2), Just(3), Just(1_000_000)],
+            shape in 0u8..4,
+        ) {
+            let mut samples: Vec<SimTime> =
+                drawn.iter().map(|&ns| SimTime::from_nanos(ns % distinct + 1)).collect();
+            match shape {
+                1 => samples.sort_unstable(),
+                2 => samples.sort_unstable_by(|a, b| b.cmp(a)),
+                3 => {
+                    let first = samples.first().copied().unwrap_or(SimTime::ZERO);
+                    samples.fill(first);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(LatencyStats::from_unsorted(samples.clone()), by_sorting(&samples));
+        }
     }
 }

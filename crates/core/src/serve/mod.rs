@@ -405,9 +405,9 @@ impl<B: ServeBackend> ServeHarness<B> {
     }
 
     /// [`replay_with`](Self::replay_with), also returning every frame's
-    /// arrival time in ordinal order, dropped frames included: the
-    /// population ledger builds its schedule from them instead of pacing
-    /// the capture a second time.
+    /// arrival time in ordinal order, dropped frames included: a
+    /// population lane stamps its frame records with them instead of
+    /// pacing the capture a second time.
     pub(crate) fn replay_arrivals(
         &mut self,
         capture: &Dataset,

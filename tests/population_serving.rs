@@ -15,6 +15,11 @@
 //! 4. Edge cases: a tenant with an empty capture leaves the population's
 //!    modelled capacity alone, and a failing backend factory fails the
 //!    whole population with its typed error.
+//! 5. The admission ledger's order: frames at one instant are taken in
+//!    tenant order and an out-of-order capture in arrival order, so the
+//!    events, per-tenant counts, arrival span and pooled latency of a
+//!    population built to tie repeat figures recorded before the ledger
+//!    merged its lanes.
 
 use canids_core::population::{Population, PopulationConfig, TenantAdmission, TenantStream};
 use canids_core::prelude::*;
@@ -347,4 +352,95 @@ proptest! {
         prop_assert!(open.events.is_empty());
         prop_assert!(open.tenants.iter().all(|t| t.conserved()));
     }
+}
+
+#[test]
+fn the_ledger_order_is_pinned() {
+    // Stagger 0 and two tenants on one capture put several tenants'
+    // frames at one instant, where the tenant ordinal breaks the tie; a
+    // one-frame tenant joins at one of those instants mid-stream, an
+    // empty tenant never arrives, and a capture replayed as recorded
+    // with its last two records swapped arrives out of order. Every
+    // figure below was recorded from a ledger that sorted the whole
+    // schedule by `(time, tenant, ordinal)`, and must repeat.
+    let pipeline = IdsPipeline::new(PipelineConfig::dos().quick());
+    let model = pipeline
+        .train(&pipeline.generate_capture())
+        .unwrap()
+        .int_mlp;
+    let shared = capture(true, 0x0D0E, 40);
+    let mut swapped = capture(true, 0x0D0F, 50).records().to_vec();
+    let last = swapped.len() - 1;
+    swapped.swap(last - 1, last);
+    let population = Population::with_tenants(vec![
+        TenantStream::new("shared-0", shared.clone()),
+        TenantStream::new("shared-1", shared.clone()),
+        TenantStream::new("parked", Dataset::from_records(Vec::new())),
+        TenantStream::new(
+            "one-frame",
+            Dataset::from_records(vec![shared.records()[shared.len() / 2]]),
+        ),
+        TenantStream::new("swapped", Dataset::from_records(swapped)),
+    ]);
+    let config = PopulationConfig::default()
+        .with_replay(
+            ReplayConfig::default()
+                .with_pacing(Pacing::AsRecorded)
+                .with_batch(4),
+        )
+        .with_stagger(SimTime::ZERO)
+        .with_admission(TenantAdmission::ShedLowestValueTenant {
+            capacity: 2,
+            window: 16,
+        });
+    let report = population
+        .serve(|| Ok(SoftwareBackend::single(model.clone())), &config)
+        .unwrap();
+
+    let events: Vec<(u64, usize, TenantAction)> = report
+        .events
+        .iter()
+        .map(|e| (e.time.as_nanos(), e.tenant, e.action))
+        .collect();
+    assert_eq!(
+        events,
+        [
+            (254_000, 4, TenantAction::Shed),
+            (20_270_000, 3, TenantAction::Shed),
+            (40_138_000, 4, TenantAction::Readmit),
+        ]
+    );
+    // Per tenant: serviced, dropped, shed frames, confirmed positives.
+    let counts: Vec<[usize; 4]> = report
+        .tenants
+        .iter()
+        .map(|t| {
+            [
+                t.serviced,
+                t.dropped as usize,
+                t.shed_frames,
+                t.confirmed_positives,
+            ]
+        })
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            [159, 0, 0, 133],
+            [159, 0, 0, 133],
+            [0, 0, 0, 0],
+            [0, 0, 1, 0],
+            [41, 0, 158, 34],
+        ]
+    );
+    assert_eq!(report.first_arrival, SimTime::from_nanos(254_000));
+    assert_eq!(report.last_arrival, SimTime::from_nanos(50_247_766));
+    assert_eq!(
+        report.latency,
+        LatencyStats {
+            p50: SimTime::from_nanos(256_700),
+            p99: SimTime::from_nanos(762_900),
+            max: SimTime::from_nanos(900_900),
+        }
+    );
 }
